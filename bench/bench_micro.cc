@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
 // belief propagation (the chapter-5 "linear complexity" claim), collective
-// inference, reduct computation, the simplex solver and link scoring.
+// inference, reduct computation, the simplex solver and link scoring and
+// removal.
 //
 //   $ ./bench_micro [--benchmark_filter=...] [--report_out=F]
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "classify/collective.h"
 #include "classify/evaluation.h"
 #include "classify/naive_bayes.h"
 #include "obs/report.h"
@@ -127,6 +129,45 @@ void BM_RankIndistinguishableLinks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankIndistinguishableLinks)->Arg(10)->Arg(20)->Arg(40);
+
+/// One step of bench_fig3_5's link axis on an MIT-like graph (average
+/// degree ~78): score every hidden node's links and remove the 50 most
+/// indistinguishable. The graph copy each removal needs is untimed.
+void BM_RemoveIndistinguishableLinks(benchmark::State& state) {
+  double scale = static_cast<double>(state.range(0)) / 100.0;
+  auto g = GenerateSyntheticGraph(ppdp::graph::MitLikeConfig(scale, 13));
+  Rng rng(7);
+  auto known = ppdp::classify::SampleKnownMask(g, 0.7, rng);
+  ppdp::classify::NaiveBayesClassifier nb;
+  nb.Train(g, known);
+  auto estimates = ppdp::classify::BootstrapDistributions(g, known, nb);
+  for (auto _ : state) {
+    state.PauseTiming();
+    ppdp::graph::SocialGraph copy = g;
+    state.ResumeTiming();
+    size_t removed = ppdp::sanitize::RemoveIndistinguishableLinks(copy, known, estimates, 50);
+    benchmark::DoNotOptimize(removed);
+  }
+}
+BENCHMARK(BM_RemoveIndistinguishableLinks)->Arg(2)->Arg(5)->Unit(benchmark::kMillisecond);
+
+/// A whole single-threaded ICA-Bayes run on an MIT-like graph: weight
+/// rows, training, bootstrap and every refinement round.
+void BM_IcaSolver(benchmark::State& state) {
+  double scale = static_cast<double>(state.range(0)) / 100.0;
+  auto g = GenerateSyntheticGraph(ppdp::graph::MitLikeConfig(scale, 13));
+  Rng rng(7);
+  auto known = ppdp::classify::SampleKnownMask(g, 0.7, rng);
+  ppdp::classify::CollectiveConfig config;
+  config.threads = 1;
+  for (auto _ : state) {
+    ppdp::classify::NaiveBayesClassifier nb;
+    ppdp::classify::IcaSolver solver(g, known, nb, config);
+    while (!solver.Done()) benchmark::DoNotOptimize(solver.Step());
+    benchmark::DoNotOptimize(solver.iteration());
+  }
+}
+BENCHMARK(BM_IcaSolver)->Arg(2)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_MaxProductReconstruction(benchmark::State& state) {
   size_t num_snps = static_cast<size_t>(state.range(0));

@@ -210,16 +210,8 @@ struct BenchEnv {
   /// Prints `table` under a heading and writes it to <out>/<name>.csv.
   /// The CSV is digested into the run report at exit.
   void Emit(const Table& table, const std::string& name, const std::string& heading) const {
-    std::cout << "== " << heading << " ==\n";
-    table.Print(std::cout);
-    std::string path = out_dir + "/" + name + ".csv";
-    Status status = table.WriteCsv(path);
-    if (status.ok()) {
-      std::cout << "(csv: " << path << ")\n\n";
-      RecordOutput(name, path);
-    } else {
-      std::cout << "(csv write failed: " << status.ToString() << ")\n\n";
-    }
+    std::string path = PrintAndWrite(table, name, heading);
+    if (!path.empty()) RecordOutput(name, path);
   }
 
   /// Prints a privacy-ledger audit table, persists it as <out>/<name>.csv,
@@ -288,7 +280,9 @@ struct BenchEnv {
   void EmitPhaseTimings() const {
     Table phases = obs::TraceRecorder::Global().PhaseSummary();
     if (phases.num_rows() == 0) return;
-    Emit(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
+    // Timings differ from run to run, so this table is written but not
+    // digested: `ppdp_benchstat --check_digests` audits results only.
+    PrintAndWrite(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
     size_t dropped = obs::TraceRecorder::Global().num_dropped();
     if (dropped > 0) {
       std::cout << "(trace buffer full: " << dropped << " spans not recorded)\n";
@@ -370,6 +364,22 @@ struct BenchEnv {
   }
 
  private:
+  /// Prints `table` under a heading and writes it to <out>/<name>.csv.
+  /// Returns the CSV's path, or "" when the write failed.
+  std::string PrintAndWrite(const Table& table, const std::string& name,
+                            const std::string& heading) const {
+    std::cout << "== " << heading << " ==\n";
+    table.Print(std::cout);
+    std::string path = out_dir + "/" + name + ".csv";
+    Status status = table.WriteCsv(path);
+    if (!status.ok()) {
+      std::cout << "(csv write failed: " << status.ToString() << ")\n\n";
+      return "";
+    }
+    std::cout << "(csv: " << path << ")\n\n";
+    return path;
+  }
+
   /// Remembers a CSV written through Emit, replacing an earlier write of
   /// the same table name (benches may re-emit).
   void RecordOutput(const std::string& name, const std::string& path) const {

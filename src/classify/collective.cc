@@ -15,7 +15,7 @@
 namespace ppdp::classify {
 
 namespace {
-/// Per-node work (a Predict or a relational mix) is light; batch enough
+/// Per-node work (one relational mix) is light; batch enough
 /// nodes per chunk that scheduling cost disappears.
 constexpr size_t kNodeGrain = 64;
 }  // namespace
@@ -45,19 +45,12 @@ IcaSolver::IcaSolver(const SocialGraph& g, const std::vector<bool>& known,
   static obs::Counter& runs = obs::MetricsRegistry::Global().counter("classify.ica.runs");
   runs.Increment();
 
-  const exec::ExecConfig exec_config{config_.threads};
+  weights_ = LinkWeightRows(g_, known_, config_.threads);
   local.Train(g_, known_);
   distributions_ = BootstrapDistributions(g_, known_, local, config_.threads);
-
-  // Cache the (fixed) attribute posteriors; only P_L changes per round.
-  // Each node's posterior is an independent Predict — fan the nodes out.
-  attribute_posterior_.resize(g_.num_nodes());
-  exec::ParallelFor(
-      0, g_.num_nodes(), kNodeGrain,
-      [&](size_t u) {
-        if (!known_[u]) attribute_posterior_[u] = local.Predict(g_, static_cast<NodeId>(u));
-      },
-      exec_config);
+  // The bootstrap holds each unknown node's attribute posterior, which
+  // stays fixed; only P_L changes per round.
+  attribute_posterior_ = distributions_;
   node_change_.assign(g_.num_nodes(), 0.0);
 }
 
@@ -88,7 +81,8 @@ Status IcaSolver::Step() {
           node_change_[u] = 0.0;
           return;
         }
-        LabelDistribution link = RelationalPredict(g_, static_cast<NodeId>(u), distributions_);
+        const NodeId node = static_cast<NodeId>(u);
+        LabelDistribution link = RelationalPredict(g_, node, weights_[node], distributions_);
         LabelDistribution mixed(link.size());
         for (size_t y = 0; y < mixed.size(); ++y) {
           mixed[y] = (config_.alpha * attribute_posterior_[u][y] + config_.beta * link[y]) / norm;
@@ -119,6 +113,12 @@ IcaCheckpoint IcaSolver::Snapshot() const {
 Status IcaSolver::Restore(const IcaCheckpoint& checkpoint) {
   if (checkpoint.distributions.size() != g_.num_nodes()) {
     return Status::InvalidArgument("ICA checkpoint node count mismatch");
+  }
+  const size_t labels = static_cast<size_t>(g_.num_labels());
+  for (const LabelDistribution& dist : checkpoint.distributions) {
+    if (dist.size() != labels) {
+      return Status::InvalidArgument("ICA checkpoint distribution width mismatch");
+    }
   }
   if (checkpoint.iteration > config_.max_iterations) {
     return Status::InvalidArgument("ICA checkpoint beyond this solver's round budget");

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "classify/classifier.h"
+#include "classify/relational.h"
 #include "common/status.h"
 
 namespace ppdp::classify {
@@ -73,7 +74,8 @@ class IcaSolver {
 
   IcaCheckpoint Snapshot() const;
   /// Reinstalls a Snapshot taken from a solver over the same graph/mask.
-  /// kInvalidArgument on a shape mismatch.
+  /// kInvalidArgument on a shape mismatch: a node count or a distribution
+  /// width (num_labels) that differs from this solver's graph.
   Status Restore(const IcaCheckpoint& checkpoint);
 
   /// The current estimates packaged as a CollectiveResult.
@@ -83,6 +85,7 @@ class IcaSolver {
   const SocialGraph& g_;
   const std::vector<bool>& known_;
   CollectiveConfig config_;
+  LinkWeightRows weights_;  ///< fixed for the run: ICA never edits the graph
   std::vector<LabelDistribution> attribute_posterior_;
   std::vector<LabelDistribution> distributions_;
   std::vector<double> node_change_;

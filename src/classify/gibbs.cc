@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "classify/relational.h"
 #include "common/logging.h"
@@ -37,6 +38,7 @@ GibbsSampler::GibbsSampler(const SocialGraph& g, const std::vector<bool>& known,
 
   local.Train(g_, known_);
   labels_ = static_cast<size_t>(g_.num_labels());
+  weights_ = LinkWeightRows(g_, known_, config_.threads);
   total_sweeps_ = config_.burn_in + config_.samples;
 
   // Fixed attribute posteriors, shared read-only by every chain.
@@ -79,11 +81,13 @@ void GibbsSampler::SweepChain(Chain& chain) {
   auto link_vote = [&](NodeId u) {
     LabelDistribution vote(labels_, 0.0);
     double total = 0.0;
-    for (NodeId v : g_.Neighbors(u)) {
-      double w = g_.LinkWeight(u, v);
+    const auto& neighbors = g_.Neighbors(u);
+    const std::span<const double> row = weights_[u];
+    for (size_t j = 0; j < neighbors.size(); ++j) {
+      const double w = row[j];
       if (w <= 0.0) continue;
       total += w;
-      vote[static_cast<size_t>(chain.state[v])] += w;
+      vote[static_cast<size_t>(chain.state[neighbors[j]])] += w;
     }
     if (total <= 0.0) return LabelDistribution(labels_, 1.0 / static_cast<double>(labels_));
     for (double& p : vote) p /= total;

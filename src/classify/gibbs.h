@@ -7,6 +7,7 @@
 
 #include "classify/classifier.h"
 #include "classify/collective.h"
+#include "classify/relational.h"
 #include "common/rng.h"
 
 namespace ppdp::classify {
@@ -98,6 +99,7 @@ class GibbsSampler {
   GibbsConfig config_;
   size_t labels_ = 0;
   size_t total_sweeps_ = 0;
+  LinkWeightRows weights_;  ///< fixed for the run: sampling never edits the graph
   std::vector<LabelDistribution> attribute_posterior_;
   std::vector<Chain> chains_;
 };

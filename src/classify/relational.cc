@@ -6,24 +6,64 @@
 
 namespace ppdp::classify {
 
+LinkWeightRows::LinkWeightRows(const SocialGraph& g, const std::vector<bool>& known,
+                               int threads) {
+  PPDP_CHECK(known.size() == g.num_nodes());
+  offsets_.assign(g.num_nodes() + 1, 0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    offsets_[u + 1] = offsets_[u] + (known[u] ? 0 : g.Degree(u));
+  }
+  weights_.resize(offsets_.back());
+  // Each row is written by exactly one task, so the rows are
+  // thread-count-invariant.
+  exec::ParallelFor(
+      0, g.num_nodes(), /*grain=*/64,
+      [&](size_t u) {
+        if (known[u]) return;
+        const auto& neighbors = g.Neighbors(static_cast<NodeId>(u));
+        double* row = weights_.data() + offsets_[u];
+        for (size_t j = 0; j < neighbors.size(); ++j) {
+          row[j] = g.LinkWeight(static_cast<NodeId>(u), neighbors[j]);
+        }
+      },
+      exec::ExecConfig{threads});
+}
+
+void AccumulateVote(const std::vector<NodeId>& neighbors, std::span<const double> weights,
+                    size_t begin, size_t end, const std::vector<LabelDistribution>& current,
+                    LabelDistribution& combined, double& total) {
+  const size_t labels = combined.size();
+  for (size_t j = begin; j < end; ++j) {
+    const double w = weights[j];
+    if (w <= 0.0) continue;
+    total += w;
+    const LabelDistribution& neighbor = current[neighbors[j]];
+    for (size_t y = 0; y < labels; ++y) combined[y] += w * neighbor[y];
+  }
+}
+
 LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
+                                    std::span<const double> weights,
                                     const std::vector<LabelDistribution>& current) {
   PPDP_CHECK(current.size() == g.num_nodes());
-  const size_t labels = static_cast<size_t>(g.num_labels());
   const auto& neighbors = g.Neighbors(u);
+  PPDP_CHECK(weights.size() == neighbors.size());
   if (neighbors.empty()) return current[u];
 
-  LabelDistribution combined(labels, 0.0);
+  LabelDistribution combined(static_cast<size_t>(g.num_labels()), 0.0);
   double weight_total = 0.0;
-  for (NodeId v : neighbors) {
-    double w = g.LinkWeight(u, v);
-    if (w <= 0.0) continue;
-    weight_total += w;
-    for (size_t y = 0; y < labels; ++y) combined[y] += w * current[v][y];
-  }
+  AccumulateVote(neighbors, weights, 0, neighbors.size(), current, combined, weight_total);
   if (weight_total <= 0.0) return current[u];
   for (double& p : combined) p /= weight_total;
   return combined;
+}
+
+LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
+                                    const std::vector<LabelDistribution>& current) {
+  const auto& neighbors = g.Neighbors(u);
+  std::vector<double> weights(neighbors.size());
+  for (size_t j = 0; j < neighbors.size(); ++j) weights[j] = g.LinkWeight(u, neighbors[j]);
+  return RelationalPredict(g, u, weights, current);
 }
 
 std::vector<LabelDistribution> BootstrapDistributions(const SocialGraph& g,
@@ -56,11 +96,12 @@ std::vector<LabelDistribution> LinkOnlyInference(const SocialGraph& g,
                                                  const AttributeClassifier& local,
                                                  size_t passes) {
   std::vector<LabelDistribution> dists = BootstrapDistributions(g, known, local);
+  const LinkWeightRows weights(g, known);
   for (size_t pass = 0; pass < passes; ++pass) {
     std::vector<LabelDistribution> next = dists;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (known[u]) continue;
-      next[u] = RelationalPredict(g, u, dists);
+      next[u] = RelationalPredict(g, u, weights[u], dists);
     }
     dists = std::move(next);
   }

@@ -1,31 +1,15 @@
 #include "tradeoff/link_strategy.h"
 
 #include <algorithm>
+#include <span>
 
+#include "classify/relational.h"
 #include "common/logging.h"
 #include "tradeoff/utility_loss.h"
 
 namespace ppdp::tradeoff {
 
 namespace {
-
-/// Confidence the relational estimate assigns to u's true label when the
-/// link to `excluded` is dropped (graph::kUnknownLabel excluded earlier).
-double TruthConfidenceWithout(const graph::SocialGraph& g, graph::NodeId u, graph::NodeId excluded,
-                              const std::vector<classify::LabelDistribution>& estimates,
-                              graph::Label truth) {
-  double total = 0.0;
-  double truth_mass = 0.0;
-  for (graph::NodeId v : g.Neighbors(u)) {
-    if (v == excluded) continue;
-    double w = g.LinkWeight(u, v);
-    if (w <= 0.0) continue;
-    total += w;
-    truth_mass += w * estimates[v][static_cast<size_t>(truth)];
-  }
-  if (total <= 0.0) return estimates[u][static_cast<size_t>(truth)];
-  return truth_mass / total;
-}
 
 struct Candidate {
   graph::NodeId u = 0;
@@ -42,21 +26,55 @@ LinkStrategyResult RemoveVulnerableLinks(graph::SocialGraph& g, const std::vecto
   PPDP_CHECK(known.size() == g.num_nodes());
   PPDP_CHECK(estimates.size() == g.num_nodes());
 
+  // The confidence the relational estimate assigns to u's true label with
+  // link j dropped resumes from the partial sums of links [0, j) and adds
+  // links j+1.. in adjacency order — the additions of the whole-row vote,
+  // so the result is bit-identical to summing the remaining links afresh.
+  const classify::LinkWeightRows weights(g, known);
+  std::vector<double> prefix_mass;   // entry j: truth mass of links [0, j)
+  std::vector<double> prefix_total;  // entry j: weight total of links [0, j)
   std::vector<Candidate> candidates;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     if (known[u]) continue;
     graph::Label truth = g.GetLabel(u);
     if (truth == graph::kUnknownLabel) continue;
-    double with_all = TruthConfidenceWithout(g, u, /*excluded=*/u, estimates, truth);
-    for (graph::NodeId v : g.Neighbors(u)) {
+    const size_t t = static_cast<size_t>(truth);
+    const auto& neighbors = g.Neighbors(u);
+    const std::span<const double> row = weights[u];
+    const size_t degree = neighbors.size();
+    auto accumulate = [&](size_t j, double& mass, double& total) {
+      if (row[j] <= 0.0) return;
+      total += row[j];
+      mass += row[j] * estimates[neighbors[j]][t];
+    };
+    auto confidence = [&](double mass, double total) {
+      return total <= 0.0 ? estimates[u][t] : mass / total;
+    };
+    prefix_mass.resize(degree);
+    prefix_total.resize(degree);
+    double mass = 0.0, total = 0.0;
+    for (size_t j = 0; j < degree; ++j) {
+      prefix_mass[j] = mass;
+      prefix_total[j] = total;
+      accumulate(j, mass, total);
+    }
+    const double with_all = confidence(mass, total);
+    for (size_t j = 0; j < degree; ++j) {
+      // A link of weight <= 0 never enters the vote: dropping it gains
+      // nothing.
+      if (row[j] <= 0.0) continue;
+      mass = prefix_mass[j];
+      total = prefix_total[j];
+      for (size_t k = j + 1; k < degree; ++k) accumulate(k, mass, total);
       Candidate c;
       c.u = u;
-      c.v = v;
+      c.v = neighbors[j];
       // Vulnerable link (Definition 4.3.1): removal lowers the attacker's
       // confidence in the truth; the gain is that drop.
-      c.gain = with_all - TruthConfidenceWithout(g, u, v, estimates, truth);
-      c.cost = StructureUtilityValue(g, u, v);
-      if (c.gain > 0.0) candidates.push_back(c);
+      c.gain = with_all - confidence(mass, total);
+      if (c.gain <= 0.0) continue;
+      c.cost = StructureUtilityValue(g, u, c.v);
+      candidates.push_back(c);
     }
   }
 

@@ -347,5 +347,88 @@ TEST(CollectiveConfigTest, ValidateRejectsBadParameters) {
   EXPECT_EQ(negative_threads.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+/// Algorithm 1 as first written: the attribute posteriors from a second
+/// Predict pass, and every round recomputing each link weight through the
+/// one-off RelationalPredict. The reference the solver's cached weight
+/// rows must match bit for bit.
+CollectiveResult ReferenceIca(const SocialGraph& g, const std::vector<bool>& known,
+                              AttributeClassifier& local, const CollectiveConfig& config) {
+  local.Train(g, known);
+  CollectiveResult result;
+  result.distributions = BootstrapDistributions(g, known, local);
+  std::vector<LabelDistribution> posterior(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (!known[u]) posterior[u] = local.Predict(g, u);
+  }
+  const double norm = config.alpha + config.beta;
+  while (result.iterations < config.max_iterations) {
+    std::vector<LabelDistribution> next = result.distributions;
+    double max_change = 0.0;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (known[u]) continue;
+      LabelDistribution link = RelationalPredict(g, u, result.distributions);
+      LabelDistribution mixed(link.size());
+      for (size_t y = 0; y < mixed.size(); ++y) {
+        mixed[y] = (config.alpha * posterior[u][y] + config.beta * link[y]) / norm;
+      }
+      NormalizeInPlace(mixed);
+      max_change = std::max(max_change, L1Distance(mixed, result.distributions[u]));
+      next[u] = std::move(mixed);
+    }
+    result.distributions = std::move(next);
+    ++result.iterations;
+    if (max_change < config.convergence_tol) {
+      result.converged = true;
+      break;
+    }
+  }
+  return result;
+}
+
+TEST(CollectiveTest, BitIdenticalToPerRoundRelationalPredictAtEveryThreadCount) {
+  SocialGraph g = GenerateSyntheticGraph(graph::MitLikeConfig(0.02, 13));
+  Rng rng(4);
+  auto known = SampleKnownMask(g, 0.7, rng);
+  CollectiveConfig config;
+  config.max_iterations = 6;
+  config.convergence_tol = 0.0;  // run every round
+  NaiveBayesClassifier reference_nb;
+  CollectiveResult expected = ReferenceIca(g, known, reference_nb, config);
+  ASSERT_EQ(expected.iterations, 6u);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    config.threads = threads;
+    NaiveBayesClassifier nb;
+    CollectiveResult actual = CollectiveInference(g, known, nb, config);
+    EXPECT_EQ(actual.iterations, expected.iterations);
+    EXPECT_EQ(actual.converged, expected.converged);
+    EXPECT_EQ(actual.distributions, expected.distributions);  // exact doubles
+  }
+}
+
+TEST(IcaSolverTest, RestoreRejectsDistributionsOfTheWrongWidth) {
+  SocialGraph g = GenerateSyntheticGraph(graph::CaltechLikeConfig(0.1, 3));
+  Rng rng(1);
+  auto known = SampleKnownMask(g, 0.7, rng);
+  NaiveBayesClassifier nb;
+  IcaSolver solver(g, known, nb, {});
+  const IcaCheckpoint good = solver.Snapshot();
+  ASSERT_TRUE(solver.Restore(good).ok());
+
+  IcaCheckpoint narrow = good;
+  narrow.distributions.back().pop_back();
+  EXPECT_EQ(solver.Restore(narrow).code(), StatusCode::kInvalidArgument);
+  IcaCheckpoint wide = good;
+  wide.distributions.front().push_back(0.0);
+  EXPECT_EQ(solver.Restore(wide).code(), StatusCode::kInvalidArgument);
+
+  // A rejected checkpoint leaves the solver's state as it was.
+  ASSERT_TRUE(solver.Step().ok());
+  NaiveBayesClassifier fresh_nb;
+  IcaSolver fresh(g, known, fresh_nb, {});
+  ASSERT_TRUE(fresh.Step().ok());
+  EXPECT_EQ(solver.Snapshot().distributions, fresh.Snapshot().distributions);
+}
+
 }  // namespace
 }  // namespace ppdp::classify

@@ -120,6 +120,155 @@ TEST(LinkSelectionTest, RemovalCountsAndShrinksGraph) {
   EXPECT_EQ(g.num_edges(), before - 50);
 }
 
+/// The link scorer as first written: each excluded link recomputes u's
+/// whole vote from SocialGraph::LinkWeight, and the variance is the
+/// two-pass mean-then-squared-deviation form. The reference the shipped
+/// scorer must match bit for bit.
+double ReferenceVariance(const std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  double sum = 0.0;
+  for (double v : values) sum += v;
+  double mu = sum / static_cast<double>(values.size());
+  double acc = 0.0;
+  for (double v : values) acc += (v - mu) * (v - mu);
+  return acc / static_cast<double>(values.size());
+}
+
+classify::LabelDistribution ReferencePredictWithout(
+    const SocialGraph& g, graph::NodeId u, graph::NodeId excluded,
+    const std::vector<classify::LabelDistribution>& est) {
+  const size_t labels = static_cast<size_t>(g.num_labels());
+  classify::LabelDistribution combined(labels, 0.0);
+  double total = 0.0;
+  for (graph::NodeId v : g.Neighbors(u)) {
+    if (v == excluded) continue;
+    double w = g.LinkWeight(u, v);
+    if (w <= 0.0) continue;
+    total += w;
+    for (size_t y = 0; y < labels; ++y) combined[y] += w * est[v][y];
+  }
+  if (total <= 0.0) return est[u];
+  for (double& p : combined) p /= total;
+  return combined;
+}
+
+std::vector<ScoredLink> ReferenceRanking(const SocialGraph& g, const std::vector<bool>& known,
+                                         const std::vector<classify::LabelDistribution>& est) {
+  std::vector<ScoredLink> scored;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (known[u]) continue;
+    for (graph::NodeId v : g.Neighbors(u)) {
+      scored.push_back({u, v, ReferenceVariance(ReferencePredictWithout(g, u, v, est))});
+    }
+  }
+  std::sort(scored.begin(), scored.end(), [](const ScoredLink& a, const ScoredLink& b) {
+    if (a.variance != b.variance) return a.variance < b.variance;
+    if (a.u != b.u) return a.u < b.u;
+    return a.v < b.v;
+  });
+  return scored;
+}
+
+/// An MIT-like graph (dense: average degree ~78) with a 70% known mask and
+/// Naive Bayes bootstrap estimates, as bench_fig3_5 scores it.
+struct LinkFixture {
+  SocialGraph g;
+  std::vector<bool> known;
+  std::vector<classify::LabelDistribution> estimates;
+};
+
+LinkFixture MitFixture(double scale, void (*edit)(SocialGraph&) = nullptr) {
+  LinkFixture f{GenerateSyntheticGraph(graph::MitLikeConfig(scale, 13)), {}, {}};
+  if (edit != nullptr) edit(f.g);
+  Rng rng(5);
+  f.known = classify::SampleKnownMask(f.g, 0.7, rng);
+  classify::NaiveBayesClassifier nb;
+  nb.Train(f.g, f.known);
+  f.estimates = classify::BootstrapDistributions(f.g, f.known, nb);
+  return f;
+}
+
+void ExpectRankingMatchesReference(const LinkFixture& f) {
+  std::vector<ScoredLink> expected = ReferenceRanking(f.g, f.known, f.estimates);
+  std::vector<ScoredLink> actual = RankIndistinguishableLinks(f.g, f.known, f.estimates);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].u, expected[i].u) << "rank " << i;
+    EXPECT_EQ(actual[i].v, expected[i].v) << "rank " << i;
+    EXPECT_EQ(actual[i].variance, expected[i].variance) << "rank " << i;  // exact
+  }
+}
+
+TEST(LinkSelectionTest, RankingIsBitIdenticalToPerLinkRecomputation) {
+  for (double scale : {0.01, 0.02, 0.05}) {
+    SCOPED_TRACE(scale);
+    LinkFixture f = MitFixture(scale);
+    ASSERT_GT(f.g.num_edges(), 0u);
+    ExpectRankingMatchesReference(f);
+  }
+}
+
+TEST(LinkSelectionTest, AllCategoriesMaskedFallsBackToOwnEstimate) {
+  LinkFixture f = MitFixture(0.02, [](SocialGraph& g) {
+    for (size_t c = 0; c < g.num_categories(); ++c) g.MaskCategory(c);
+  });
+  ExpectRankingMatchesReference(f);
+  // Every weight is 0, so each link scores the variance of its own
+  // endpoint's estimate.
+  for (const ScoredLink& link : RankIndistinguishableLinks(f.g, f.known, f.estimates)) {
+    EXPECT_EQ(link.variance, ReferenceVariance(f.estimates[link.u]));
+  }
+}
+
+TEST(LinkSelectionTest, LowDegreeHiddenNodesScoreLikeTheReference) {
+  LinkFixture f = MitFixture(0.01, [](SocialGraph& g) {
+    std::vector<graph::AttributeValue> attrs(g.num_categories(), 0);
+    g.AddNode(attrs, 0);                         // degree 0
+    graph::NodeId pendant = g.AddNode(attrs, 1);  // degree 1
+    g.AddEdge(pendant, 0);
+  });
+  const graph::NodeId isolated = static_cast<graph::NodeId>(f.g.num_nodes() - 2);
+  const graph::NodeId pendant = isolated + 1;
+  f.known[isolated] = false;
+  f.known[pendant] = false;
+  ExpectRankingMatchesReference(f);
+  size_t pendant_links = 0;
+  for (const ScoredLink& link : RankIndistinguishableLinks(f.g, f.known, f.estimates)) {
+    EXPECT_NE(link.u, isolated);
+    if (link.u == pendant) {
+      ++pendant_links;
+      // Dropping its only link leaves nothing to vote: own estimate.
+      EXPECT_EQ(link.variance, ReferenceVariance(f.estimates[pendant]));
+    }
+  }
+  EXPECT_EQ(pendant_links, 1u);
+}
+
+TEST(LinkSelectionTest, RemovalMatchesFullSortThenWalk) {
+  LinkFixture f = MitFixture(0.02);
+  const std::vector<ScoredLink> ranked = ReferenceRanking(f.g, f.known, f.estimates);
+  for (size_t count : {size_t{0}, size_t{1}, size_t{50}, size_t{500}, f.g.num_edges()}) {
+    SCOPED_TRACE(count);
+    SocialGraph expected = f.g;
+    size_t expected_removed = 0, twins_skipped = 0;
+    for (const ScoredLink& link : ranked) {
+      if (expected_removed >= count) break;
+      if (expected.RemoveEdge(link.u, link.v)) {
+        ++expected_removed;
+      } else {
+        ++twins_skipped;  // already gone: the other endpoint nominated it first
+      }
+    }
+    SocialGraph actual = f.g;
+    EXPECT_EQ(RemoveIndistinguishableLinks(actual, f.known, f.estimates, count),
+              expected_removed);
+    EXPECT_EQ(actual.Edges(), expected.Edges());
+    if (count == f.g.num_edges()) {
+      EXPECT_GT(twins_skipped, 0u);
+    }
+  }
+}
+
 TEST(GeneralizationTest, HierarchyWalksUpLevels) {
   GenericAttributeHierarchy gah("American film");
   ASSERT_TRUE(gah.AddConcept("American film", "Fantasy").ok());
