@@ -149,7 +149,21 @@ void BM_RemoveIndistinguishableLinks(benchmark::State& state) {
     benchmark::DoNotOptimize(removed);
   }
 }
-BENCHMARK(BM_RemoveIndistinguishableLinks)->Arg(2)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RemoveIndistinguishableLinks)->Arg(2)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond);
+
+/// The link-weight rows every ICA, Gibbs and link-removal call builds, on
+/// an MIT-like graph with a 70% known mask.
+void BM_LinkWeightRows(benchmark::State& state) {
+  double scale = static_cast<double>(state.range(0)) / 100.0;
+  auto g = GenerateSyntheticGraph(ppdp::graph::MitLikeConfig(scale, 13));
+  Rng rng(7);
+  auto known = ppdp::classify::SampleKnownMask(g, 0.7, rng);
+  for (auto _ : state) {
+    ppdp::classify::LinkWeightRows rows(g, known);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_LinkWeightRows)->Arg(2)->Arg(5)->Unit(benchmark::kMicrosecond);
 
 /// A whole single-threaded ICA-Bayes run on an MIT-like graph: weight
 /// rows, training, bootstrap and every refinement round.

@@ -20,10 +20,21 @@ LinkWeightRows::LinkWeightRows(const SocialGraph& g, const std::vector<bool>& kn
       0, g.num_nodes(), /*grain=*/64,
       [&](size_t u) {
         if (known[u]) return;
+        // SocialGraph::LinkWeight for every neighbour, with u's published
+        // count taken once: the same integer ratio, so the same doubles.
+        const std::span<const graph::AttributeValue> own = g.Attributes(static_cast<NodeId>(u));
+        size_t published = 0;
+        for (graph::AttributeValue a : own) published += a != graph::kMissingAttribute;
+        if (published == 0) return;  // weights_ starts zeroed
         const auto& neighbors = g.Neighbors(static_cast<NodeId>(u));
         double* row = weights_.data() + offsets_[u];
         for (size_t j = 0; j < neighbors.size(); ++j) {
-          row[j] = g.LinkWeight(static_cast<NodeId>(u), neighbors[j]);
+          const std::span<const graph::AttributeValue> other = g.Attributes(neighbors[j]);
+          size_t shared = 0;
+          for (size_t c = 0; c < own.size(); ++c) {
+            shared += own[c] != graph::kMissingAttribute && own[c] == other[c];
+          }
+          row[j] = static_cast<double>(shared) / static_cast<double>(published);
         }
       },
       exec::ExecConfig{threads});

@@ -80,6 +80,11 @@ AttributeValue SocialGraph::Attribute(NodeId u, size_t category) const {
   return attributes_[u][category];
 }
 
+std::span<const AttributeValue> SocialGraph::Attributes(NodeId u) const {
+  CheckNode(u);
+  return attributes_[u];
+}
+
 void SocialGraph::SetAttribute(NodeId u, size_t category, AttributeValue value) {
   CheckNode(u);
   PPDP_CHECK(category < categories_.size()) << "category " << category << " out of range";

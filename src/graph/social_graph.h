@@ -2,6 +2,7 @@
 #define PPDP_GRAPH_SOCIAL_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,9 @@ class SocialGraph {
   size_t Degree(NodeId u) const { return Neighbors(u).size(); }
 
   AttributeValue Attribute(NodeId u, size_t category) const;
+  /// u's whole attribute row, one value per category; one node check
+  /// instead of one per Attribute call.
+  std::span<const AttributeValue> Attributes(NodeId u) const;
   void SetAttribute(NodeId u, size_t category, AttributeValue value);
 
   Label GetLabel(NodeId u) const;

@@ -1,7 +1,10 @@
 #include "sanitize/link_selection.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <unordered_set>
+#include <utility>
 
 #include "classify/relational.h"
 #include "common/logging.h"
@@ -12,6 +15,16 @@ namespace ppdp::sanitize {
 
 namespace {
 
+/// Unit roundoff of IEEE double (round to nearest).
+constexpr double kUnitRoundoff = 0x1p-53;
+/// A link whose removal leaves at most this share of the vote's weight is
+/// scored exactly up front: subtracting it cancels most of the total, and
+/// the bound's (1 + total / rest) factor would grow without limit.
+constexpr double kMinRestShare = 1.0 / 16;
+/// Estimate entries above this (or negative, or NaN) void the bound; every
+/// link is then scored exactly. Keeps all bound arithmetic finite.
+constexpr double kMaxBoundedEstimate = 0x1p100;
+
 /// The ranking order: ascending variance, ties broken by (u, v). A strict
 /// total order, since each (u, v) pair is scored at most once.
 bool RankedBefore(const ScoredLink& a, const ScoredLink& b) {
@@ -20,62 +33,106 @@ bool RankedBefore(const ScoredLink& a, const ScoredLink& b) {
   return a.v < b.v;
 }
 
-/// Variance of the normalized vote, or of u's own estimate when every
-/// remaining weight vanished (classify::RelationalPredict's fallback).
-/// Normalizes `combined` in place.
-double VoteVariance(classify::LabelDistribution& combined, double total, double fallback) {
-  if (total <= 0.0) return fallback;
-  for (double& p : combined) p /= total;
-  return Variance(combined);
-}
-
-/// Scores every (hidden node, neighbor) link in node-then-adjacency order.
+/// Scores the links out of hidden nodes for one graph state.
 ///
-/// Dropping link j from u's vote (Eq. 4.3) must sum the remaining terms in
-/// adjacency order to stay bit-identical with the whole-row vote, so the
-/// scorer keeps the partial sums of terms [0, j) and, per excluded link,
-/// resumes from prefix j and adds terms j+1.. — the same additions on the
-/// same doubles, at half the pair work of recomputing every sum. A link of
-/// weight <= 0 never enters the vote, so dropping it leaves the full vote.
-std::vector<ScoredLink> ScoreLinks(const graph::SocialGraph& g, const std::vector<bool>& known,
-                                   const std::vector<classify::LabelDistribution>& estimates) {
-  PPDP_CHECK(known.size() == g.num_nodes());
-  PPDP_CHECK(estimates.size() == g.num_nodes());
-  const classify::LinkWeightRows weights(g, known);
-  const size_t labels = static_cast<size_t>(g.num_labels());
-  std::vector<ScoredLink> scored;
-  std::vector<double> prefix;        // row j: vote of neighbors [0, j)
-  std::vector<double> prefix_total;  // entry j: weight total of neighbors [0, j)
-  classify::LabelDistribution combined(labels);
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (known[u]) continue;  // only hidden-label users need protection
-    const auto& neighbors = g.Neighbors(u);
-    const std::span<const double> row = weights[u];
-    const size_t degree = neighbors.size();
-    prefix.resize(degree * labels);
-    prefix_total.resize(degree);
-    combined.assign(labels, 0.0);
-    double total = 0.0;
-    for (size_t j = 0; j < degree; ++j) {
-      std::copy(combined.begin(), combined.end(), prefix.begin() + j * labels);
-      prefix_total[j] = total;
-      classify::AccumulateVote(neighbors, row, j, j + 1, estimates, combined, total);
-    }
-    const double fallback = Variance(estimates[u]);
-    const double full = VoteVariance(combined, total, fallback);
-    for (size_t j = 0; j < degree; ++j) {
-      double variance = full;
-      if (row[j] > 0.0) {
-        combined.assign(prefix.begin() + j * labels, prefix.begin() + (j + 1) * labels);
-        total = prefix_total[j];
-        classify::AccumulateVote(neighbors, row, j + 1, degree, estimates, combined, total);
-        variance = VoteVariance(combined, total, fallback);
+/// Exact() is the link's score (Def 3.5.1 over the Eq. 4.3 vote): it sums
+/// the remaining terms in adjacency order, as the whole-row vote does, so
+/// the ranking is bit-identical to recomputing each vote from scratch.
+/// ForEachKey() gives every link, in O(L), a key that is at most its exact
+/// score: sum u's whole vote once, subtract the dropped term, and take off
+/// a slack covering the rounding of both this form and Exact() (DESIGN.md,
+/// "Link sanitizer: cost and exactness").
+class LinkScorer {
+ public:
+  LinkScorer(const graph::SocialGraph& g, const std::vector<bool>& known,
+             const std::vector<classify::LabelDistribution>& estimates)
+      : g_(g),
+        known_(known),
+        estimates_(estimates),
+        weights_(g, known),
+        combined_(static_cast<size_t>(g.num_labels())) {
+    PPDP_CHECK(known.size() == g.num_nodes());
+    PPDP_CHECK(estimates.size() == g.num_nodes());
+    double max_estimate = 0.0;
+    for (const classify::LabelDistribution& dist : estimates) {
+      for (double p : dist) {
+        if (!(p >= 0.0 && p <= kMaxBoundedEstimate)) bounded_ = false;
+        max_estimate = std::max(max_estimate, p);
       }
-      scored.push_back(ScoredLink{u, neighbors[j], variance});
+    }
+    slack_scale_ = 8.0 * kUnitRoundoff * max_estimate * max_estimate;
+  }
+
+  /// The variance of u's vote without its link j: terms [0, j), then
+  /// (j, deg), in adjacency order; u's own estimate when no weight remains.
+  double Exact(graph::NodeId u, size_t j) {
+    const auto& neighbors = g_.Neighbors(u);
+    const std::span<const double> row = weights_[u];
+    combined_.assign(combined_.size(), 0.0);
+    double total = 0.0;
+    classify::AccumulateVote(neighbors, row, 0, j, estimates_, combined_, total);
+    classify::AccumulateVote(neighbors, row, j + 1, neighbors.size(), estimates_, combined_,
+                             total);
+    return VoteVariance(u, total);
+  }
+
+  /// Calls visit(link, j, exact) for every link out of a hidden node, in
+  /// node-then-adjacency order; link.variance is the link's key, its exact
+  /// score when `exact`.
+  template <typename Visit>
+  void ForEachKey(Visit visit) {
+    const size_t labels = combined_.size();
+    classify::LabelDistribution full(labels);
+    for (graph::NodeId u = 0; u < g_.num_nodes(); ++u) {
+      if (known_[u]) continue;  // only hidden-label users need protection
+      const auto& neighbors = g_.Neighbors(u);
+      const std::span<const double> row = weights_[u];
+      const size_t degree = neighbors.size();
+      full.assign(labels, 0.0);
+      double total = 0.0;
+      classify::AccumulateVote(neighbors, row, 0, degree, estimates_, full, total);
+      combined_ = full;
+      const double full_variance = VoteVariance(u, total);
+      const double slack_per_ratio =
+          slack_scale_ * static_cast<double>(degree + labels + 4);
+      for (size_t j = 0; j < degree; ++j) {
+        const graph::NodeId v = neighbors[j];
+        const double w = row[j];
+        if (w <= 0.0) {  // never in the vote: dropping it leaves the full vote
+          visit(ScoredLink{u, v, full_variance}, j, true);
+          continue;
+        }
+        const double rest = total - w;
+        if (!bounded_ || rest <= total * kMinRestShare) {
+          visit(ScoredLink{u, v, Exact(u, j)}, j, true);
+          continue;
+        }
+        const classify::LabelDistribution& dropped = estimates_[v];
+        for (size_t y = 0; y < labels; ++y) combined_[y] = (full[y] - w * dropped[y]) / rest;
+        const double slack = slack_per_ratio * (1.0 + total / rest);
+        visit(ScoredLink{u, v, Variance(combined_) - slack}, j, false);
+      }
     }
   }
-  return scored;
-}
+
+ private:
+  /// Normalizes combined_ by `total` and returns its variance, or the
+  /// variance of u's own estimate when no weight remains
+  /// (classify::RelationalPredict's fallback).
+  double VoteVariance(graph::NodeId u, double total) {
+    if (total <= 0.0) return Variance(estimates_[u]);
+    for (double& p : combined_) p /= total;
+    return Variance(combined_);
+  }
+
+  const graph::SocialGraph& g_;
+  const std::vector<bool>& known_;
+  const std::vector<classify::LabelDistribution>& estimates_;
+  const classify::LinkWeightRows weights_;
+  classify::LabelDistribution combined_;  ///< reused vote buffer
+  bool bounded_ = true;       ///< estimates admit the bound
+  double slack_scale_ = 0.0;  ///< 8·ū·M², M the largest estimate entry
+};
 
 }  // namespace
 
@@ -83,27 +140,76 @@ std::vector<ScoredLink> RankIndistinguishableLinks(
     const graph::SocialGraph& g, const std::vector<bool>& known,
     const std::vector<classify::LabelDistribution>& estimates) {
   obs::TraceSpan span("sanitize.rank_links");
-  std::vector<ScoredLink> scored = ScoreLinks(g, known, estimates);
+  LinkScorer scorer(g, known, estimates);
+  std::vector<ScoredLink> scored;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (known[u]) continue;
+    const auto& neighbors = g.Neighbors(u);
+    for (size_t j = 0; j < neighbors.size(); ++j) {
+      scored.push_back(ScoredLink{u, neighbors[j], scorer.Exact(u, j)});
+    }
+  }
   std::sort(scored.begin(), scored.end(), RankedBefore);
   return scored;
+}
+
+std::vector<ScoredLink> LinkScoreLowerBounds(
+    const graph::SocialGraph& g, const std::vector<bool>& known,
+    const std::vector<classify::LabelDistribution>& estimates) {
+  LinkScorer scorer(g, known, estimates);
+  std::vector<ScoredLink> keys;
+  scorer.ForEachKey([&](const ScoredLink& link, size_t, bool) { keys.push_back(link); });
+  return keys;
 }
 
 size_t RemoveIndistinguishableLinks(graph::SocialGraph& g, const std::vector<bool>& known,
                                     const std::vector<classify::LabelDistribution>& estimates,
                                     size_t count) {
   obs::TraceSpan span("sanitize.remove_links");
-  // Links leave a heap in ranking order, so only the prefix the walk
-  // consumes gets ordered instead of the whole ranking.
-  std::vector<ScoredLink> heap = ScoreLinks(g, known, estimates);
-  auto ranked_after = [](const ScoredLink& a, const ScoredLink& b) { return RankedBefore(b, a); };
+  // Every link enters a heap on the ranking order under its key, a lower
+  // bound on its score. A bound reaching the top is replaced by the exact
+  // score and pushed back; an exact entry on top scores no higher than any
+  // other link's key, hence than any other link, so it is the next link of
+  // the full ranking.
+  struct Candidate {
+    ScoredLink link;
+    uint32_t j = 0;  ///< position of link.v in u's adjacency
+    bool exact = false;
+  };
+  LinkScorer scorer(g, known, estimates);
+  size_t links = 0;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) links += known[u] ? 0 : g.Degree(u);
+  std::vector<Candidate> heap;
+  heap.reserve(links);
+  scorer.ForEachKey([&](const ScoredLink& link, size_t j, bool exact) {
+    heap.push_back(Candidate{link, static_cast<uint32_t>(j), exact});
+  });
+  auto ranked_after = [](const Candidate& a, const Candidate& b) {
+    return RankedBefore(b.link, a.link);
+  };
   std::make_heap(heap.begin(), heap.end(), ranked_after);
-  size_t removed = 0;
-  for (auto end = heap.end(); removed < count && end != heap.begin(); --end) {
-    std::pop_heap(heap.begin(), end, ranked_after);
-    const ScoredLink& link = *(end - 1);
-    if (g.RemoveEdge(link.u, link.v)) ++removed;
+  // Exact scores read the adjacency as it was on entry, so the chosen
+  // edges leave the graph only once the walk is done.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> chosen;
+  std::unordered_set<uint64_t> chosen_edges;
+  while (chosen.size() < count && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), ranked_after);
+    Candidate& top = heap.back();
+    if (!top.exact) {
+      top.link.variance = scorer.Exact(top.link.u, top.j);
+      top.exact = true;
+      std::push_heap(heap.begin(), heap.end(), ranked_after);
+      continue;
+    }
+    const auto [lo, hi] = std::minmax(top.link.u, top.link.v);
+    // The second nomination of an edge (both endpoints hidden) is skipped.
+    if (chosen_edges.insert(uint64_t{lo} << 32 | hi).second) {
+      chosen.emplace_back(top.link.u, top.link.v);
+    }
+    heap.pop_back();
   }
-  return removed;
+  for (const auto& [u, v] : chosen) PPDP_CHECK(g.RemoveEdge(u, v));
+  return chosen.size();
 }
 
 }  // namespace ppdp::sanitize

@@ -30,10 +30,21 @@ std::vector<ScoredLink> RankIndistinguishableLinks(
 
 /// Removes up to `count` most-indistinguishable links from `g` (skipping
 /// links already gone because both endpoints nominated them). Returns the
-/// number actually removed.
+/// number actually removed. The removed edges are exactly the first ones
+/// of RankIndistinguishableLinks' order, but only links that surface near
+/// the top of the ranking get their exact score.
 size_t RemoveIndistinguishableLinks(graph::SocialGraph& g, const std::vector<bool>& known,
                                     const std::vector<classify::LabelDistribution>& estimates,
                                     size_t count);
+
+/// The keys RemoveIndistinguishableLinks ranks links by before it computes
+/// their exact scores, one per (hidden node, neighbor) link in
+/// node-then-adjacency order. Each `variance` is at most the link's score
+/// in RankIndistinguishableLinks, and equal to it for links scored exactly
+/// up front. Exposed so tests can check the bound.
+std::vector<ScoredLink> LinkScoreLowerBounds(
+    const graph::SocialGraph& g, const std::vector<bool>& known,
+    const std::vector<classify::LabelDistribution>& estimates);
 
 }  // namespace ppdp::sanitize
 

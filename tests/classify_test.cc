@@ -134,6 +134,32 @@ TEST(RelationalTest, WeightsSkewTowardSimilarNeighbor) {
   EXPECT_NEAR(dist[0], 1.0, 1e-9);
 }
 
+TEST(RelationalTest, WeightRowsEqualLinkWeightPerPair) {
+  // Masked categories and nodes publishing nothing included: every row
+  // entry must be the exact double SocialGraph::LinkWeight returns.
+  SocialGraph g = GenerateSyntheticGraph(graph::MitLikeConfig(0.02, 13));
+  g.MaskCategory(2);
+  for (size_t c = 0; c < g.num_categories(); ++c) g.SetAttribute(5, c, kMissingAttribute);
+  Rng rng(5);
+  std::vector<bool> known = SampleKnownMask(g, 0.7, rng);
+  known[5] = false;
+  for (int threads : {1, 4}) {
+    const LinkWeightRows rows(g, known, threads);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const std::span<const double> row = rows[u];
+      if (known[u]) {
+        EXPECT_TRUE(row.empty());
+        continue;
+      }
+      const auto& neighbors = g.Neighbors(u);
+      ASSERT_EQ(row.size(), neighbors.size());
+      for (size_t j = 0; j < neighbors.size(); ++j) {
+        EXPECT_EQ(row[j], g.LinkWeight(u, neighbors[j])) << u << "-" << neighbors[j];
+      }
+    }
+  }
+}
+
 TEST(BootstrapTest, KnownNodesAreOneHot) {
   SocialGraph g = DeterministicGraph();
   NaiveBayesClassifier nb;

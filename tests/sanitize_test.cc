@@ -152,8 +152,9 @@ classify::LabelDistribution ReferencePredictWithout(
   return combined;
 }
 
-std::vector<ScoredLink> ReferenceRanking(const SocialGraph& g, const std::vector<bool>& known,
-                                         const std::vector<classify::LabelDistribution>& est) {
+/// Every link's reference score, in node-then-adjacency order.
+std::vector<ScoredLink> ReferenceScores(const SocialGraph& g, const std::vector<bool>& known,
+                                        const std::vector<classify::LabelDistribution>& est) {
   std::vector<ScoredLink> scored;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     if (known[u]) continue;
@@ -161,12 +162,29 @@ std::vector<ScoredLink> ReferenceRanking(const SocialGraph& g, const std::vector
       scored.push_back({u, v, ReferenceVariance(ReferencePredictWithout(g, u, v, est))});
     }
   }
+  return scored;
+}
+
+std::vector<ScoredLink> ReferenceRanking(const SocialGraph& g, const std::vector<bool>& known,
+                                         const std::vector<classify::LabelDistribution>& est) {
+  std::vector<ScoredLink> scored = ReferenceScores(g, known, est);
   std::sort(scored.begin(), scored.end(), [](const ScoredLink& a, const ScoredLink& b) {
     if (a.variance != b.variance) return a.variance < b.variance;
     if (a.u != b.u) return a.u < b.u;
     return a.v < b.v;
   });
   return scored;
+}
+
+/// Removes the first `count` distinct edges of `ranked` from `g`, skipping
+/// an edge's second nomination. Returns the number removed.
+size_t RemoveInRankingOrder(SocialGraph& g, const std::vector<ScoredLink>& ranked, size_t count) {
+  size_t removed = 0;
+  for (const ScoredLink& link : ranked) {
+    if (removed >= count) break;
+    if (g.RemoveEdge(link.u, link.v)) ++removed;
+  }
+  return removed;
 }
 
 /// An MIT-like graph (dense: average degree ~78) with a 70% known mask and
@@ -265,6 +283,168 @@ TEST(LinkSelectionTest, RemovalMatchesFullSortThenWalk) {
     EXPECT_EQ(actual.Edges(), expected.Edges());
     if (count == f.g.num_edges()) {
       EXPECT_GT(twins_skipped, 0u);
+    }
+  }
+}
+
+/// Every key LinkScoreLowerBounds gives is at most the link's exact
+/// (reference) score, and keys come in node-then-adjacency order.
+void ExpectBoundsBelowReference(const LinkFixture& f) {
+  const std::vector<ScoredLink> exact = ReferenceScores(f.g, f.known, f.estimates);
+  const std::vector<ScoredLink> bounds = LinkScoreLowerBounds(f.g, f.known, f.estimates);
+  ASSERT_EQ(bounds.size(), exact.size());
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    ASSERT_EQ(bounds[i].u, exact[i].u) << "link " << i;
+    ASSERT_EQ(bounds[i].v, exact[i].v) << "link " << i;
+    EXPECT_LE(bounds[i].variance, exact[i].variance)
+        << "link " << bounds[i].u << "-" << bounds[i].v;
+  }
+}
+
+/// RemoveIndistinguishableLinks removes exactly the edges a walk down the
+/// full reference ranking removes.
+void ExpectRemovalMatchesReference(const LinkFixture& f, size_t count) {
+  SocialGraph expected = f.g;
+  const size_t expected_removed =
+      RemoveInRankingOrder(expected, ReferenceRanking(f.g, f.known, f.estimates), count);
+  SocialGraph actual = f.g;
+  EXPECT_EQ(RemoveIndistinguishableLinks(actual, f.known, f.estimates, count), expected_removed);
+  EXPECT_EQ(actual.Edges(), expected.Edges());
+}
+
+/// Hidden hubs, each with one neighbour sharing every attribute (weight 1)
+/// and one sharing only `k` of 32 (weight k/32): dropping the heavy link
+/// leaves k/(32 + k) of the vote's weight, so k = 1, 2 take the exact path
+/// and k >= 3 the bound, with the subtraction cancelling most of the total.
+LinkFixture HeavyNeighbourFixture() {
+  constexpr size_t kCategories = 32;
+  std::vector<graph::AttributeCategory> categories(kCategories, {"h", 4});
+  LinkFixture f{SocialGraph(categories, 3), {}, {}};
+  Rng rng(17);
+  for (size_t k : {1, 2, 3, 4, 8, 31}) {
+    std::vector<graph::AttributeValue> hub(kCategories, 0), light(kCategories, 1);
+    std::fill(light.begin(), light.begin() + static_cast<std::ptrdiff_t>(k), 0);
+    graph::NodeId u = f.g.AddNode(hub, graph::kUnknownLabel);
+    f.g.AddEdge(u, f.g.AddNode(hub, 0));
+    f.g.AddEdge(u, f.g.AddNode(light, 1));
+  }
+  f.known.assign(f.g.num_nodes(), false);
+  for (graph::NodeId u = 0; u < f.g.num_nodes(); ++u) {
+    // Heavy and light neighbours vote for opposite ends of the simplex.
+    const double skew = u % 3 == 1 ? 0.98 : u % 3 == 2 ? 0.01 : rng.UniformReal();
+    f.estimates.push_back({skew, (1.0 - skew) * 0.3, (1.0 - skew) * 0.7});
+  }
+  return f;
+}
+
+/// Estimates within 1e-9 of uniform: every vote's variance is ~1e-19, far
+/// below the slack, so keys go negative and near-ties abound.
+LinkFixture NearUniformFixture() {
+  LinkFixture f = MitFixture(0.02);
+  Rng rng(23);
+  const double uniform = 1.0 / static_cast<double>(f.g.num_labels());
+  for (classify::LabelDistribution& dist : f.estimates) {
+    for (double& p : dist) p = uniform + 1e-9 * (rng.UniformReal() - 0.5);
+  }
+  return f;
+}
+
+TEST(LinkSelectionTest, LowerBoundsNeverExceedExactScores) {
+  for (double scale : {0.01, 0.02, 0.05}) {
+    SCOPED_TRACE(scale);
+    ExpectBoundsBelowReference(MitFixture(scale));
+  }
+  {
+    SCOPED_TRACE("heavy neighbour");
+    ExpectBoundsBelowReference(HeavyNeighbourFixture());
+  }
+  {
+    SCOPED_TRACE("near-uniform estimates");
+    ExpectBoundsBelowReference(NearUniformFixture());
+  }
+  {
+    SCOPED_TRACE("all categories masked");
+    LinkFixture f = MitFixture(0.02, [](SocialGraph& g) {
+      for (size_t c = 0; c < g.num_categories(); ++c) g.MaskCategory(c);
+    });
+    ExpectBoundsBelowReference(f);
+    // Every link has weight 0, so every key is the exact score.
+    const std::vector<ScoredLink> exact = ReferenceScores(f.g, f.known, f.estimates);
+    const std::vector<ScoredLink> bounds = LinkScoreLowerBounds(f.g, f.known, f.estimates);
+    for (size_t i = 0; i < bounds.size(); ++i) EXPECT_EQ(bounds[i].variance, exact[i].variance);
+  }
+  {
+    SCOPED_TRACE("degree 0 and 1");
+    LinkFixture f = MitFixture(0.01, [](SocialGraph& g) {
+      std::vector<graph::AttributeValue> attrs(g.num_categories(), 0);
+      g.AddNode(attrs, 0);
+      g.AddEdge(g.AddNode(attrs, 1), 0);
+    });
+    f.known[f.g.num_nodes() - 2] = false;
+    f.known[f.g.num_nodes() - 1] = false;
+    ExpectBoundsBelowReference(f);
+  }
+}
+
+TEST(LinkSelectionTest, HeavyNeighbourCancellationIsScoredExactly) {
+  LinkFixture f = HeavyNeighbourFixture();
+  // The k = 1, 2 hubs' heavy links leave under 1/16 of the weight: their
+  // keys are exact scores, not bounds.
+  const std::vector<ScoredLink> exact = ReferenceScores(f.g, f.known, f.estimates);
+  const std::vector<ScoredLink> bounds = LinkScoreLowerBounds(f.g, f.known, f.estimates);
+  ASSERT_EQ(bounds.size(), exact.size());
+  for (graph::NodeId hub : {graph::NodeId{0}, graph::NodeId{3}}) {
+    const auto it = std::find_if(bounds.begin(), bounds.end(), [&](const ScoredLink& link) {
+      return link.u == hub && link.v == hub + 1;
+    });
+    ASSERT_NE(it, bounds.end());
+    EXPECT_EQ(it->variance, exact[static_cast<size_t>(it - bounds.begin())].variance);
+  }
+  for (size_t count = 0; count <= f.g.num_edges(); ++count) {
+    SCOPED_TRACE(count);
+    ExpectRemovalMatchesReference(f, count);
+  }
+}
+
+TEST(LinkSelectionTest, NearUniformEstimatesRemoveLikeTheReference) {
+  LinkFixture f = NearUniformFixture();
+  for (size_t count : {size_t{1}, size_t{50}, size_t{500}}) {
+    SCOPED_TRACE(count);
+    ExpectRemovalMatchesReference(f, count);
+  }
+}
+
+/// The Fig 3.5 walk: mask the `attrs` most privacy-dependent categories,
+/// then repeatedly re-estimate with Naive Bayes and remove the next
+/// 1000·scale links. Each step must remove exactly what a walk down the
+/// full sorted ranking removes.
+TEST(LinkSelectionTest, Fig35WalkMatchesFullSortThenWalk) {
+  for (double scale : {0.02, 0.05, 0.1}) {
+    for (uint64_t seed : {9, 13, 21}) {
+      const SocialGraph original = GenerateSyntheticGraph(graph::MitLikeConfig(scale, seed));
+      Rng rng(seed + 23);
+      const std::vector<bool> known = classify::SampleKnownMask(original, 0.7, rng);
+      const auto ranked_categories = RankPrivacyDependence(original, /*utility_category=*/0);
+      const size_t step = static_cast<size_t>(1000.0 * scale);
+      for (size_t attrs = 0; attrs <= 6; ++attrs) {
+        SCOPED_TRACE(testing::Message() << "scale " << scale << " seed " << seed << " attrs "
+                                        << attrs);
+        SocialGraph g = original;
+        for (size_t i = 0; i < attrs && i < ranked_categories.size(); ++i) {
+          g.MaskCategory(ranked_categories[i].first);
+        }
+        for (int s = 0; s < 8; ++s) {
+          classify::NaiveBayesClassifier nb;
+          nb.Train(g, known);
+          const auto estimates = classify::BootstrapDistributions(g, known, nb);
+          SocialGraph expected = g;
+          const size_t expected_removed = RemoveInRankingOrder(
+              expected, RankIndistinguishableLinks(g, known, estimates), step);
+          ASSERT_EQ(RemoveIndistinguishableLinks(g, known, estimates, step), expected_removed)
+              << "step " << s;
+          ASSERT_EQ(g.Edges(), expected.Edges()) << "step " << s;
+        }
+      }
     }
   }
 }
