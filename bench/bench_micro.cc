@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
 // belief propagation (the chapter-5 "linear complexity" claim), collective
-// inference, reduct computation, the simplex solver and link scoring and
-// removal.
+// inference and its KNN local model, reduct computation, the simplex solver
+// and link scoring and removal.
 //
 //   $ ./bench_micro [--benchmark_filter=...] [--report_out=F]
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 
 #include "classify/collective.h"
 #include "classify/evaluation.h"
+#include "classify/knn.h"
 #include "classify/naive_bayes.h"
 #include "obs/report.h"
 #include "classify/relational.h"
@@ -165,23 +166,42 @@ void BM_LinkWeightRows(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkWeightRows)->Arg(2)->Arg(5)->Unit(benchmark::kMicrosecond);
 
-/// A whole single-threaded ICA-Bayes run on an MIT-like graph: weight
-/// rows, training, bootstrap and every refinement round.
+/// A KNN bootstrap: train on a 70% known mask of an MIT-like graph, then
+/// predict every hidden node, single-threaded.
+void BM_KnnPredict(benchmark::State& state) {
+  double scale = static_cast<double>(state.range(0)) / 100.0;
+  auto g = GenerateSyntheticGraph(ppdp::graph::MitLikeConfig(scale, 13));
+  Rng rng(7);
+  auto known = ppdp::classify::SampleKnownMask(g, 0.7, rng);
+  ppdp::classify::KnnClassifier knn;
+  knn.Train(g, known);
+  for (auto _ : state) {
+    auto dists = ppdp::classify::BootstrapDistributions(g, known, knn);
+    benchmark::DoNotOptimize(dists);
+  }
+}
+BENCHMARK(BM_KnnPredict)->Arg(5)->Arg(25)->Unit(benchmark::kMicrosecond);
+
+/// A whole single-threaded ICA run on an MIT-like graph: weight rows,
+/// training, bootstrap and every refinement round. Second arg: the local
+/// model (0 = Bayes, 1 = KNN).
 void BM_IcaSolver(benchmark::State& state) {
   double scale = static_cast<double>(state.range(0)) / 100.0;
+  auto model = state.range(1) == 0 ? ppdp::classify::LocalModel::kNaiveBayes
+                                   : ppdp::classify::LocalModel::kKnn;
   auto g = GenerateSyntheticGraph(ppdp::graph::MitLikeConfig(scale, 13));
   Rng rng(7);
   auto known = ppdp::classify::SampleKnownMask(g, 0.7, rng);
   ppdp::classify::CollectiveConfig config;
   config.threads = 1;
   for (auto _ : state) {
-    ppdp::classify::NaiveBayesClassifier nb;
-    ppdp::classify::IcaSolver solver(g, known, nb, config);
+    auto local = ppdp::classify::MakeLocalClassifier(model);
+    ppdp::classify::IcaSolver solver(g, known, *local, config);
     while (!solver.Done()) benchmark::DoNotOptimize(solver.Step());
     benchmark::DoNotOptimize(solver.iteration());
   }
 }
-BENCHMARK(BM_IcaSolver)->Arg(2)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IcaSolver)->ArgsProduct({{2, 5}, {0, 1}})->Unit(benchmark::kMillisecond);
 
 void BM_MaxProductReconstruction(benchmark::State& state) {
   size_t num_snps = static_cast<size_t>(state.range(0));

@@ -70,7 +70,9 @@ Status IcaSolver::Step() {
   const double norm = config_.alpha + config_.beta;
 
   double sweep_start = obs::MonotonicSeconds();
-  std::vector<LabelDistribution> next = distributions_;
+  // next_ is filled once; known nodes never change, so after that only the
+  // hidden slots are rewritten, and each round swaps the two buffers.
+  if (next_.empty()) next_ = distributions_;
   // Every node's re-estimate reads only the previous round's distributions
   // and writes its own slot, so the sweep parallelizes without changing a
   // single bit of the serial result.
@@ -81,20 +83,20 @@ Status IcaSolver::Step() {
           node_change_[u] = 0.0;
           return;
         }
+        // The wvRN vote and the α/β mix, written straight into u's slot.
         const NodeId node = static_cast<NodeId>(u);
-        LabelDistribution link = RelationalPredict(g_, node, weights_[node], distributions_);
-        LabelDistribution mixed(link.size());
+        LabelDistribution& mixed = next_[u];
+        RelationalPredictInto(g_, node, weights_[node], distributions_, mixed);
         for (size_t y = 0; y < mixed.size(); ++y) {
-          mixed[y] = (config_.alpha * attribute_posterior_[u][y] + config_.beta * link[y]) / norm;
+          mixed[y] = (config_.alpha * attribute_posterior_[u][y] + config_.beta * mixed[y]) / norm;
         }
         NormalizeInPlace(mixed);
         node_change_[u] = L1Distance(mixed, distributions_[u]);
-        next[u] = std::move(mixed);
       },
       exec_config);
   double max_change = 0.0;
   for (double change : node_change_) max_change = std::max(max_change, change);
-  distributions_ = std::move(next);
+  distributions_.swap(next_);
   ++iteration_;
   iterations.Increment();
   sweep_seconds.Observe(obs::MonotonicSeconds() - sweep_start);
@@ -124,6 +126,7 @@ Status IcaSolver::Restore(const IcaCheckpoint& checkpoint) {
     return Status::InvalidArgument("ICA checkpoint beyond this solver's round budget");
   }
   distributions_ = checkpoint.distributions;
+  next_.clear();  // its known-node slots may not match the checkpoint's
   iteration_ = checkpoint.iteration;
   converged_ = checkpoint.converged;
   return Status::Ok();

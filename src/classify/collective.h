@@ -88,6 +88,10 @@ class IcaSolver {
   LinkWeightRows weights_;  ///< fixed for the run: ICA never edits the graph
   std::vector<LabelDistribution> attribute_posterior_;
   std::vector<LabelDistribution> distributions_;
+  /// The round being written; swapped with distributions_ after each Step.
+  /// Filled from distributions_ on the first Step after construction or
+  /// Restore, empty until then.
+  std::vector<LabelDistribution> next_;
   std::vector<double> node_change_;
   size_t iteration_ = 0;
   bool converged_ = false;

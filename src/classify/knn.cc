@@ -11,6 +11,7 @@ void KnnClassifier::Train(const SocialGraph& g, const std::vector<bool>& known) 
   PPDP_CHECK(known.size() == g.num_nodes());
   PPDP_CHECK(k_ >= 1);
   num_labels_ = g.num_labels();
+  schema_ = AttributeSchema(g);
   train_rows_.clear();
   train_labels_.clear();
   prior_.assign(static_cast<size_t>(num_labels_), 1.0);  // Laplace prior
@@ -18,9 +19,8 @@ void KnnClassifier::Train(const SocialGraph& g, const std::vector<bool>& known) 
     if (!known[u]) continue;
     graph::Label y = g.GetLabel(u);
     PPDP_CHECK(y != graph::kUnknownLabel) << "training node " << u << " has no label";
-    std::vector<graph::AttributeValue> row(g.num_categories());
-    for (size_t c = 0; c < g.num_categories(); ++c) row[c] = g.Attribute(u, c);
-    train_rows_.push_back(std::move(row));
+    std::span<const graph::AttributeValue> row = g.Attributes(u);
+    train_rows_.insert(train_rows_.end(), row.begin(), row.end());
     train_labels_.push_back(y);
     prior_[static_cast<size_t>(y)] += 1.0;
   }
@@ -29,37 +29,42 @@ void KnnClassifier::Train(const SocialGraph& g, const std::vector<bool>& known) 
 
 LabelDistribution KnnClassifier::Predict(const SocialGraph& g, NodeId u) const {
   PPDP_CHECK(num_labels_ > 0) << "Predict before Train";
-  if (train_rows_.empty()) return prior_;
+  PPDP_CHECK(HasAttributeSchema(g, schema_))
+      << "Predict on a graph with another attribute schema";
+  if (train_labels_.empty()) return prior_;
 
-  std::vector<graph::AttributeValue> query(g.num_categories());
-  for (size_t c = 0; c < g.num_categories(); ++c) query[c] = g.Attribute(u, c);
-
-  std::vector<std::pair<double, size_t>> distances;
-  distances.reserve(train_rows_.size());
-  for (size_t i = 0; i < train_rows_.size(); ++i) {
-    double d = 0.0;
-    for (size_t c = 0; c < query.size(); ++c) {
-      graph::AttributeValue a = query[c];
-      graph::AttributeValue b = train_rows_[i][c];
-      if (a == graph::kMissingAttribute && b == graph::kMissingAttribute) continue;
-      if (a == graph::kMissingAttribute || b == graph::kMissingAttribute) {
-        d += 0.5;
-      } else if (a != b) {
-        d += 1.0;
-      }
+  const std::span<const graph::AttributeValue> query = g.Attributes(u);
+  const size_t categories = schema_.size();
+  const size_t labels = static_cast<size_t>(num_labels_);
+  // counts[d·L + y]: training rows at half-unit distance d with label y.
+  std::vector<uint32_t> counts((2 * categories + 1) * labels, 0);
+  const graph::AttributeValue* row = train_rows_.data();
+  for (graph::Label y : train_labels_) {
+    size_t d = 0;
+    for (size_t c = 0; c < categories; ++c) {
+      // 1 for any difference, 1 more when both sides are published.
+      const graph::AttributeValue a = query[c];
+      const graph::AttributeValue b = row[c];
+      const bool differ = a != b;
+      d += static_cast<size_t>(differ) +
+           static_cast<size_t>(differ && a != graph::kMissingAttribute &&
+                               b != graph::kMissingAttribute);
     }
-    distances.emplace_back(d, i);
+    ++counts[d * labels + static_cast<size_t>(y)];
+    row += categories;
   }
 
-  size_t k = std::min(k_, distances.size());
-  std::nth_element(distances.begin(), distances.begin() + static_cast<ptrdiff_t>(k - 1),
-                   distances.end());
-  double kth = distances[k - 1].first;
-
-  LabelDistribution votes(static_cast<size_t>(num_labels_), 0.0);
-  // All neighbors at distance <= kth vote (ties at the boundary included).
-  for (const auto& [d, i] : distances) {
-    if (d <= kth) votes[static_cast<size_t>(train_labels_[i])] += 1.0;
+  // The k-th smallest distance is the first one whose cumulative count
+  // reaches k; every row at or below it votes.
+  const size_t k = std::min(k_, train_labels_.size());
+  LabelDistribution votes(labels, 0.0);
+  size_t seen = 0;
+  for (size_t d = 0; seen < k; ++d) {
+    for (size_t y = 0; y < labels; ++y) {
+      const uint32_t n = counts[d * labels + y];
+      seen += n;
+      votes[y] += static_cast<double>(n);
+    }
   }
   NormalizeInPlace(votes);
   return votes;

@@ -10,6 +10,7 @@ namespace ppdp::classify {
 void NaiveBayesClassifier::Train(const SocialGraph& g, const std::vector<bool>& known) {
   PPDP_CHECK(known.size() == g.num_nodes());
   num_labels_ = g.num_labels();
+  schema_ = AttributeSchema(g);
   const size_t labels = static_cast<size_t>(num_labels_);
 
   std::vector<double> label_counts(labels, smoothing_);
@@ -59,10 +60,13 @@ void NaiveBayesClassifier::Train(const SocialGraph& g, const std::vector<bool>& 
 
 LabelDistribution NaiveBayesClassifier::Predict(const SocialGraph& g, NodeId u) const {
   PPDP_CHECK(num_labels_ > 0) << "Predict before Train";
+  PPDP_CHECK(HasAttributeSchema(g, schema_))
+      << "Predict on a graph with another attribute schema";
   const size_t labels = static_cast<size_t>(num_labels_);
   std::vector<double> log_posterior = log_prior_;
-  for (size_t c = 0; c < g.num_categories(); ++c) {
-    graph::AttributeValue v = g.Attribute(u, c);
+  const std::span<const graph::AttributeValue> attributes = g.Attributes(u);
+  for (size_t c = 0; c < attributes.size(); ++c) {
+    graph::AttributeValue v = attributes[c];
     if (v == graph::kMissingAttribute) continue;
     for (size_t y = 0; y < labels; ++y) {
       log_posterior[y] += log_likelihood_[c][static_cast<size_t>(v)][y];

@@ -24,6 +24,8 @@ class NaiveBayesClassifier : public AttributeClassifier {
       : smoothing_(smoothing), uniform_prior_(uniform_prior) {}
 
   void Train(const SocialGraph& g, const std::vector<bool>& known) override;
+  /// PPDP_CHECK-fails before Train and on a graph whose attribute schema
+  /// differs from the training graph's.
   LabelDistribution Predict(const SocialGraph& g, NodeId u) const override;
   std::string name() const override { return "Bayes"; }
 
@@ -31,6 +33,7 @@ class NaiveBayesClassifier : public AttributeClassifier {
   double smoothing_;
   bool uniform_prior_ = false;
   int32_t num_labels_ = 0;
+  std::vector<int32_t> schema_;  ///< AttributeSchema of the training graph
   std::vector<double> log_prior_;
   /// log_likelihood_[c][v][y] = log P(value v for category c | label y).
   std::vector<std::vector<std::vector<double>>> log_likelihood_;

@@ -53,20 +53,27 @@ void AccumulateVote(const std::vector<NodeId>& neighbors, std::span<const double
   }
 }
 
-LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
-                                    std::span<const double> weights,
-                                    const std::vector<LabelDistribution>& current) {
+void RelationalPredictInto(const SocialGraph& g, NodeId u, std::span<const double> weights,
+                           const std::vector<LabelDistribution>& current, LabelDistribution& out) {
   PPDP_CHECK(current.size() == g.num_nodes());
   const auto& neighbors = g.Neighbors(u);
   PPDP_CHECK(weights.size() == neighbors.size());
-  if (neighbors.empty()) return current[u];
-
-  LabelDistribution combined(static_cast<size_t>(g.num_labels()), 0.0);
+  out.assign(static_cast<size_t>(g.num_labels()), 0.0);
   double weight_total = 0.0;
-  AccumulateVote(neighbors, weights, 0, neighbors.size(), current, combined, weight_total);
-  if (weight_total <= 0.0) return current[u];
-  for (double& p : combined) p /= weight_total;
-  return combined;
+  AccumulateVote(neighbors, weights, 0, neighbors.size(), current, out, weight_total);
+  if (weight_total <= 0.0) {
+    out = current[u];
+    return;
+  }
+  for (double& p : out) p /= weight_total;
+}
+
+LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
+                                    std::span<const double> weights,
+                                    const std::vector<LabelDistribution>& current) {
+  LabelDistribution out;
+  RelationalPredictInto(g, u, weights, current, out);
+  return out;
 }
 
 LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,

@@ -49,6 +49,12 @@ LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
                                     std::span<const double> weights,
                                     const std::vector<LabelDistribution>& current);
 
+/// RelationalPredict written into `out`, reusing its storage: the same
+/// operations in the same order, so the same doubles. `out` must not be an
+/// element of `current`.
+void RelationalPredictInto(const SocialGraph& g, NodeId u, std::span<const double> weights,
+                           const std::vector<LabelDistribution>& current, LabelDistribution& out);
+
 /// As above, computing u's weights on the spot (one-off estimates).
 LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
                                     const std::vector<LabelDistribution>& current);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "classify/collective.h"
 #include "classify/evaluation.h"
@@ -85,6 +86,185 @@ TEST(KnnTest, FallsBackToPriorWithoutTrainingData) {
   knn.Train(g, std::vector<bool>(g.num_nodes(), false));
   auto dist = knn.Predict(g, 0);
   EXPECT_NEAR(dist[0], 0.5, 1e-9);
+}
+
+/// The KNN as it was before distances became half-unit integers: double
+/// distances, nth_element for the k-th one, and a `d <= kth` vote. The
+/// equivalence tests below hold KnnClassifier to it bit for bit.
+class ReferenceKnn {
+ public:
+  ReferenceKnn(const SocialGraph& g, const std::vector<bool>& known)
+      : num_labels_(g.num_labels()), prior_(static_cast<size_t>(g.num_labels()), 1.0) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (!known[u]) continue;
+      std::vector<graph::AttributeValue> row(g.num_categories());
+      for (size_t c = 0; c < g.num_categories(); ++c) row[c] = g.Attribute(u, c);
+      rows_.push_back(std::move(row));
+      labels_.push_back(g.GetLabel(u));
+      prior_[static_cast<size_t>(g.GetLabel(u))] += 1.0;
+    }
+    NormalizeInPlace(prior_);
+  }
+
+  /// One prediction per entry of `ks`: the distances are computed once,
+  /// then each k runs the old selection and vote on its own copy.
+  std::vector<LabelDistribution> Predict(const SocialGraph& g, NodeId u,
+                                         const std::vector<size_t>& ks) const {
+    if (rows_.empty()) return std::vector<LabelDistribution>(ks.size(), prior_);
+    std::vector<graph::AttributeValue> query(g.num_categories());
+    for (size_t c = 0; c < g.num_categories(); ++c) query[c] = g.Attribute(u, c);
+    std::vector<std::pair<double, size_t>> all_distances;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      double d = 0.0;
+      for (size_t c = 0; c < query.size(); ++c) {
+        graph::AttributeValue a = query[c];
+        graph::AttributeValue b = rows_[i][c];
+        if (a == kMissingAttribute && b == kMissingAttribute) continue;
+        if (a == kMissingAttribute || b == kMissingAttribute) {
+          d += 0.5;
+        } else if (a != b) {
+          d += 1.0;
+        }
+      }
+      all_distances.emplace_back(d, i);
+    }
+    std::vector<LabelDistribution> predictions;
+    for (size_t k_max : ks) {
+      std::vector<std::pair<double, size_t>> distances = all_distances;
+      size_t k = std::min(k_max, distances.size());
+      std::nth_element(distances.begin(), distances.begin() + static_cast<ptrdiff_t>(k - 1),
+                       distances.end());
+      double kth = distances[k - 1].first;
+      LabelDistribution votes(static_cast<size_t>(num_labels_), 0.0);
+      for (const auto& [d, i] : distances) {
+        if (d <= kth) votes[static_cast<size_t>(labels_[i])] += 1.0;
+      }
+      NormalizeInPlace(votes);
+      predictions.push_back(std::move(votes));
+    }
+    return predictions;
+  }
+
+ private:
+  int32_t num_labels_;
+  std::vector<std::vector<graph::AttributeValue>> rows_;
+  std::vector<graph::Label> labels_;
+  LabelDistribution prior_;
+};
+
+/// Asserts that KnnClassifier(k) trained on (g, known) predicts exactly the
+/// reference's distribution for every node in `queries` and every k in `ks`.
+void ExpectKnnMatchesReference(const SocialGraph& g, const std::vector<bool>& known,
+                               const std::vector<NodeId>& queries,
+                               const std::vector<size_t>& ks) {
+  const ReferenceKnn reference(g, known);
+  std::vector<KnnClassifier> knns;
+  for (size_t k : ks) {
+    knns.emplace_back(k);
+    knns.back().Train(g, known);
+  }
+  for (NodeId u : queries) {
+    const std::vector<LabelDistribution> expected = reference.Predict(g, u, ks);
+    for (size_t i = 0; i < ks.size(); ++i) {
+      EXPECT_EQ(knns[i].Predict(g, u), expected[i]) << "node " << u << " k " << ks[i];
+    }
+  }
+}
+
+TEST(KnnTest, MatchesReferenceOnMitLikeGraphsAtEveryMaskAndK) {
+  for (double scale : {0.01, 0.05, 0.25}) {
+    SCOPED_TRACE(scale);
+    const SocialGraph original = GenerateSyntheticGraph(graph::MitLikeConfig(scale, 13));
+    Rng rng(7);
+    const std::vector<bool> known = SampleKnownMask(original, 0.7, rng);
+    const size_t num_train = static_cast<size_t>(std::count(known.begin(), known.end(), true));
+    std::vector<NodeId> hidden;
+    for (NodeId u = 0; u < original.num_nodes(); ++u) {
+      if (!known[u]) hidden.push_back(u);
+    }
+    for (size_t masked = 0; masked <= original.num_categories(); ++masked) {
+      SCOPED_TRACE(masked);
+      SocialGraph g = original;
+      for (size_t c = 0; c < masked; ++c) g.MaskCategory(c);
+      ExpectKnnMatchesReference(g, known, hidden, {1, 3, 7, num_train + 5});
+    }
+  }
+}
+
+TEST(KnnTest, EveryRowTiedAtTheKthDistanceVotes) {
+  // The query publishes {0, 0, 0}. Rows 1-2 sit at distance 0, rows 3-8 all
+  // at 1 (one published mismatch) and rows 9-10 at 1 too (two one-sided
+  // misses), rows 11-12 further out. With k = 3 the k-th distance is 1, so
+  // rows 1-10 vote: 2 + 4 for label 0, 4 for label 1.
+  SocialGraph g({{"a", 3}, {"b", 3}, {"c", 3}}, 2);
+  g.AddNode({0, 0, 0}, kUnknownLabel);
+  g.AddNode({0, 0, 0}, 0);
+  g.AddNode({0, 0, 0}, 0);
+  for (int i = 0; i < 3; ++i) g.AddNode({1, 0, 0}, 0);
+  for (int i = 0; i < 3; ++i) g.AddNode({0, 2, 0}, 1);
+  g.AddNode({kMissingAttribute, kMissingAttribute, 0}, 0);
+  g.AddNode({0, kMissingAttribute, kMissingAttribute}, 1);
+  g.AddNode({1, 1, 0}, 1);
+  g.AddNode({2, 2, 2}, 0);
+  const std::vector<bool> known = AllKnownExcept(g.num_nodes(), {0});
+  KnnClassifier knn(3);
+  knn.Train(g, known);
+  const LabelDistribution dist = knn.Predict(g, 0);
+  EXPECT_EQ(dist, (LabelDistribution{6.0 / 10.0, 4.0 / 10.0}));
+  std::vector<size_t> every_k(g.num_nodes() + 1);
+  std::iota(every_k.begin(), every_k.end(), 1);
+  ExpectKnnMatchesReference(g, known, {0}, every_k);
+}
+
+TEST(KnnTest, AllMissingQueriesAndTrainingRowsMatchReference) {
+  SocialGraph g({{"a", 4}, {"b", 2}, {"c", 5}}, 3);
+  g.AddNode({kMissingAttribute, kMissingAttribute, kMissingAttribute}, kUnknownLabel);
+  g.AddNode({1, 0, 4}, kUnknownLabel);
+  g.AddNode({kMissingAttribute, 1, kMissingAttribute}, kUnknownLabel);
+  for (int i = 0; i < 12; ++i) {
+    g.AddNode({i % 4, i % 2, i % 5}, i % 3);
+    g.AddNode({kMissingAttribute, kMissingAttribute, kMissingAttribute}, (i + 1) % 3);
+  }
+  const std::vector<bool> known = AllKnownExcept(g.num_nodes(), {0, 1, 2});
+  ExpectKnnMatchesReference(g, known, {0, 1, 2}, {1, 2, 5, 12, 30});
+
+  // Only all-missing training rows: every one sits at the same distance
+  // from any query, so all of them vote.
+  std::vector<bool> only_missing(g.num_nodes(), false);
+  for (NodeId u = 4; u < g.num_nodes(); u += 2) only_missing[u] = true;
+  ExpectKnnMatchesReference(g, only_missing, {0, 1, 2}, {1, 3, 6, 20});
+  KnnClassifier knn(1);
+  knn.Train(g, only_missing);
+  EXPECT_EQ(knn.Predict(g, 1), (LabelDistribution{4.0 / 12.0, 4.0 / 12.0, 4.0 / 12.0}));
+}
+
+/// DeterministicGraph's schema with one more category, and with one more
+/// value in its second category.
+SocialGraph WiderCategoriesGraph() {
+  SocialGraph g({{"h1", 2}, {"h2", 3}, {"h3", 4}}, 2);
+  g.AddNode({1, 2, 3}, kUnknownLabel);
+  return g;
+}
+SocialGraph WiderValuesGraph() {
+  SocialGraph g({{"h1", 2}, {"h2", 9}}, 2);
+  g.AddNode({1, 8}, kUnknownLabel);
+  return g;
+}
+
+TEST(KnnDeathTest, PredictOnAnotherSchemaDies) {
+  SocialGraph g = DeterministicGraph();
+  KnnClassifier knn(3);
+  knn.Train(g, AllKnownExcept(g.num_nodes(), {0}));
+  EXPECT_DEATH(knn.Predict(WiderCategoriesGraph(), 0), "schema");
+  EXPECT_DEATH(knn.Predict(WiderValuesGraph(), 0), "schema");
+}
+
+TEST(NaiveBayesDeathTest, PredictOnAnotherSchemaDies) {
+  SocialGraph g = DeterministicGraph();
+  NaiveBayesClassifier nb;
+  nb.Train(g, AllKnownExcept(g.num_nodes(), {0}));
+  EXPECT_DEATH(nb.Predict(WiderCategoriesGraph(), 0), "schema");
+  EXPECT_DEATH(nb.Predict(WiderValuesGraph(), 0), "schema");
 }
 
 TEST(RstClassifierTest, LearnsRulesAndExposesReduct) {
@@ -454,6 +634,74 @@ TEST(IcaSolverTest, RestoreRejectsDistributionsOfTheWrongWidth) {
   IcaSolver fresh(g, known, fresh_nb, {});
   ASSERT_TRUE(fresh.Step().ok());
   EXPECT_EQ(solver.Snapshot().distributions, fresh.Snapshot().distributions);
+}
+
+TEST(IcaSolverTest, RestoreIntoASteppedSolverMatchesAnUninterruptedRun) {
+  // The stepped solver's second buffer holds its own earlier rounds; after
+  // Restore from another run's checkpoint none of that may leak into the
+  // resumed rounds.
+  SocialGraph g = GenerateSyntheticGraph(graph::MitLikeConfig(0.02, 13));
+  Rng rng(4);
+  const auto known = SampleKnownMask(g, 0.7, rng);
+  CollectiveConfig config;
+  config.max_iterations = 6;
+  config.convergence_tol = 0.0;  // run every round
+  for (LocalModel model : {LocalModel::kNaiveBayes, LocalModel::kKnn}) {
+    SCOPED_TRACE(LocalModelName(model));
+    auto baseline_local = MakeLocalClassifier(model);
+    const CollectiveResult baseline = CollectiveInference(g, known, *baseline_local, config);
+
+    auto other_local = MakeLocalClassifier(model);
+    IcaSolver other(g, known, *other_local, config);
+    ASSERT_TRUE(other.Step().ok());
+    ASSERT_TRUE(other.Step().ok());
+    const IcaCheckpoint checkpoint = other.Snapshot();
+
+    auto local = MakeLocalClassifier(model);
+    IcaSolver solver(g, known, *local, config);
+    for (int round = 0; round < 3; ++round) ASSERT_TRUE(solver.Step().ok());
+    ASSERT_TRUE(solver.Restore(checkpoint).ok());
+    while (!solver.Done()) ASSERT_TRUE(solver.Step().ok());
+    const CollectiveResult resumed = solver.Finish();
+    EXPECT_EQ(resumed.iterations, baseline.iterations);
+    EXPECT_EQ(resumed.converged, baseline.converged);
+    EXPECT_EQ(resumed.distributions, baseline.distributions);  // exact doubles
+  }
+}
+
+TEST(IcaSolverTest, RestoreCarriesTheCheckpointsKnownNodeSlots) {
+  // A checkpoint from a run over another mask holds soft estimates where
+  // this solver's known nodes are. Rounds copy known slots forward from
+  // the restored state, so a stepped solver and a fresh one restored from
+  // it must agree exactly.
+  SocialGraph g = GenerateSyntheticGraph(graph::MitLikeConfig(0.02, 13));
+  Rng rng(4);
+  const auto known = SampleKnownMask(g, 0.7, rng);
+  const auto other_known = SampleKnownMask(g, 0.5, rng);
+  CollectiveConfig config;
+  config.max_iterations = 5;
+  config.convergence_tol = 0.0;
+  KnnClassifier other_knn;
+  IcaSolver other(g, other_known, other_knn, config);
+  ASSERT_TRUE(other.Step().ok());
+  const IcaCheckpoint checkpoint = other.Snapshot();
+
+  KnnClassifier stepped_knn;
+  IcaSolver stepped(g, known, stepped_knn, config);
+  for (int round = 0; round < 2; ++round) ASSERT_TRUE(stepped.Step().ok());
+  ASSERT_TRUE(stepped.Restore(checkpoint).ok());
+  KnnClassifier fresh_knn;
+  IcaSolver fresh(g, known, fresh_knn, config);
+  ASSERT_TRUE(fresh.Restore(checkpoint).ok());
+  while (!stepped.Done()) ASSERT_TRUE(stepped.Step().ok());
+  while (!fresh.Done()) ASSERT_TRUE(fresh.Step().ok());
+  const CollectiveResult result = fresh.Finish();
+  EXPECT_EQ(stepped.Finish().distributions, result.distributions);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (known[u]) {
+      EXPECT_EQ(result.distributions[u], checkpoint.distributions[u]) << "node " << u;
+    }
+  }
 }
 
 }  // namespace
