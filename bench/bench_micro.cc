@@ -264,7 +264,7 @@ BENCHMARK(BM_GreedySubmodular)->Arg(0)->Arg(1);  // 0 = plain, 1 = lazy
 // Not BENCHMARK_MAIN(): after the google-benchmark pass this binary also
 // emits the BENCH_micro.json run report (library kernels record TraceSpans
 // while the benchmarks drive them), keeping every bench binary's telemetry
-// diffable by ppdp_benchstat. The report flag is stripped before argv
+// diffable by `ppdp_stat report`. The report flag is stripped before argv
 // reaches benchmark::Initialize, which rejects flags it does not know.
 int main(int argc, char** argv) {
   std::string report_out = "bench_out/BENCH_micro.json";

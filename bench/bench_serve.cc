@@ -17,19 +17,19 @@
 //
 // --min_qps > 0 turns the run into a gate: exit 1 when achieved QPS falls
 // below it (what the CI perf job pins). The BENCH_serve.json run report
-// carries the serve.client.seconds histogram for ppdp_benchstat diffing.
+// carries the serve.client.seconds histogram for `ppdp_stat report` diffing.
 //
 // Every request carries a client-generated W3C traceparent header; the
 // server must echo a response traceparent with the same trace id (echo
 // mismatches fail the run). --access_log PATH additionally makes the
 // in-process daemon write its ppdp.access.v1 JSONL log, which the bench
 // reads back at the end into a server-side per-stage latency table
-// (serve_stage_breakdown) — the same numbers ppdp_tracestat aggregates.
+// (serve_stage_breakdown) — the same numbers `ppdp_stat access` aggregates.
 //
 // The in-process daemon always runs its SLO engine (--slo_config loads a
 // ppdp.slo.v1 rule file; defaults otherwise). After the load completes the
 // bench queries the live attainment, prints a serve_slo table, and records
-// the rows into the run report's "slos" stanza — ppdp_benchstat prints
+// the rows into the run report's "slos" stanza — `ppdp_stat report` prints
 // them informationally and never gates on them.
 #include <atomic>
 #include <fstream>
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   // Client-observed latency (connect + request + response). Bounds mirror
   // the server-side serve.request.seconds histogram so the two line up in
-  // benchstat diffs.
+  // `ppdp_stat report` diffs.
   ppdp::obs::Histogram& latency = ppdp::obs::MetricsRegistry::Global().histogram(
       "serve.client.seconds",
       {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
 
   // Live SLO attainment over the run's windows, straight from the daemon's
   // engine — the same rows /sloz would serve. Recorded into the report's
-  // "slos" stanza (informational in ppdp_benchstat diffs).
+  // "slos" stanza (informational in `ppdp_stat report` diffs).
   (*app)->slo().Evaluate();
   const std::vector<ppdp::obs::SloAttainment> slos = (*app)->slo().Attainment();
   ppdp::Table slo_table({"rule", "signal", "tenant", "objective", "attained", "verdict"});
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   (*app)->Stop();
 
   // Server-side view: fold the access log's per-stage micros into the same
-  // breakdown ppdp_tracestat prints, so a bench run shows where request
+  // breakdown `ppdp_stat access` prints, so a bench run shows where request
   // time went without a second tool invocation.
   if (!access_log.empty()) {
     struct StageAgg {

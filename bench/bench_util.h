@@ -39,7 +39,7 @@ namespace ppdp::bench {
 ///   --threads N     (default 0)    execution width: 0 = hardware
 ///                   concurrency, 1 = exact serial fallback
 ///   --report_out F  (default <out>/BENCH_<name>.json; "off" disables)
-///                   machine-readable run report for ppdp_benchstat
+///                   machine-readable run report for `ppdp_stat report`
 ///   --flight_capacity N  (default 512)  flight-recorder ring size
 ///   --flight_level L     (default warn) min log level the recorder keeps
 ///   --flight_dump F      (default <out>/<bench>_flight.json; "off"
@@ -281,7 +281,7 @@ struct BenchEnv {
     Table phases = obs::TraceRecorder::Global().PhaseSummary();
     if (phases.num_rows() == 0) return;
     // Timings differ from run to run, so this table is written but not
-    // digested: `ppdp_benchstat --check_digests` audits results only.
+    // digested: `ppdp_stat report --check_digests` audits results only.
     PrintAndWrite(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
     size_t dropped = obs::TraceRecorder::Global().num_dropped();
     if (dropped > 0) {

@@ -13,7 +13,7 @@
 namespace ppdp {
 
 /// Minimal JSON document model used by the telemetry pipeline: run reports
-/// are serialized through it, ppdp_benchstat parses them back, and tests
+/// are serialized through it, `ppdp_stat report` parses them back, and tests
 /// validate the emitted schema without regexing raw text. Objects preserve
 /// insertion order so emitted documents diff stably; duplicate keys are
 /// rejected at parse time. Numbers are doubles (64-bit integers round-trip
@@ -56,7 +56,7 @@ class JsonValue {
   void Set(std::string_view key, JsonValue value);
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
-  /// Lookup helpers for tolerant readers (benchstat diffs reports emitted
+  /// Lookup helpers for tolerant readers (`ppdp_stat report` diffs reports emitted
   /// by older schema versions): missing key or kind mismatch -> fallback.
   double GetNumberOr(std::string_view key, double fallback) const;
   std::string GetStringOr(std::string_view key, std::string fallback) const;

@@ -177,7 +177,7 @@ class MetricsRegistry {
 /// once, sample values parse as doubles (NaN/+Inf/-Inf spellings allowed),
 /// and each histogram's `_bucket{le=...}` series is cumulative
 /// (non-decreasing), ends at `le="+Inf"`, and agrees with its `_sum` /
-/// `_count` samples. Shared by telemetry_test and the ppdp_promcheck CI
+/// `_count` samples. Shared by telemetry_test and the `ppdp_stat prom` CI
 /// gate so a scrape that Prometheus would reject fails fast.
 Status ValidatePrometheusText(std::string_view text);
 

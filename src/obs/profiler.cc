@@ -832,8 +832,8 @@ ProfileDiff DiffProfiles(const CpuProfile& baseline, const CpuProfile& current,
     } else {
       delta.current_share = it->second;
       delta.ratio = share > 0.0 ? delta.current_share / share : 0.0;
-      delta.regressed = delta.current_share > share * (1.0 + options.threshold) &&
-                        delta.current_share - share > options.min_share;
+      delta.regressed =
+          Regressed(share, delta.current_share, options.threshold, options.min_share);
     }
     diff.regressed = diff.regressed || delta.regressed;
     diff.frames.push_back(std::move(delta));

@@ -107,11 +107,11 @@ struct CpuProfile {
   Table TopFramesTable(size_t n = 20) const;
 };
 
-/// Checks the invariants ppdp_profstat and CI rely on: schema tag/version,
+/// Checks the invariants `ppdp_stat profile` and CI rely on: schema tag/version,
 /// required keys with the right kinds, well-formed phase and stack entries.
 Status ValidateProfileJson(const JsonValue& doc);
 
-/// ---- ppdp_profstat: frame-level diff between two profiles ----
+/// ---- `ppdp_stat profile`: frame-level diff between two profiles ----
 
 struct ProfileDiffOptions {
   /// Relative growth of a frame's self-sample *share* tolerated before the

@@ -422,6 +422,10 @@ Status ValidateReportJson(const JsonValue& doc) {
   return Status::Ok();
 }
 
+bool Regressed(double baseline, double current, double threshold, double floor) {
+  return current > baseline * (1.0 + threshold) && current - baseline > floor;
+}
+
 ReportDiff DiffReports(const RunReport& baseline, const RunReport& current,
                        const DiffOptions& options) {
   ReportDiff diff;
@@ -442,21 +446,16 @@ ReportDiff DiffReports(const RunReport& baseline, const RunReport& current,
       delta.current_ms = it->second->wall_ms_total;
       diff.current_total_ms += delta.current_ms;
       delta.ratio = base.wall_ms_total > 0.0 ? delta.current_ms / base.wall_ms_total : 0.0;
-      // A regression needs both the relative threshold and the absolute
-      // floor: sub-noise phases can triple without meaning anything.
       delta.regressed =
-          delta.current_ms > base.wall_ms_total * (1.0 + options.threshold) &&
-          delta.current_ms - base.wall_ms_total > options.min_ms;
+          Regressed(base.wall_ms_total, delta.current_ms, options.threshold, options.min_ms);
       delta.baseline_rss_peak = base.rss_peak_bytes;
       delta.current_rss_peak = it->second->rss_peak_bytes;
       // The memory gate is opt-in and only meaningful when both sides carry
       // numbers (pre-v6 baselines report 0).
       if (options.mem_threshold > 0.0 && delta.baseline_rss_peak > 0 &&
           delta.current_rss_peak > 0) {
-        delta.mem_regressed =
-            static_cast<double>(delta.current_rss_peak) >
-                static_cast<double>(delta.baseline_rss_peak) * (1.0 + options.mem_threshold) &&
-            delta.current_rss_peak - delta.baseline_rss_peak > options.min_mem_bytes;
+        delta.mem_regressed = Regressed(delta.baseline_rss_peak, delta.current_rss_peak,
+                                        options.mem_threshold, options.min_mem_bytes);
       }
     }
     diff.regressed = diff.regressed || delta.regressed || delta.mem_regressed;

@@ -32,7 +32,7 @@ std::string DigestToHex(uint64_t digest);
 /// latency percentiles from MetricsRegistry histograms, every privacy
 /// ledger's audit trail, and digests of every output CSV. Serialized as
 /// bench_out/BENCH_<name>.json by the bench harness and diffed by
-/// tools/ppdp_benchstat.
+/// `ppdp_stat report`.
 struct RunReport {
   static constexpr int kSchemaVersion = 1;
   /// Document type tag ("ppdp.bench.v1").
@@ -135,7 +135,14 @@ void CollectGlobalTelemetry(RunReport* report);
 /// phase/output entries. Returns the first violation.
 Status ValidateReportJson(const JsonValue& doc);
 
-/// ---- ppdp_benchstat: phase-by-phase perf diff with a noise threshold ----
+/// ---- `ppdp_stat report`: phase-by-phase perf diff with a noise threshold ----
+
+/// The one regression rule every offline gate applies (phase time and peak
+/// RSS here, frame share in DiffProfiles, access-log stage latency in
+/// `ppdp_stat access`): `current` regressed when it exceeds
+/// `baseline * (1 + threshold)` AND `current - baseline > floor`. Both
+/// parts matter: sub-noise quantities can triple without meaning anything.
+bool Regressed(double baseline, double current, double threshold, double floor);
 
 struct DiffOptions {
   /// Relative slowdown tolerated before a phase counts as regressed

@@ -12,7 +12,7 @@ namespace ppdp::obs {
 
 /// Size-rotated JSONL sink shared by the serve access log and the SLO alert
 /// log: one complete JSON object per line, flushed per append so live
-/// tooling (tail, ppdp_tracestat, ppdp_slostat) never reads a torn record.
+/// tooling (tail, `ppdp_stat access`, `ppdp_stat slo`) never reads a torn record.
 /// At most one rotated generation is kept (`<path>.1`), bounding the disk
 /// footprint at ~2x max_bytes. Appends are serialized under one mutex, so
 /// concurrent writers crossing the rotation boundary still produce

@@ -302,7 +302,7 @@ class SloEngine {
   RotatingJsonlLog alert_log_;
 };
 
-/// Validates one `ppdp.alertlog.v1` record (shared by ppdp_slostat and
+/// Validates one `ppdp.alertlog.v1` record (shared by `ppdp_stat slo` and
 /// tests): schema tag, known states/severities, a legal transition pair,
 /// non-negative timestamp and burn rates.
 Status ValidateAlertLogRecord(const JsonValue& doc);

@@ -139,6 +139,46 @@ JsonValue RequestRecord::ToJson() const {
   return doc;
 }
 
+Status ValidateAccessRecord(const JsonValue& doc, RequestRecord* record) {
+  auto invalid = [](const std::string& why) { return Status::InvalidArgument(why); };
+  auto is_trace_id = [](const std::string& id) { return id.size() == 32 && AllLowerHex(id); };
+  if (!doc.is_object() || doc.GetStringOr("schema", "") != "ppdp.access.v1") {
+    return invalid("record is not a ppdp.access.v1 object");
+  }
+  RequestRecord parsed;
+  parsed.request_id = doc.GetStringOr("request_id", "");
+  parsed.tenant = doc.GetStringOr("tenant", "");
+  parsed.endpoint = doc.GetStringOr("endpoint", "");
+  parsed.status = static_cast<int>(doc.GetNumberOr("status", 0.0));
+  parsed.total_micros = doc.GetNumberOr("total_micros", -1.0);
+  parsed.coalesce = doc.GetStringOr("coalesce", "");
+  parsed.leader_request_id = doc.GetStringOr("leader_request_id", "");
+  if (!is_trace_id(parsed.request_id)) return invalid("request_id is not 32 lowercase hex chars");
+  if (parsed.status <= 0) return invalid("status missing or not positive");
+  if (!(parsed.total_micros >= 0.0)) return invalid("total_micros missing or negative");
+  if (!parsed.coalesce.empty() && parsed.coalesce != "leader" && parsed.coalesce != "waiter") {
+    return invalid("coalesce must be empty, leader, or waiter");
+  }
+  if (parsed.coalesce == "waiter" && !is_trace_id(parsed.leader_request_id)) {
+    return invalid("waiter without a well-formed leader_request_id");
+  }
+  const JsonValue* stages = doc.Find("stages");
+  if (stages == nullptr || !stages->is_object()) return invalid("stages missing or not an object");
+  for (const auto& [name, micros] : stages->members()) {
+    if (!micros.is_number() || !(micros.as_number() >= 0.0)) {
+      return invalid("stage \"" + name + "\" has a non-numeric/negative value");
+    }
+    parsed.stages.push_back({name, micros.as_number()});
+  }
+  // Stages are disjoint sub-intervals of the request, closed before the
+  // total is stamped. Half a microsecond of slack absorbs double rounding.
+  if (parsed.StageMicrosSum() > parsed.total_micros + 0.5) {
+    return invalid("stage micros sum exceeds total_micros");
+  }
+  if (record != nullptr) *record = std::move(parsed);
+  return Status::Ok();
+}
+
 RequestContext::RequestContext(std::string endpoint, const obs::HttpRequest& request) {
   start_seconds = obs::MonotonicSeconds();
   record.endpoint = std::move(endpoint);

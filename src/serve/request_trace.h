@@ -80,6 +80,15 @@ struct RequestRecord {
   JsonValue ToJson() const;
 };
 
+/// Validates one ppdp.access.v1 object: schema tag, 32-hex request id, a
+/// positive numeric status, non-negative total and stage micros, a legal
+/// coalesce role (a waiter names a 32-hex leader), and the invariant the
+/// writer guarantees by construction: the stage micros sum to at most
+/// total_micros. `ppdp_stat access`, `ppdp_stat slo` and serve_test all
+/// check access-log lines through this one function. When `record` is
+/// non-null it receives the validated fields plus tenant and endpoint.
+Status ValidateAccessRecord(const JsonValue& doc, RequestRecord* record = nullptr);
+
 /// Per-request context threaded through a handler: identity (trace id),
 /// the record under construction, and the current stage (interned span id,
 /// readable lock-free by /requestz). Owned by the connection thread; only

@@ -1,5 +1,5 @@
 // Sampling-profiler suite: resource probes, capture + phase attribution,
-// the ppdp.profile.v1 round trip, the profstat diff gate, and the safety
+// the ppdp.profile.v1 round trip, the profile diff gate, and the safety
 // properties the design leans on — profiling must not perturb published
 // results (byte-identity with the profiler on), must coexist with an
 // active ParallelFor (this doubles as a TSan regression), and must stay

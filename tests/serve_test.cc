@@ -672,7 +672,11 @@ std::vector<JsonValue> ReadAccessLog(const std::string& path) {
     if (line.empty()) continue;
     auto doc = JsonValue::Parse(line);
     EXPECT_TRUE(doc.ok()) << line;
-    if (doc.ok()) records.push_back(std::move(*doc));
+    if (!doc.ok()) continue;
+    // Every line the daemon writes passes the validator `ppdp_stat` uses.
+    const Status valid = ValidateAccessRecord(*doc);
+    EXPECT_TRUE(valid.ok()) << valid.ToString() << ": " << line;
+    records.push_back(std::move(*doc));
   }
   return records;
 }
