@@ -17,6 +17,7 @@
 #include "classify/knn.h"
 #include "classify/naive_bayes.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "classify/relational.h"
 #include "common/rng.h"
 #include "genomics/genome_data.h"
@@ -258,6 +259,18 @@ void BM_GreedySubmodular(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySubmodular)->Arg(0)->Arg(1);  // 0 = plain, 1 = lazy
+
+/// The tracing primitive itself: one nested open/close pair per iteration.
+/// Each close folds into its phase row under the recorder's one mutex, so
+/// the 4-thread run measures that lock under contention.
+void BM_TraceSpan(benchmark::State& state) {
+  for (auto _ : state) {
+    ppdp::obs::TraceSpan outer("bench_micro.span.outer");
+    ppdp::obs::TraceSpan inner("bench_micro.span.inner");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TraceSpan)->Threads(1)->Threads(4);
 
 }  // namespace
 

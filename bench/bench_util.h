@@ -35,7 +35,7 @@ namespace ppdp::bench {
 ///   --out DIR       (default "bench_out")  CSV output directory
 ///   --log_level L   (default warn)  debug|info|warn|error|off
 ///   --log_json      (off by default)  one JSON object per log record
-///   --trace_out F   (off by default)  write a Chrome trace_event JSON
+///   --trace_out F   (off by default)  write the first 2^18 spans as Chrome JSON
 ///   --threads N     (default 0)    execution width: 0 = hardware
 ///                   concurrency, 1 = exact serial fallback
 ///   --report_out F  (default <out>/BENCH_<name>.json; "off" disables)
@@ -64,11 +64,11 @@ namespace ppdp::bench {
 ///                   .folded suffix
 ///
 /// On destruction (end of main) the harness emits the per-phase wall-time
-/// table recorded by the library's TraceSpans — printed and written to
-/// <out>/<bench>_phases.csv — then the BENCH_<name>.json run report
-/// (invocation, build, fault plan, phase timings, histogram percentiles,
-/// ledger audits, and FNV-1a digests of every CSV written through Emit),
-/// and, when --trace_out was given, the full Chrome-loadable trace.
+/// table of every TraceSpan closed — printed and written to
+/// <out>/<bench>_phases.csv — then, with --trace_out, the Chrome trace, and
+/// the BENCH_<name>.json run report (invocation, build, fault plan, phase
+/// timings, histogram percentiles, ledger audits, and FNV-1a digests of
+/// every CSV written through Emit).
 struct BenchEnv {
   uint64_t seed = 7;
   double scale = 1.0;
@@ -84,6 +84,7 @@ struct BenchEnv {
     scale = flags.GetDouble("scale", default_scale);
     out_dir = flags.GetString("out", "bench_out");
     trace_out = flags.GetString("trace_out", "");
+    if (!trace_out.empty()) obs::TraceRecorder::Global().SetRetainEvents(true);
     threads = static_cast<int>(flags.GetInt("threads", 0));
     Status pool_status = exec::ThreadPool::SetGlobalThreads(threads);
     if (!pool_status.ok()) {
@@ -194,6 +195,9 @@ struct BenchEnv {
       } else {
         std::cout << "(trace write failed: " << status.ToString() << ")\n";
       }
+      if (size_t dropped = obs::TraceRecorder::Global().num_dropped(); dropped > 0) {
+        std::cout << "(trace: " << dropped << " more spans past the 2^18-event cap not written)\n";
+      }
     }
     if (report_out_ != "off") EmitRunReport();
     if (telemetry_ != nullptr) telemetry_->Stop();  // after reports: scrapable to the end
@@ -274,7 +278,7 @@ struct BenchEnv {
     Emit(table, name + "_speedup", heading);
   }
 
-  /// Per-phase wall-time table from every TraceSpan recorded so far.
+  /// Per-phase wall-time table from every TraceSpan closed so far.
   /// Called automatically at destruction; call earlier to interleave with
   /// result tables.
   void EmitPhaseTimings() const {
@@ -283,10 +287,6 @@ struct BenchEnv {
     // Timings differ from run to run, so this table is written but not
     // digested: `ppdp_stat report --check_digests` audits results only.
     PrintAndWrite(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
-    size_t dropped = obs::TraceRecorder::Global().num_dropped();
-    if (dropped > 0) {
-      std::cout << "(trace buffer full: " << dropped << " spans not recorded)\n";
-    }
   }
 
   /// Stops the sampling profiler and writes the ppdp.profile.v1 JSON plus

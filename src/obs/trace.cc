@@ -4,7 +4,6 @@
 #include <atomic>
 #include <ctime>
 #include <fstream>
-#include <map>
 #include <unordered_map>
 
 #include "obs/log.h"
@@ -13,12 +12,6 @@
 namespace ppdp::obs {
 
 namespace {
-
-uint32_t ThisThreadOrdinal() {
-  static std::atomic<uint32_t> next{0};
-  thread_local uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
 
 /// Global intern table: span name -> small id, plus the reverse array the
 /// profiler symbolizes samples with offline. Both sides are leaked so a
@@ -34,44 +27,63 @@ struct SpanNameTable {
   }
 };
 
-/// Fixed-depth per-thread stack of interned span ids. The owning thread
-/// pushes/pops; its own SIGPROF handler reads the top. Atomics are ordered
-/// so the handler never reads a slot before the id was stored. Trivially
-/// destructible (plain atomics) so no TLS destructor can race a late
-/// signal.
+/// Fixed-depth stack of interned span ids for one thread: pushed and popped
+/// by its owner, read by the owner's SIGPROF handler and by
+/// ActiveSpanStacks() on other threads.
 constexpr uint32_t kMaxSignalSpanDepth = 64;
-struct TlsSpanStack {
+struct SpanStackSlot {
   std::atomic<uint32_t> depth{0};
   std::atomic<uint32_t> ids[kMaxSignalSpanDepth] = {};
+  uint32_t thread = 0;  ///< owner's ordinal (TraceEvent::thread); set under the slots mutex
+  bool live = false;    ///< guarded by the slots mutex
 };
-thread_local TlsSpanStack t_span_stack;
 
-/// Registry of open-span stacks keyed by thread ordinal. Spans push/pop
-/// their own thread's stack (strict LIFO by RAII), readers snapshot the
-/// whole map; both sides take one short-lived mutex, which is cheap at span
-/// granularity (spans mark phases, not per-item work).
-struct ActiveSpanRegistry {
+/// Every slot ever handed out: leaked, so readers never touch a dead
+/// thread's TLS, and reused, so their number stays bounded by the peak
+/// count of live threads that opened a span.
+struct SpanStackSlots {
   std::mutex mutex;
-  std::map<uint32_t, std::vector<std::string>> stacks;
+  std::vector<SpanStackSlot*> slots;
+  uint32_t next_thread = 0;  ///< thread ordinals, handed out at a thread's first span
 
-  static ActiveSpanRegistry& Global() {
-    static ActiveSpanRegistry* registry = new ActiveSpanRegistry();  // intentionally leaked
+  static SpanStackSlots& Global() {
+    static SpanStackSlots* registry = new SpanStackSlots();  // intentionally leaked
     return *registry;
   }
+};
 
-  void Push(uint32_t thread, const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex);
-    stacks[thread].push_back(name);
-  }
+/// The calling thread's slot (null until its first span). A plain pointer,
+/// trivially destructible, so a late signal can read it at any time.
+thread_local SpanStackSlot* t_span_slot = nullptr;
 
-  void Pop(uint32_t thread) {
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = stacks.find(thread);
-    if (it == stacks.end() || it->second.empty()) return;
-    it->second.pop_back();
-    if (it->second.empty()) stacks.erase(it);
+/// Gives the calling thread's slot back at thread exit.
+struct SpanSlotLease {
+  SpanStackSlot* slot = nullptr;
+  ~SpanSlotLease() {
+    if (slot == nullptr) return;
+    std::lock_guard<std::mutex> lock(SpanStackSlots::Global().mutex);
+    t_span_slot = nullptr;
+    slot->depth.store(0, std::memory_order_relaxed);
+    slot->live = false;
   }
 };
+thread_local SpanSlotLease t_span_slot_lease;
+
+SpanStackSlot& ThisThreadSlot() {
+  if (t_span_slot != nullptr) return *t_span_slot;
+  SpanStackSlots& registry = SpanStackSlots::Global();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  auto free_slot = std::find_if(registry.slots.begin(), registry.slots.end(),
+                                [](const SpanStackSlot* slot) { return !slot->live; });
+  SpanStackSlot* slot = free_slot != registry.slots.end()
+                            ? *free_slot
+                            : registry.slots.emplace_back(new SpanStackSlot());  // leaked
+  slot->thread = registry.next_thread++;
+  slot->live = true;
+  t_span_slot_lease.slot = slot;
+  t_span_slot = slot;
+  return *slot;
+}
 
 }  // namespace
 
@@ -95,22 +107,31 @@ const std::string& SpanNameForId(uint32_t id) {
 }
 
 uint32_t CurrentThreadSpanId() {
-  uint32_t depth = t_span_stack.depth.load(std::memory_order_acquire);
-  if (depth == 0) return 0;
-  if (depth > kMaxSignalSpanDepth) depth = kMaxSignalSpanDepth;
-  return t_span_stack.ids[depth - 1].load(std::memory_order_relaxed);
+  const SpanStackSlot* slot = t_span_slot;
+  if (slot == nullptr) return 0;
+  const uint32_t depth = std::min(slot->depth.load(std::memory_order_acquire), kMaxSignalSpanDepth);
+  return depth == 0 ? 0 : slot->ids[depth - 1].load(std::memory_order_relaxed);
 }
 
-void TouchSpanTls() { t_span_stack.depth.load(std::memory_order_relaxed); }
+void TouchSpanTls() { (void)CurrentThreadSpanId(); }  // reads t_span_slot, so its TLS exists
 
 std::vector<ActiveSpanStack> ActiveSpanStacks() {
-  ActiveSpanRegistry& registry = ActiveSpanRegistry::Global();
-  std::lock_guard<std::mutex> lock(registry.mutex);
   std::vector<ActiveSpanStack> stacks;
-  stacks.reserve(registry.stacks.size());
-  for (const auto& [thread, spans] : registry.stacks) {
-    stacks.push_back(ActiveSpanStack{thread, spans});
+  SpanStackSlots& registry = SpanStackSlots::Global();
+  // Lock order: slots, then names. A span open takes the name lock and (on
+  // a thread's first span) the slot lock, never both at once.
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  for (const SpanStackSlot* slot : registry.slots) {
+    // A returned slot has depth 0, so only live threads get past this.
+    uint32_t depth = std::min(slot->depth.load(std::memory_order_acquire), kMaxSignalSpanDepth);
+    if (depth == 0) continue;
+    ActiveSpanStack& stack = stacks.emplace_back(ActiveSpanStack{slot->thread, {}});
+    for (uint32_t i = 0; i < depth; ++i) {
+      stack.spans.push_back(SpanNameForId(slot->ids[i].load(std::memory_order_relaxed)));
+    }
   }
+  std::sort(stacks.begin(), stacks.end(),
+            [](const ActiveSpanStack& a, const ActiveSpanStack& b) { return a.thread < b.thread; });
   return stacks;
 }
 
@@ -129,29 +150,28 @@ TraceRecorder& TraceRecorder::Global() {
   return *recorder;
 }
 
-void TraceRecorder::SetEnabled(bool enabled) {
+void TraceRecorder::SetRetainEvents(bool retain) {
   std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
+  retain_events_ = retain;
 }
 
-bool TraceRecorder::enabled() const {
+void TraceRecorder::Record(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
-}
-
-void TraceRecorder::Record(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) return;
+  if (event.span >= phases_.size()) phases_.resize(event.span + 1);
+  PhaseRow& row = phases_[event.span];
+  if (row.count == 0 || event.duration_us < row.min_us) row.min_us = event.duration_us;
+  if (row.count == 0 || event.duration_us > row.max_us) row.max_us = event.duration_us;
+  row.total_us += event.duration_us;
+  row.cpu_us += event.cpu_us;
+  row.alloc_bytes += event.alloc_bytes;
+  if (event.rss_bytes > row.rss_peak) row.rss_peak = event.rss_bytes;
+  ++row.count;
+  if (!retain_events_) return;
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
     return;
   }
-  events_.push_back(std::move(event));
-}
-
-size_t TraceRecorder::num_events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
+  events_.push_back(event);
 }
 
 size_t TraceRecorder::num_dropped() const {
@@ -166,48 +186,21 @@ std::vector<TraceEvent> TraceRecorder::events() const {
 
 void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  phases_.clear();
   events_.clear();
   dropped_ = 0;
 }
 
 std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
-  struct Agg {
-    size_t count = 0;
-    double total_us = 0.0;
-    double min_us = 0.0;
-    double max_us = 0.0;
-    double cpu_us = 0.0;
-    uint64_t alloc_bytes = 0;
-    uint64_t rss_peak = 0;
-  };
-  std::map<std::string, Agg> phases;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const TraceEvent& e : events_) {
-      Agg& agg = phases[e.name];
-      if (agg.count == 0 || e.duration_us < agg.min_us) agg.min_us = e.duration_us;
-      if (agg.count == 0 || e.duration_us > agg.max_us) agg.max_us = e.duration_us;
-      agg.total_us += e.duration_us;
-      agg.cpu_us += e.cpu_us;
-      agg.alloc_bytes += e.alloc_bytes;
-      if (e.rss_bytes > agg.rss_peak) agg.rss_peak = e.rss_bytes;
-      ++agg.count;
-    }
-  }
   std::vector<PhaseStats> stats;
-  stats.reserve(phases.size());
-  for (const auto& [name, agg] : phases) {
-    PhaseStats row;
-    row.name = name;
-    row.count = agg.count;
-    row.wall_ms_total = agg.total_us / 1e3;
-    row.wall_ms_mean = agg.total_us / static_cast<double>(agg.count) / 1e3;
-    row.wall_ms_min = agg.min_us / 1e3;
-    row.wall_ms_max = agg.max_us / 1e3;
-    row.cpu_ms_total = agg.cpu_us / 1e3;
-    row.alloc_bytes_total = agg.alloc_bytes;
-    row.rss_peak_bytes = agg.rss_peak;
-    stats.push_back(std::move(row));
+  std::lock_guard<std::mutex> lock(mutex_);  // then the name lock; nothing nests the other way
+  for (uint32_t id = 0; id < phases_.size(); ++id) {
+    const PhaseRow& row = phases_[id];
+    if (row.count == 0) continue;
+    stats.push_back(PhaseStats{SpanNameForId(id), row.count, row.total_us / 1e3,
+                               row.total_us / static_cast<double>(row.count) / 1e3,
+                               row.min_us / 1e3, row.max_us / 1e3, row.cpu_us / 1e3,
+                               row.alloc_bytes, row.rss_peak});
   }
   std::sort(stats.begin(), stats.end(), [](const PhaseStats& a, const PhaseStats& b) {
     return a.wall_ms_total != b.wall_ms_total ? a.wall_ms_total > b.wall_ms_total
@@ -239,7 +232,7 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
     const TraceEvent& e = snapshot[i];
     if (i) file << ",";
     file << "\n{\"name\":\"";
-    for (char c : e.name) {
+    for (char c : SpanNameForId(e.span)) {
       if (c == '"' || c == '\\') file << '\\';
       file << c;
     }
@@ -252,37 +245,36 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
   return Status::Ok();
 }
 
-TraceSpan::TraceSpan(std::string name)
-    : name_(std::move(name)),
-      start_us_(MonotonicSeconds() * 1e6),
-      start_cpu_us_(ThreadCpuSeconds() * 1e6),
-      start_alloc_bytes_(ThreadAllocBytes()) {
-  // Publish the interned id for the profiler's signal handler: the id is
-  // stored before the depth that makes it visible.
-  uint32_t id = InternSpanName(name_);
-  uint32_t depth = t_span_stack.depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSignalSpanDepth) {
-    t_span_stack.ids[depth].store(id, std::memory_order_relaxed);
-  }
-  t_span_stack.depth.store(depth + 1, std::memory_order_release);
-  ActiveSpanRegistry::Global().Push(ThisThreadOrdinal(), name_);
+TraceSpan::TraceSpan(const std::string& name) : id_(InternSpanName(name)) {
+  // Publish the id for the profiler's signal handler and /statusz: the id
+  // is stored before the depth that makes it visible.
+  SpanStackSlot& slot = ThisThreadSlot();
+  uint32_t depth = slot.depth.load(std::memory_order_relaxed);
+  if (depth < kMaxSignalSpanDepth) slot.ids[depth].store(id_, std::memory_order_relaxed);
+  slot.depth.store(depth + 1, std::memory_order_release);
+  start_us_ = MonotonicSeconds() * 1e6;
+  start_cpu_us_ = ThreadCpuSeconds() * 1e6;
+  start_alloc_bytes_ = ThreadAllocBytes();
 }
 
 double TraceSpan::ElapsedSeconds() const { return MonotonicSeconds() - start_us_ / 1e6; }
 
-TraceSpan::~TraceSpan() {
-  uint32_t depth = t_span_stack.depth.load(std::memory_order_relaxed);
-  if (depth > 0) t_span_stack.depth.store(depth - 1, std::memory_order_release);
-  ActiveSpanRegistry::Global().Pop(ThisThreadOrdinal());
+double TraceSpan::Stop() {
+  if (!open_) return 0.0;
+  open_ = false;
+  SpanStackSlot& slot = ThisThreadSlot();
+  uint32_t depth = slot.depth.load(std::memory_order_relaxed);
+  if (depth > 0) slot.depth.store(depth - 1, std::memory_order_release);
   TraceEvent event;
-  event.name = std::move(name_);
-  event.thread = ThisThreadOrdinal();
+  event.span = id_;
+  event.thread = slot.thread;
   event.start_us = start_us_;
   event.duration_us = MonotonicSeconds() * 1e6 - start_us_;
   event.cpu_us = ThreadCpuSeconds() * 1e6 - start_cpu_us_;
   event.alloc_bytes = ThreadAllocBytes() - start_alloc_bytes_;
   event.rss_bytes = CurrentRssBytesCached();
-  TraceRecorder::Global().Record(std::move(event));
+  TraceRecorder::Global().Record(event);
+  return event.duration_us;
 }
 
 }  // namespace ppdp::obs

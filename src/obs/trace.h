@@ -18,7 +18,7 @@ namespace ppdp::obs {
 /// this thread allocated inside the span and the process RSS sampled at
 /// close — the same phase names thereby break down time *and* memory.
 struct TraceEvent {
-  std::string name;
+  uint32_t span = 0;    ///< interned span-name id (SpanNameForId)
   uint32_t thread = 0;  ///< small per-process thread ordinal
   double start_us = 0.0;
   double duration_us = 0.0;
@@ -41,10 +41,10 @@ uint32_t InternSpanName(const std::string& name);
 /// returned reference is to leaked storage and stays valid forever.
 const std::string& SpanNameForId(uint32_t id);
 
-/// Innermost open span id on the calling thread (0 when none). Reads only
-/// thread-local atomics, so it is async-signal-safe *provided the thread's
-/// TLS was touched before* — TouchSpanTls() at thread registration
-/// guarantees that.
+/// Innermost open span id on the calling thread (0 when none). Reads only a
+/// thread-local pointer and atomics, so it is async-signal-safe *provided
+/// the thread's TLS was touched before* — TouchSpanTls() at thread
+/// registration guarantees that.
 uint32_t CurrentThreadSpanId();
 
 /// Forces initialization of the calling thread's span TLS so a later signal
@@ -63,14 +63,15 @@ struct ActiveSpanStack {
 };
 
 /// Live snapshot of every thread's open-span stack (threads with no open
-/// span are omitted). Sorted by thread ordinal. Safe to call from any
-/// thread at any time — the telemetry server polls it mid-run.
+/// span are omitted), from the id stacks the profiler reads. Sorted by
+/// thread ordinal. Safe to call from any thread at any time — the
+/// telemetry server polls it mid-run.
 std::vector<ActiveSpanStack> ActiveSpanStacks();
 
-/// Process-wide collector of completed TraceSpans. Always on by default;
-/// recording is one mutex-guarded vector push, and the event count is
-/// capped (drops are counted) so pathological span rates cannot exhaust
-/// memory.
+/// Process-wide collector of completed TraceSpans. A span's close folds into
+/// its phase row under one mutex, so memory grows with span names, not
+/// spans. The raw events behind WriteChromeTrace are kept only while event
+/// retention is on (benches turn it on for --trace_out), capped at kMaxEvents.
 class TraceRecorder {
  public:
   static TraceRecorder& Global();
@@ -79,11 +80,11 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  void SetEnabled(bool enabled);
-  bool enabled() const;
+  /// Keeps (or stops keeping) raw events; off by default.
+  void SetRetainEvents(bool retain);
 
-  void Record(TraceEvent event);
-  size_t num_events() const;
+  void Record(const TraceEvent& event);
+  /// Events retention left out because kMaxEvents were already kept.
   size_t num_dropped() const;
   std::vector<TraceEvent> events() const;
   void Clear();
@@ -106,38 +107,53 @@ class TraceRecorder {
   };
   std::vector<PhaseStats> PhaseStatsSorted() const;
 
-  /// Writes the Chrome trace_event JSON format ("X" complete events; load
-  /// via chrome://tracing or https://ui.perfetto.dev).
+  /// Writes the retained events as Chrome trace_event JSON ("X" complete
+  /// events; load via chrome://tracing or https://ui.perfetto.dev).
   Status WriteChromeTrace(const std::string& path) const;
 
   /// Maximum retained events before new ones are dropped.
   static constexpr size_t kMaxEvents = 1 << 18;
 
  private:
+  /// One phase's running totals, folded in close order.
+  struct PhaseRow {
+    uint64_t count = 0;
+    double total_us = 0.0, min_us = 0.0, max_us = 0.0, cpu_us = 0.0;
+    uint64_t alloc_bytes = 0, rss_peak = 0;
+  };
+
   mutable std::mutex mutex_;
-  bool enabled_ = true;
+  std::vector<PhaseRow> phases_;  ///< indexed by span id
+  bool retain_events_ = false;
   std::vector<TraceEvent> events_;
   size_t dropped_ = 0;
 };
 
 /// RAII scoped timer: measures the enclosed scope on the monotonic clock
-/// and records a TraceEvent on destruction. Nestable (inner spans simply
-/// record their own shorter intervals) and thread-safe (each span is local;
-/// the recorder synchronizes).
+/// and records a TraceEvent on close (destruction, or an earlier Stop()).
+/// Nestable (inner spans simply record their own shorter intervals) and
+/// thread-safe (each span is local; the recorder synchronizes).
 ///
 ///   { TraceSpan span("synth.fit.structure"); ... }
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string name);
+  explicit TraceSpan(const std::string& name);
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
-  ~TraceSpan();
+  ~TraceSpan() { Stop(); }
+
+  /// Closes the span now and returns its wall micros (0 once closed).
+  double Stop();
 
   /// Seconds elapsed since construction.
   double ElapsedSeconds() const;
 
+  /// The interned id of this span's name.
+  uint32_t id() const { return id_; }
+
  private:
-  std::string name_;
+  uint32_t id_;
+  bool open_ = true;
   double start_us_;
   double start_cpu_us_;
   uint64_t start_alloc_bytes_;

@@ -202,26 +202,20 @@ void RequestContext::AddStage(std::string name, double micros) {
   record.stages.push_back(StageMicros{std::move(name), micros});
 }
 
-StageTimer::StageTimer(RequestContext* context, std::string stage)
-    : context_(context), stage_(std::move(stage)) {
-  span_.emplace(stage_);
-  if (context_ != nullptr) {
-    context_->current_stage.store(obs::InternSpanName(stage_), std::memory_order_release);
-  }
+StageTimer::StageTimer(RequestContext* context, const std::string& stage)
+    : context_(context), span_(stage) {
+  if (context_ != nullptr) context_->current_stage.store(span_.id(), std::memory_order_release);
 }
 
 double StageTimer::Stop() {
-  if (!span_.has_value()) return 0.0;
-  const double micros = span_->ElapsedSeconds() * 1e6;
-  span_.reset();
+  const double micros = span_.Stop();
   if (context_ != nullptr) {
-    context_->AddStage(stage_, micros);
+    context_->AddStage(obs::SpanNameForId(span_.id()), micros);
     context_->current_stage.store(0, std::memory_order_release);
+    context_ = nullptr;
   }
   return micros;
 }
-
-StageTimer::~StageTimer() { Stop(); }
 
 void RequestTracker::Begin(RequestContext* context) {
   std::lock_guard<std::mutex> lock(mutex_);

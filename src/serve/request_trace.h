@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,27 +112,23 @@ class RequestContext {
   std::atomic<uint32_t> current_stage{0};
 };
 
-/// RAII stage timer: opens an obs::TraceSpan (so stages show up in phase
-/// summaries, /statusz active stacks, and the profiler) and, on close, adds
-/// the elapsed wall micros to the context's stage list. Stop() ends the
+/// RAII stage timer: an obs::TraceSpan (phase summaries, /statusz active
+/// stacks, the profiler) that on close also adds its wall micros to the
+/// context's stage list, so both log the same interval. Stop() ends the
 /// stage early; the destructor then no-ops.
 class StageTimer {
  public:
-  StageTimer(RequestContext* context, std::string stage);
+  StageTimer(RequestContext* context, const std::string& stage);
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
-  ~StageTimer();
+  ~StageTimer() { Stop(); }
 
   /// Closes the stage now and returns its wall micros.
   double Stop();
 
  private:
-  RequestContext* context_;
-  std::string stage_;
-  // Optional so Stop() can close the span at the stage boundary — the phase
-  // summary then shows the same interval the access record logs, not the
-  // enclosing handler scope.
-  std::optional<obs::TraceSpan> span_;
+  RequestContext* context_;  ///< null once stopped (or when untracked)
+  obs::TraceSpan span_;
 };
 
 /// Tracks in-flight requests (for /requestz's live view) and a fixed ring

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,6 +168,14 @@ TEST_F(ObsTest, RegistrySnapshotListsEveryMetric) {
   EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
 }
 
+/// The global recorder's row for phase `name` (count 0 when none closed).
+TraceRecorder::PhaseStats FindPhase(const std::string& name) {
+  for (TraceRecorder::PhaseStats& phase : TraceRecorder::Global().PhaseStatsSorted()) {
+    if (phase.name == name) return phase;
+  }
+  return {};
+}
+
 TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
@@ -180,33 +192,174 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
     EXPECT_GE(outer.ElapsedSeconds(), 0.0);
   }
 
-  auto events = recorder.events();
-  ASSERT_EQ(events.size(), 2u);
-  // Inner destructs first, so it is recorded first.
-  const TraceEvent& inner = events[0];
-  const TraceEvent& outer = events[1];
-  EXPECT_EQ(inner.name, "obs_test.inner");
-  EXPECT_EQ(outer.name, "obs_test.outer");
-  // The inner span starts no earlier and ends no later than the outer one.
-  EXPECT_GE(inner.start_us, outer.start_us);
-  EXPECT_LE(inner.start_us + inner.duration_us, outer.start_us + outer.duration_us + 1e-3);
-  EXPECT_GE(outer.duration_us, inner.duration_us);
-
-  Table phases = recorder.PhaseSummary();
-  EXPECT_EQ(phases.num_rows(), 2u);
+  // Interval containment of the two events is checked, with retention on,
+  // in PhaseRowsEqualAFoldOfTheRetainedEvents.
+  TraceRecorder::PhaseStats outer = FindPhase("obs_test.outer");
+  TraceRecorder::PhaseStats inner = FindPhase("obs_test.inner");
+  EXPECT_EQ(outer.count, 1u);
+  EXPECT_EQ(inner.count, 1u);
+  EXPECT_GE(outer.wall_ms_total, inner.wall_ms_total);
+  EXPECT_EQ(recorder.PhaseSummary().num_rows(), 2u);
   recorder.Clear();
 }
 
-TEST_F(ObsTest, TraceRecorderDisableDropsSpans) {
+TEST_F(ObsTest, PhaseRowsCountEverySpanPastTheChromeTraceCap) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
-  recorder.SetEnabled(false);
-  { TraceSpan span("obs_test.disabled"); }
-  EXPECT_EQ(recorder.num_events(), 0u);
-  recorder.SetEnabled(true);
-  { TraceSpan span("obs_test.enabled"); }
-  EXPECT_EQ(recorder.num_events(), 1u);
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 70000;
+  static_assert(kThreads * kSpansPerThread > TraceRecorder::kMaxEvents);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kSpansPerThread; ++i) TraceSpan span("obs_test.flood");
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(FindPhase("obs_test.flood").count, static_cast<uint64_t>(kThreads * kSpansPerThread));
+  EXPECT_TRUE(recorder.events().empty()) << "event retention is off by default";
+  EXPECT_EQ(recorder.num_dropped(), 0u);
   recorder.Clear();
+}
+
+TEST_F(ObsTest, PhaseRowsEqualAFoldOfTheRetainedEvents) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.SetRetainEvents(true);
+  constexpr int kThreads = 3;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < 40; ++i) {
+        TraceSpan outer("obs_test.fold.outer");
+        std::vector<char> scratch(static_cast<size_t>(64 * (i + t + 1)));
+        TraceSpan middle(i % 2 == 0 ? "obs_test.fold.even" : "obs_test.fold.odd");
+        { TraceSpan inner("obs_test.fold.inner"); }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  std::vector<TraceEvent> events = recorder.events();
+  recorder.SetRetainEvents(false);
+  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * 40 * 3));
+
+  // The same fold the recorder applies at close, in close order.
+  struct Fold {
+    uint64_t count = 0;
+    double total_us = 0.0, min_us = 0.0, max_us = 0.0, cpu_us = 0.0;
+    uint64_t alloc_bytes = 0, rss_peak = 0;
+  };
+  std::map<std::string, Fold> folds;
+  for (const TraceEvent& e : events) {
+    Fold& fold = folds[SpanNameForId(e.span)];
+    if (fold.count == 0 || e.duration_us < fold.min_us) fold.min_us = e.duration_us;
+    if (fold.count == 0 || e.duration_us > fold.max_us) fold.max_us = e.duration_us;
+    fold.total_us += e.duration_us;
+    fold.cpu_us += e.cpu_us;
+    fold.alloc_bytes += e.alloc_bytes;
+    fold.rss_peak = std::max(fold.rss_peak, e.rss_bytes);
+    ++fold.count;
+  }
+  std::vector<TraceRecorder::PhaseStats> phases = recorder.PhaseStatsSorted();
+  ASSERT_EQ(phases.size(), 4u);
+  for (const TraceRecorder::PhaseStats& phase : phases) {
+    SCOPED_TRACE(phase.name);
+    ASSERT_EQ(folds.count(phase.name), 1u);
+    const Fold& fold = folds[phase.name];
+    EXPECT_EQ(phase.count, fold.count);
+    EXPECT_EQ(phase.wall_ms_total, fold.total_us / 1e3);
+    EXPECT_EQ(phase.wall_ms_min, fold.min_us / 1e3);
+    EXPECT_EQ(phase.wall_ms_max, fold.max_us / 1e3);
+    EXPECT_EQ(phase.cpu_ms_total, fold.cpu_us / 1e3);
+    EXPECT_EQ(phase.alloc_bytes_total, fold.alloc_bytes);
+    EXPECT_EQ(phase.rss_peak_bytes, fold.rss_peak);
+  }
+
+  // Each thread closes inner, middle, outer in that order, and every inner
+  // interval lies within its enclosing one.
+  std::map<uint32_t, std::vector<const TraceEvent*>> by_thread;
+  for (const TraceEvent& e : events) by_thread[e.thread].push_back(&e);
+  ASSERT_EQ(by_thread.size(), static_cast<size_t>(kThreads));
+  for (const auto& [thread, closes] : by_thread) {
+    for (size_t i = 0; i + 2 < closes.size(); i += 3) {
+      const TraceEvent& inner = *closes[i];
+      const TraceEvent& outer = *closes[i + 2];
+      EXPECT_EQ(SpanNameForId(inner.span), "obs_test.fold.inner");
+      EXPECT_EQ(SpanNameForId(outer.span), "obs_test.fold.outer");
+      EXPECT_GE(inner.start_us, outer.start_us);
+      EXPECT_LE(inner.start_us + inner.duration_us, outer.start_us + outer.duration_us + 1e-3);
+    }
+  }
+  recorder.Clear();
+}
+
+TEST_F(ObsTest, TraceSpanStopRecordsExactlyOneClose) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.SetRetainEvents(true);
+  uint32_t id = 0;
+  double stopped_micros = -1.0;
+  {
+    TraceSpan span("obs_test.stopped");
+    id = span.id();
+    EXPECT_EQ(CurrentThreadSpanId(), id);
+    stopped_micros = span.Stop();
+    EXPECT_EQ(CurrentThreadSpanId(), 0u) << "Stop() pops the span off the thread's stack";
+    EXPECT_EQ(span.Stop(), 0.0) << "a second Stop() is a no-op";
+  }
+  std::vector<TraceEvent> events = recorder.events();
+  recorder.SetRetainEvents(false);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].span, id);
+  EXPECT_EQ(events[0].duration_us, stopped_micros);
+  EXPECT_EQ(FindPhase("obs_test.stopped").count, 1u);
+  recorder.Clear();
+}
+
+TEST_F(ObsTest, ActiveSpanStacksReadEachThreadsIdStack) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool inside = false;
+  bool release = false;
+  uint32_t innermost = 0;
+  uint32_t c_id = 0;
+  std::thread blocked([&] {
+    TraceSpan a("obs_test.stack.a");
+    TraceSpan b("obs_test.stack.b");
+    TraceSpan c("obs_test.stack.c");
+    std::unique_lock<std::mutex> lock(mutex);
+    innermost = CurrentThreadSpanId();
+    c_id = c.id();
+    inside = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return inside; });
+  }
+  std::vector<ActiveSpanStack> stacks = ActiveSpanStacks();
+  ASSERT_EQ(stacks.size(), 1u);
+  EXPECT_EQ(stacks[0].spans,
+            (std::vector<std::string>{"obs_test.stack.a", "obs_test.stack.b", "obs_test.stack.c"}));
+  EXPECT_EQ(innermost, c_id);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  blocked.join();
+
+  // Short-lived threads return their slots at exit; none is left open.
+  for (int batch = 0; batch < 100; ++batch) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 10; ++t) {
+      threads.emplace_back([] { TraceSpan span("obs_test.stack.short"); });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  EXPECT_TRUE(ActiveSpanStacks().empty());
+  TraceRecorder::Global().Clear();
 }
 
 TEST_F(ObsTest, ParseLogLevelRejectsJunkAndBoundaryInputs) {
@@ -330,7 +483,7 @@ TEST_F(ObsTest, TraceSpansFromMultipleThreadsAllRecorded) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(recorder.num_events(), static_cast<size_t>(kThreads * kSpansPerThread));
+  EXPECT_EQ(FindPhase("obs_test.mt").count, static_cast<uint64_t>(kThreads * kSpansPerThread));
   recorder.Clear();
 }
 
