@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
 // belief propagation (the chapter-5 "linear complexity" claim), collective
-// inference and its KNN local model, reduct computation, the simplex solver
-// and link scoring and removal.
+// inference and its KNN local model, reduct computation, the simplex solver,
+// link scoring and removal, the δ-privacy greedy and SLO evaluation.
 //
 //   $ ./bench_micro [--benchmark_filter=...] [--report_out=F]
 #include <benchmark/benchmark.h>
@@ -17,12 +17,14 @@
 #include "classify/knn.h"
 #include "classify/naive_bayes.h"
 #include "obs/report.h"
+#include "obs/slo.h"
 #include "obs/trace.h"
 #include "classify/relational.h"
 #include "common/rng.h"
 #include "genomics/genome_data.h"
 #include "genomics/gwas_catalog.h"
 #include "genomics/inference_attack.h"
+#include "genomics/snp_sanitizer.h"
 #include "graph/graph_generators.h"
 #include "graph/centrality.h"
 #include "opt/simplex.h"
@@ -220,6 +222,60 @@ void BM_MaxProductReconstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxProductReconstruction)->RangeMultiplier(4)->Range(64, 1024);
+
+/// One δ-privacy greedy publish (GPUT): the daemon's genome corpus at 300
+/// SNPs (seed 7, everything published, trait 0, δ 0.4) and the catalog
+/// default width at 2,000.
+void BM_GreedySanitize(benchmark::State& state) {
+  Rng rng(7);
+  ppdp::genomics::SyntheticCatalogConfig config;
+  config.num_snps = static_cast<size_t>(state.range(0));
+  auto catalog = GenerateSyntheticCatalog(config, rng);
+  auto person = SampleIndividual(catalog, rng);
+  auto view = MakeTargetView(catalog, person, {});
+  ppdp::genomics::GputOptions options;
+  options.delta = 0.4;
+  for (auto _ : state) {
+    auto result = ppdp::genomics::GreedySanitize(catalog, view, {0}, options);
+    benchmark::DoNotOptimize(result.privacy_trace);
+  }
+}
+BENCHMARK(BM_GreedySanitize)->Arg(300)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+/// One SLO evaluation over the default rules after ten minutes of traffic
+/// from 8 tenants that each spend ε every second: what `serve_traced` pays
+/// twice per spending request.
+void BM_SloEvaluate(benchmark::State& state) {
+  double now = 0.0;
+  ppdp::obs::SloEngine::Options options;
+  options.clock = [&now] { return now; };
+  options.eval_period_seconds = 0.0;
+  options.export_metrics = false;
+  auto engine = ppdp::obs::SloEngine::Create(std::move(options));
+  if (!engine.ok()) {
+    state.SkipWithError("SloEngine::Create failed");
+    return;
+  }
+  Rng rng(7);
+  std::vector<double> remaining(8, 1000.0);
+  for (int second = 0; second < 600; ++second) {
+    now = static_cast<double>(second);
+    for (int i = 0; i < 20; ++i) {
+      (*engine)->RecordRequest(i == 0 && second % 50 == 0 ? 503 : 200,
+                               0.0005 + 0.01 * rng.UniformReal());
+      (*engine)->RecordQueueDepth(0.1 * rng.UniformReal());
+    }
+    for (size_t t = 0; t < remaining.size(); ++t) {
+      remaining[t] -= 0.05;
+      (*engine)->RecordSpend("tenant" + std::to_string(t), 0.05, remaining[t], 1000.0);
+    }
+  }
+  for (auto _ : state) {
+    auto transitions = (*engine)->Evaluate();
+    benchmark::DoNotOptimize(transitions);
+  }
+}
+BENCHMARK(BM_SloEvaluate)->Unit(benchmark::kMicrosecond);
 
 void BM_BetweennessCentrality(benchmark::State& state) {
   double scale = static_cast<double>(state.range(0)) / 100.0;

@@ -52,6 +52,10 @@ size_t ArgMax(const std::vector<double>& values) {
 }
 
 void NormalizeInPlace(std::vector<double>& values) {
+  NormalizeInPlace(std::span<double>(values));
+}
+
+void NormalizeInPlace(std::span<double> values) {
   PPDP_CHECK(!values.empty()) << "normalizing empty vector";
   double total = 0.0;
   for (double v : values) {
@@ -72,6 +76,10 @@ std::vector<double> Normalized(std::vector<double> values) {
 }
 
 double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
+  return L1Distance(std::span<const double>(a), std::span<const double>(b));
+}
+
+double L1Distance(std::span<const double> a, std::span<const double> b) {
   PPDP_CHECK(a.size() == b.size());
   double d = 0.0;
   for (size_t i = 0; i < a.size(); ++i) d += std::fabs(a[i] - b[i]);

@@ -2,6 +2,7 @@
 #define PPDP_COMMON_MATH_UTIL_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace ppdp {
@@ -29,12 +30,14 @@ size_t ArgMax(const std::vector<double>& values);
 /// Scales `values` in place so they sum to 1. If the sum is zero the vector
 /// becomes uniform. Requires non-negative entries and a non-empty vector.
 void NormalizeInPlace(std::vector<double>& values);
+void NormalizeInPlace(std::span<double> values);
 
 /// Returns a normalized copy of `values` (see NormalizeInPlace).
 std::vector<double> Normalized(std::vector<double> values);
 
 /// L1 distance between two equal-length vectors.
 double L1Distance(const std::vector<double>& a, const std::vector<double>& b);
+double L1Distance(std::span<const double> a, std::span<const double> b);
 
 /// True when |a - b| <= tol.
 bool NearlyEqual(double a, double b, double tol = 1e-9);

@@ -9,9 +9,8 @@
 
 namespace ppdp::core {
 
-GenomePublisher::GenomePublisher(genomics::GwasCatalog catalog, genomics::TargetView view,
-                                 int threads)
-    : catalog_(std::move(catalog)), view_(std::move(view)), threads_(threads) {}
+GenomePublisher::GenomePublisher(genomics::GwasCatalog catalog, genomics::TargetView view)
+    : catalog_(std::move(catalog)), view_(std::move(view)) {}
 
 Result<GenomePublisher> GenomePublisher::Create(genomics::GwasCatalog catalog,
                                                 genomics::TargetView view,
@@ -26,7 +25,7 @@ Result<GenomePublisher> GenomePublisher::Create(genomics::GwasCatalog catalog,
         Status::InvalidArgument("cannot publish against an empty GWAS catalog"),
         "GenomePublisher::Create");
   }
-  return GenomePublisher(std::move(catalog), std::move(view), options.threads);
+  return GenomePublisher(std::move(catalog), std::move(view));
 }
 
 genomics::GenomeAttackResult GenomePublisher::Attack(
@@ -35,10 +34,8 @@ genomics::GenomeAttackResult GenomePublisher::Attack(
   static obs::Counter& attacks =
       obs::MetricsRegistry::Global().counter("genome.attacks_measured");
   attacks.Increment();
-  genomics::FactorGraph::BpOptions effective = options;
-  if (effective.threads == 0) effective.threads = threads_;
   genomics::GenomeAttackResult result =
-      genomics::RunGenomeInference(catalog_, view_, method, effective);
+      genomics::RunGenomeInference(catalog_, view_, method, options);
   // Per-phase progress counters for live /metrics scrapes of long runs.
   static obs::Counter& done = obs::MetricsRegistry::Global().counter("genome.progress.attack");
   done.Increment();
@@ -63,7 +60,6 @@ Result<PublishOutput> GenomePublisher::Publish(const PublishConfig& config) cons
   obs::TraceSpan span("genome.publish");
   genomics::GputOptions options;
   options.delta = config.delta;
-  if (options.bp.threads == 0) options.bp.threads = threads_;
   // GreedySanitize takes the view by value: the held view stays pristine,
   // so Publish is repeatable and shareable across concurrent callers.
   genomics::GputResult result = genomics::GreedySanitize(catalog_, view_, traits, options);

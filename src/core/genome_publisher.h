@@ -18,17 +18,16 @@ namespace ppdp::core {
 /// view, exposes the inference attack for measurement and the greedy GPUT
 /// sanitizer for publishing with δ-privacy. Typical flow:
 ///
-///   auto pub = GenomePublisher::Create(catalog, view, {.threads = 4});
+///   auto pub = GenomePublisher::Create(catalog, view, {});
 ///   if (!pub.ok()) return pub.status();
 ///   auto before = pub->Attack(genomics::AttackMethod::kBeliefPropagation);
 ///   auto result = pub->PublishWithDeltaPrivacy(/*delta=*/0.8, hidden_traits);
 class GenomePublisher : public Publisher {
  public:
   /// Validates `options` and builds a publisher. The genome pipeline has no
-  /// attacker-visibility mask, so `options.known_fraction` and `options.seed`
-  /// are unused here; `options.threads` becomes the default execution width
-  /// for belief-propagation attacks whose per-call BpOptions leave threads
-  /// at 0.
+  /// attacker-visibility mask and runs belief propagation serially, so
+  /// `options.known_fraction`, `options.seed` and `options.threads` are
+  /// unused here.
   static Result<GenomePublisher> Create(genomics::GwasCatalog catalog,
                                         genomics::TargetView view,
                                         const PublisherOptions& options);
@@ -42,8 +41,7 @@ class GenomePublisher : public Publisher {
   /// published SNPs withheld.
   Result<PublishOutput> Publish(const PublishConfig& config) const override;
 
-  /// Runs the inference attack on the current view. When `options` leaves
-  /// `threads` at 0 the publisher's construction default applies.
+  /// Runs the inference attack on the current view.
   genomics::GenomeAttackResult Attack(
       genomics::AttackMethod method,
       const genomics::FactorGraph::BpOptions& options = {}) const;
@@ -64,14 +62,12 @@ class GenomePublisher : public Publisher {
 
   const genomics::GwasCatalog& catalog() const { return catalog_; }
   const genomics::TargetView& view() const { return view_; }
-  int threads() const { return threads_; }
 
  private:
-  GenomePublisher(genomics::GwasCatalog catalog, genomics::TargetView view, int threads);
+  GenomePublisher(genomics::GwasCatalog catalog, genomics::TargetView view);
 
   genomics::GwasCatalog catalog_;
   genomics::TargetView view_;
-  int threads_ = 0;
 };
 
 }  // namespace ppdp::core

@@ -24,7 +24,8 @@ struct PublisherOptions {
   uint64_t seed = 1;
   /// Default execution width of the publisher's hot loops, following the
   /// exec convention (0 = all cores, 1 = serial). A per-call config with an
-  /// explicit thread count overrides it.
+  /// explicit thread count overrides it. GenomePublisher, whose belief
+  /// propagation runs serially, ignores it.
   int threads = 0;
   /// Optional audit ledger: methods that spend differential-privacy budget
   /// record their mechanism invocations here. May be null; must outlive the

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/math_util.h"
-#include "exec/parallel.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,7 +15,8 @@ size_t FactorGraph::AddVariable(size_t domain_size) {
   PPDP_CHECK(domain_size >= 2) << "variable needs at least two states";
   domains_.push_back(domain_size);
   evidence_.push_back(-1);
-  factors_of_variable_.emplace_back();
+  first_slot_.push_back(kNoSlot);
+  last_slot_.push_back(kNoSlot);
   return domains_.size() - 1;
 }
 
@@ -35,10 +36,25 @@ size_t FactorGraph::AddFactor(std::vector<size_t> variables, std::vector<double>
       << "table has " << table.size() << " entries, expected " << expected;
   for (double v : table) PPDP_CHECK(v >= 0.0) << "negative factor entry " << v;
 
-  size_t id = factors_.size();
-  for (size_t v : variables) factors_of_variable_[v].push_back(id);
-  factors_.push_back({std::move(variables), std::move(table)});
-  return id;
+  const size_t first_slot = slot_variable_.size();
+  size_t width = 0;
+  for (size_t v : variables) {
+    const size_t slot = slot_variable_.size();
+    slot_variable_.push_back(v);
+    slot_offset_.push_back(slot_offset_.back() + domains_[v]);
+    next_slot_.push_back(kNoSlot);
+    if (first_slot_[v] == kNoSlot) {
+      first_slot_[v] = slot;
+    } else {
+      next_slot_[last_slot_[v]] = slot;
+    }
+    last_slot_[v] = slot;
+    width += domains_[v];
+  }
+  max_arity_ = std::max(max_arity_, variables.size());
+  max_width_ = std::max(max_width_, width);
+  factors_.push_back({std::move(variables), std::move(table), first_slot});
+  return factors_.size() - 1;
 }
 
 void FactorGraph::SetEvidence(size_t variable, size_t value) {
@@ -76,7 +92,20 @@ FactorGraph::BpResult FactorGraph::RunBeliefPropagation(const BpOptions& options
   BpResult result;
   result.iterations = messages.iterations;
   result.converged = messages.converged;
-  result.marginals = Beliefs(messages);
+  result.marginals.resize(domains_.size());
+  for (size_t v = 0; v < domains_.size(); ++v) result.marginals[v] = Belief(messages, v);
+  return result;
+}
+
+FactorGraph::BpResult FactorGraph::RunBeliefPropagation(
+    const BpOptions& options, const std::vector<size_t>& variables) const {
+  for (size_t v : variables) PPDP_CHECK(v < domains_.size()) << "variable " << v << " out of range";
+  Messages messages = RunMessagePassing(options, /*max_product=*/false);
+  BpResult result;
+  result.iterations = messages.iterations;
+  result.converged = messages.converged;
+  result.marginals.reserve(variables.size());
+  for (size_t v : variables) result.marginals.push_back(Belief(messages, v));
   return result;
 }
 
@@ -85,15 +114,8 @@ FactorGraph::MapResult FactorGraph::RunMaxProduct(const BpOptions& options) cons
   MapResult result;
   result.iterations = messages.iterations;
   result.converged = messages.converged;
-  std::vector<std::vector<double>> beliefs = Beliefs(messages);
   result.assignment.resize(domains_.size());
-  for (size_t v = 0; v < domains_.size(); ++v) {
-    size_t best = 0;
-    for (size_t x = 1; x < beliefs[v].size(); ++x) {
-      if (beliefs[v][x] > beliefs[v][best]) best = x;
-    }
-    result.assignment[v] = best;
-  }
+  for (size_t v = 0; v < domains_.size(); ++v) result.assignment[v] = ArgMax(Belief(messages, v));
   return result;
 }
 
@@ -103,135 +125,101 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
   static obs::Counter& runs = obs::MetricsRegistry::Global().counter("genomics.bp.runs");
   static obs::Counter& iteration_count =
       obs::MetricsRegistry::Global().counter("genomics.bp.iterations");
-  static obs::Histogram& iteration_seconds =
-      obs::MetricsRegistry::Global().histogram("genomics.bp.iteration_seconds");
   runs.Increment();
-  // Messages are indexed by (factor, position-within-factor).
+  const size_t num_slots = slot_variable_.size();
   Messages messages;
-  auto& to_factor = messages.to_factor;
-  auto& to_variable = messages.to_variable;
-  to_factor.resize(factors_.size());
-  to_variable.resize(factors_.size());
-  for (size_t f = 0; f < factors_.size(); ++f) {
-    const auto& vars = factors_[f].variables;
-    to_factor[f].resize(vars.size());
-    to_variable[f].resize(vars.size());
-    for (size_t k = 0; k < vars.size(); ++k) {
-      double uniform = 1.0 / static_cast<double>(domains_[vars[k]]);
-      to_factor[f][k].assign(domains_[vars[k]], uniform);
-      to_variable[f][k].assign(domains_[vars[k]], uniform);
-    }
+  std::vector<double>& to_factor = messages.to_factor;
+  std::vector<double>& to_variable = messages.to_variable;
+  // Every to_factor slot is written before it is read; to_variable starts
+  // uniform.
+  to_factor.assign(slot_offset_.back(), 0.0);
+  to_variable.resize(slot_offset_.back());
+  for (size_t s = 0; s < num_slots; ++s) {
+    const size_t d = domains_[slot_variable_[s]];
+    std::fill_n(to_variable.begin() + static_cast<std::ptrdiff_t>(slot_offset_[s]), d,
+                1.0 / static_cast<double>(d));
   }
 
-  // Evidence indicator for a variable, or nullptr when free.
-  auto evidence_message = [&](size_t v) {
-    std::vector<double> msg(domains_[v], 0.0);
-    msg[static_cast<size_t>(evidence_[v])] = 1.0;
-    return msg;
-  };
+  // Every factor update accumulates its outgoing messages in one scratch
+  // row, sized once per run for the widest factor.
+  std::vector<size_t> assignment(max_arity_);
+  std::vector<double> fresh(max_width_);
 
-  const exec::ExecConfig exec_config{options.threads};
-  // Factors are tiny (pairwise tables over domains 2-3); batch enough per
-  // chunk that the fan-out cost amortizes.
-  constexpr size_t kFactorGrain = 32;
-  std::vector<double> factor_change(factors_.size(), 0.0);
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    double iteration_start = obs::MonotonicSeconds();
-    // Variable -> factor. Each (f, k) slot of to_factor is written exactly
-    // once and reads only the previous phase's to_variable — the flooding
-    // schedule is already double-buffered, so fanning the factors out
-    // changes nothing about the fixed point or the iterates.
-    exec::ParallelFor(
-        0, factors_.size(), kFactorGrain,
-        [&](size_t f) {
-          const auto& vars = factors_[f].variables;
-          for (size_t k = 0; k < vars.size(); ++k) {
-            size_t v = vars[k];
-            if (evidence_[v] >= 0) {
-              to_factor[f][k] = evidence_message(v);
-              continue;
-            }
-            std::vector<double> msg(domains_[v], 1.0);
-            for (size_t other_f : factors_of_variable_[v]) {
-              if (other_f == f) continue;
-              const auto& other_vars = factors_[other_f].variables;
-              for (size_t k2 = 0; k2 < other_vars.size(); ++k2) {
-                if (other_vars[k2] != v) continue;
-                for (size_t x = 0; x < domains_[v]; ++x) msg[x] *= to_variable[other_f][k2][x];
-              }
-            }
-            NormalizeInPlace(msg);
-            to_factor[f][k] = std::move(msg);
-          }
-        },
-        exec_config);
+    // Variable -> factor: reads only the previous phase's to_variable (the
+    // flooding schedule), multiplying the variable's other incoming messages
+    // in factor order.
+    for (size_t s = 0; s < num_slots; ++s) {
+      const size_t v = slot_variable_[s];
+      const size_t d = domains_[v];
+      double* msg = to_factor.data() + slot_offset_[s];
+      if (evidence_[v] >= 0) {
+        std::fill_n(msg, d, 0.0);
+        msg[static_cast<size_t>(evidence_[v])] = 1.0;
+        continue;
+      }
+      std::fill_n(msg, d, 1.0);
+      for (size_t other = first_slot_[v]; other != kNoSlot; other = next_slot_[other]) {
+        if (other == s) continue;
+        const double* in = to_variable.data() + slot_offset_[other];
+        for (size_t x = 0; x < d; ++x) msg[x] *= in[x];
+      }
+      NormalizeInPlace(std::span<double>(msg, d));
+    }
 
-    // Factor -> variable.
-    exec::ParallelFor(
-        0, factors_.size(), kFactorGrain,
-        [&](size_t f) {
-          const auto& vars = factors_[f].variables;
-          std::vector<size_t> assignment(vars.size(), 0);
-          std::vector<std::vector<double>> fresh(vars.size());
-          for (size_t k = 0; k < vars.size(); ++k) fresh[k].assign(domains_[vars[k]], 0.0);
-          // One sweep over the joint table accumulates every outgoing
-          // message.
-          for (;;) {
-            double value = TableValue(factors_[f], assignment);
-            if (value > 0.0) {
-              // Precompute the product of all incoming messages, then divide
-              // out each position's own (guarding zero messages with a
-              // direct product).
-              for (size_t k = 0; k < vars.size(); ++k) {
-                double partial = value;
-                for (size_t k2 = 0; k2 < vars.size(); ++k2) {
-                  if (k2 == k) continue;
-                  partial *= to_factor[f][k2][assignment[k2]];
-                }
-                if (max_product) {
-                  fresh[k][assignment[k]] = std::max(fresh[k][assignment[k]], partial);
-                } else {
-                  fresh[k][assignment[k]] += partial;
-                }
-              }
-            }
-            // Mixed-radix increment (last variable fastest); exit on
-            // wrap-around.
-            size_t pos = vars.size();
-            bool wrapped = false;
-            for (;;) {
-              if (pos == 0) {
-                wrapped = true;
-                break;
-              }
-              --pos;
-              if (++assignment[pos] < domains_[vars[pos]]) break;
-              assignment[pos] = 0;
-            }
-            if (wrapped) break;
-          }
-          double change = 0.0;
-          for (size_t k = 0; k < vars.size(); ++k) {
-            NormalizeInPlace(fresh[k]);
-            if (options.damping > 0.0) {
-              for (size_t x = 0; x < fresh[k].size(); ++x) {
-                fresh[k][x] = (1.0 - options.damping) * fresh[k][x] +
-                              options.damping * to_variable[f][k][x];
-              }
-              NormalizeInPlace(fresh[k]);
-            }
-            change = std::max(change, L1Distance(fresh[k], to_variable[f][k]));
-            to_variable[f][k] = std::move(fresh[k]);
-          }
-          factor_change[f] = change;
-        },
-        exec_config);
+    // Factor -> variable: one sweep over each joint table (row-major, last
+    // argument fastest, so the table index counts up with the assignment)
+    // accumulates every outgoing message.
     double max_change = 0.0;
-    for (double change : factor_change) max_change = std::max(max_change, change);
+    for (const Factor& factor : factors_) {
+      const size_t arity = factor.variables.size();
+      const size_t* offset = slot_offset_.data() + factor.first_slot;
+      const size_t base = offset[0];
+      const double* in = to_factor.data() + base;
+      std::fill_n(fresh.begin(), offset[arity] - base, 0.0);
+      std::fill_n(assignment.begin(), arity, size_t{0});
+      for (size_t index = 0; index < factor.table.size(); ++index) {
+        const double value = factor.table[index];
+        if (value > 0.0) {
+          for (size_t k = 0; k < arity; ++k) {
+            double partial = value;
+            for (size_t k2 = 0; k2 < arity; ++k2) {
+              if (k2 == k) continue;
+              partial *= in[offset[k2] - base + assignment[k2]];
+            }
+            double& out = fresh[offset[k] - base + assignment[k]];
+            if (max_product) {
+              out = std::max(out, partial);
+            } else {
+              out += partial;
+            }
+          }
+        }
+        for (size_t pos = arity; pos-- > 0;) {
+          if (++assignment[pos] < domains_[factor.variables[pos]]) break;
+          assignment[pos] = 0;
+        }
+      }
+      double change = 0.0;
+      for (size_t k = 0; k < arity; ++k) {
+        const size_t d = offset[k + 1] - offset[k];
+        const std::span<double> next(fresh.data() + (offset[k] - base), d);
+        const std::span<double> previous(to_variable.data() + offset[k], d);
+        NormalizeInPlace(next);
+        if (options.damping > 0.0) {
+          for (size_t x = 0; x < d; ++x) {
+            next[x] = (1.0 - options.damping) * next[x] + options.damping * previous[x];
+          }
+          NormalizeInPlace(next);
+        }
+        change = std::max(change, L1Distance(next, previous));
+        std::copy(next.begin(), next.end(), previous.begin());
+      }
+      max_change = std::max(max_change, change);
+    }
 
     messages.iterations = iter + 1;
     iteration_count.Increment();
-    iteration_seconds.Observe(obs::MonotonicSeconds() - iteration_start);
     if (max_change < options.tolerance) {
       messages.converged = true;
       break;
@@ -245,28 +233,20 @@ FactorGraph::Messages FactorGraph::RunMessagePassing(const BpOptions& options,
   return messages;
 }
 
-std::vector<std::vector<double>> FactorGraph::Beliefs(const Messages& messages) const {
-  // Beliefs: product of incoming factor messages (and evidence).
-  std::vector<std::vector<double>> beliefs(domains_.size());
-  for (size_t v = 0; v < domains_.size(); ++v) {
-    if (evidence_[v] >= 0) {
-      std::vector<double> one_hot(domains_[v], 0.0);
-      one_hot[static_cast<size_t>(evidence_[v])] = 1.0;
-      beliefs[v] = std::move(one_hot);
-      continue;
-    }
-    std::vector<double> belief(domains_[v], 1.0);
-    for (size_t f : factors_of_variable_[v]) {
-      const auto& vars = factors_[f].variables;
-      for (size_t k = 0; k < vars.size(); ++k) {
-        if (vars[k] != v) continue;
-        for (size_t x = 0; x < domains_[v]; ++x) belief[x] *= messages.to_variable[f][k][x];
-      }
-    }
-    NormalizeInPlace(belief);
-    beliefs[v] = std::move(belief);
+std::vector<double> FactorGraph::Belief(const Messages& messages, size_t variable) const {
+  const size_t d = domains_[variable];
+  if (evidence_[variable] >= 0) {
+    std::vector<double> one_hot(d, 0.0);
+    one_hot[static_cast<size_t>(evidence_[variable])] = 1.0;
+    return one_hot;
   }
-  return beliefs;
+  std::vector<double> belief(d, 1.0);
+  for (size_t s = first_slot_[variable]; s != kNoSlot; s = next_slot_[s]) {
+    const double* in = messages.to_variable.data() + slot_offset_[s];
+    for (size_t x = 0; x < d; ++x) belief[x] *= in[x];
+  }
+  NormalizeInPlace(belief);
+  return belief;
 }
 
 std::vector<size_t> FactorGraph::ExactMap(size_t max_states) const {

@@ -40,12 +40,7 @@ class FactorGraph {
   struct BpOptions {
     size_t max_iterations = 50;
     double damping = 0.0;   ///< 0 = plain updates; 0.3-0.5 helps loopy graphs
-    double tolerance = 1e-8;  ///< max message L∞ change for convergence
-    /// Exec convention (0 = all cores, 1 = serial). The flooding schedule
-    /// double-buffers between variable-side and factor-side messages, so
-    /// per-factor updates within a phase are independent — marginals are
-    /// byte-identical at every thread count.
-    int threads = 0;
+    double tolerance = 1e-8;  ///< max message L1 change for convergence
   };
 
   /// Per-variable marginals after message passing.
@@ -59,6 +54,13 @@ class FactorGraph {
   /// loopy graphs (the chapter-5 graphs are near-trees).
   BpResult RunBeliefPropagation(const BpOptions& options) const;
   BpResult RunBeliefPropagation() const;
+
+  /// The same run, reporting only the marginals of `variables`
+  /// (`marginals[i]` belongs to `variables[i]`), bit-identical to the full
+  /// run's. For callers that re-solve one graph under changing evidence and
+  /// read a few variables, like the GPUT greedy.
+  BpResult RunBeliefPropagation(const BpOptions& options,
+                                const std::vector<size_t>& variables) const;
 
   /// Exact marginals by exhaustive enumeration, for validating BP on small
   /// graphs. Dies if the joint state space exceeds `max_states`.
@@ -82,15 +84,21 @@ class FactorGraph {
   std::vector<size_t> ExactMap(size_t max_states = 1u << 20) const;
 
  private:
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  /// A factor's argument k sends and receives its messages on slot
+  /// `first_slot + k`; slots are numbered in factor order.
   struct Factor {
     std::vector<size_t> variables;
     std::vector<double> table;
+    size_t first_slot = 0;
   };
 
-  /// Message state shared by sum-product and max-product passes.
+  /// One run's messages, flat: slot s occupies
+  /// [slot_offset_[s], slot_offset_[s + 1]) of each buffer.
   struct Messages {
-    std::vector<std::vector<std::vector<double>>> to_factor;
-    std::vector<std::vector<std::vector<double>>> to_variable;
+    std::vector<double> to_factor;
+    std::vector<double> to_variable;
     size_t iterations = 0;
     bool converged = false;
   };
@@ -99,15 +107,25 @@ class FactorGraph {
   /// for a max.
   Messages RunMessagePassing(const BpOptions& options, bool max_product) const;
 
-  /// Per-variable beliefs (product of incoming messages and evidence).
-  std::vector<std::vector<double>> Beliefs(const Messages& messages) const;
+  /// Belief of `variable`: the product of its incoming messages (one-hot
+  /// under evidence), normalized.
+  std::vector<double> Belief(const Messages& messages, size_t variable) const;
 
   double TableValue(const Factor& f, const std::vector<size_t>& assignment) const;
 
   std::vector<size_t> domains_;
   std::vector<int64_t> evidence_;  ///< -1 = free
   std::vector<Factor> factors_;
-  std::vector<std::vector<size_t>> factors_of_variable_;
+  // Flat message layout, extended by AddFactor.
+  std::vector<size_t> slot_variable_;
+  std::vector<size_t> slot_offset_ = {0};  ///< num slots + 1 entries
+  // Each variable's slots as a list threaded through `next_slot_`, in
+  // factor order: the order in which incoming messages are multiplied.
+  std::vector<size_t> first_slot_;  ///< per variable; kNoSlot = no factor
+  std::vector<size_t> last_slot_;   ///< per variable
+  std::vector<size_t> next_slot_;   ///< per slot; kNoSlot = end of list
+  size_t max_arity_ = 0;
+  size_t max_width_ = 0;  ///< max over factors of the sum of argument domains
 };
 
 }  // namespace ppdp::genomics

@@ -32,20 +32,29 @@ bool SatisfiesDeltaPrivacy(const std::vector<std::vector<double>>& marginals, do
 
 PrivacyReport EvaluateTraitPrivacy(const GenomeAttackResult& attack,
                                    const std::vector<size_t>& target_traits) {
+  std::vector<std::vector<double>> target_marginals;
+  target_marginals.reserve(target_traits.size());
+  for (size_t t : target_traits) {
+    PPDP_CHECK(t < attack.trait_marginals.size()) << "target trait out of range";
+    target_marginals.push_back(attack.trait_marginals[t]);
+  }
+  return SummarizeTargetPrivacy(target_marginals);
+}
+
+PrivacyReport SummarizeTargetPrivacy(const std::vector<std::vector<double>>& target_marginals) {
   PrivacyReport report;
-  if (target_traits.empty()) return report;
+  if (target_marginals.empty()) return report;
   double entropy_sum = 0.0;
   double error_sum = 0.0;
   report.min_entropy = 1.0;
-  for (size_t t : target_traits) {
-    PPDP_CHECK(t < attack.trait_marginals.size()) << "target trait out of range";
-    double h = EntropyPrivacy(attack.trait_marginals[t]);
+  for (const std::vector<double>& marginal : target_marginals) {
+    double h = EntropyPrivacy(marginal);
     entropy_sum += h;
     report.min_entropy = std::min(report.min_entropy, h);
-    error_sum += EstimationError(attack.trait_marginals[t]);
+    error_sum += EstimationError(marginal);
   }
-  report.mean_entropy = entropy_sum / static_cast<double>(target_traits.size());
-  report.mean_error = error_sum / static_cast<double>(target_traits.size());
+  report.mean_entropy = entropy_sum / static_cast<double>(target_marginals.size());
+  report.mean_error = error_sum / static_cast<double>(target_marginals.size());
   return report;
 }
 

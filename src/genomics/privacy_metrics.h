@@ -34,6 +34,9 @@ struct PrivacyReport {
 PrivacyReport EvaluateTraitPrivacy(const GenomeAttackResult& attack,
                                    const std::vector<size_t>& target_traits);
 
+/// The same summary over the target traits' marginals, in target order.
+PrivacyReport SummarizeTargetPrivacy(const std::vector<std::vector<double>>& target_marginals);
+
 /// Utility (Definition 5.5.2): the number of SNPs still published in the
 /// view.
 size_t ReleasedSnpCount(const TargetView& view);

@@ -67,11 +67,8 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
                           TargetView* sanitized_view) {
   PPDP_CHECK(!target_traits.empty()) << "no target traits to protect";
   PPDP_CHECK(options.delta >= 0.0 && options.delta <= 1.0);
-
-  auto evaluate = [&](const TargetView& v) {
-    GenomeAttackResult attack = RunGenomeInference(catalog, v, options.method, options.bp);
-    return EvaluateTraitPrivacy(attack, target_traits);
-  };
+  PPDP_CHECK(view.snp_known.size() == catalog.num_snps());
+  PPDP_CHECK(view.trait_known.size() == catalog.num_traits());
 
   // Candidate pool: published neighbor SNPs of any target trait.
   std::set<size_t> pool;
@@ -82,8 +79,40 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
     }
   }
 
+  // The BP attack builds its graph once. A candidate unclamps its SNP for one
+  // solve; accepting a pick unclamps it for good. The evidence then always
+  // equals that of a graph rebuilt from the current view, and the factor
+  // order and flooding schedule are the rebuilt graph's, so every marginal
+  // is bit-identical to a fresh RunGenomeInference. Only the targets'
+  // marginals are read.
+  const bool bp = options.method == AttackMethod::kBeliefPropagation;
+  std::vector<size_t> trait_variable, snp_variable, target_variables;
+  FactorGraph graph;
+  if (bp) {
+    graph = BuildAttackGraph(catalog, view, &trait_variable, &snp_variable);
+    for (size_t t : target_traits) target_variables.push_back(trait_variable[t]);
+    // Pool SNPs come from associations, so each has a variable.
+    for (size_t s : pool) PPDP_CHECK(graph.HasEvidence(snp_variable[s]));
+  }
+  auto evaluate = [&] {
+    if (!bp) {
+      return EvaluateTraitPrivacy(RunGenomeInference(catalog, view, options.method, options.bp),
+                                  target_traits);
+    }
+    return SummarizeTargetPrivacy(
+        graph.RunBeliefPropagation(options.bp, target_variables).marginals);
+  };
+  auto hide = [&](size_t s) {
+    view.snp_known[s] = false;
+    if (bp) graph.ClearEvidence(snp_variable[s]);
+  };
+  auto restore = [&](size_t s) {
+    view.snp_known[s] = true;
+    if (bp) graph.SetEvidence(snp_variable[s], static_cast<size_t>(view.individual.genotypes[s]));
+  };
+
   GputResult result;
-  PrivacyReport current = evaluate(view);
+  PrivacyReport current = evaluate();
   result.privacy_trace.push_back(current.min_entropy);
 
   while (current.min_entropy < options.delta && !pool.empty() &&
@@ -92,9 +121,9 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
     PrivacyReport best_report;
     double best_key = -1.0;
     for (size_t s : pool) {
-      view.snp_known[s] = false;
-      PrivacyReport report = evaluate(view);
-      view.snp_known[s] = true;
+      hide(s);
+      PrivacyReport report = evaluate();
+      restore(s);
       // Lexicographic: raise the worst-protected target first, then mean.
       double key = report.min_entropy + 1e-3 * report.mean_entropy;
       if (key > best_key) {
@@ -109,7 +138,7 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
         best_report.mean_entropy <= current.mean_entropy + 1e-12) {
       break;
     }
-    view.snp_known[best_snp] = false;
+    hide(best_snp);
     pool.erase(best_snp);
     current = best_report;
     result.sanitized.push_back(best_snp);

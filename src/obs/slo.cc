@@ -28,6 +28,13 @@ std::vector<double> RequestLatencyBounds() {
           0.25,   0.5,   1.0,    2.5,   5.0,  10.0,  30.0};
 }
 
+/// Ring position of absolute bucket `index` (floor modulo, so negative
+/// indices wrap too).
+size_t RingPosition(int64_t index, size_t ring_size) {
+  const int64_t n = static_cast<int64_t>(ring_size);
+  return static_cast<size_t>(((index % n) + n) % n);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- SlidingWindow
@@ -43,9 +50,7 @@ SlidingWindow::SlidingWindow(Options options) : options_(std::move(options)) {
 
 SlidingWindow::Bucket& SlidingWindow::BucketFor(double now) {
   const int64_t index = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  Bucket& bucket = ring_[static_cast<size_t>(((index % static_cast<int64_t>(ring_.size())) +
-                                              static_cast<int64_t>(ring_.size())) %
-                                             static_cast<int64_t>(ring_.size()))];
+  Bucket& bucket = ring_[RingPosition(index, ring_.size())];
   if (bucket.index != index) {
     bucket.index = index;
     bucket.count = 0;
@@ -66,6 +71,33 @@ int64_t SlidingWindow::FirstIndex(double window_seconds, double now) const {
   const int64_t covered =
       static_cast<int64_t>(std::ceil(window / options_.bucket_seconds - 1e-9));
   return current - covered + 1;
+}
+
+template <typename Visit>
+void SlidingWindow::ForEachBucketIn(int64_t first, int64_t current, Visit&& visit) const {
+  if (first > current) return;
+  const size_t n = ring_.size();
+  auto visit_range = [&](size_t begin, size_t end) {  // positions [begin, end)
+    for (size_t pos = begin; pos < end; ++pos) {
+      const Bucket& bucket = ring_[pos];
+      if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+      visit(bucket);
+    }
+  };
+  // A bucket with index i sits at RingPosition(i); a window of at least n
+  // indices covers every position.
+  if (static_cast<uint64_t>(current - first) >= n - 1) {
+    visit_range(0, n);
+    return;
+  }
+  const size_t lo = RingPosition(first, n);
+  const size_t hi = RingPosition(current, n);
+  if (lo <= hi) {
+    visit_range(lo, hi + 1);
+  } else {
+    visit_range(0, hi + 1);
+    visit_range(lo, n);
+  }
 }
 
 void SlidingWindow::Add(double value, double now) {
@@ -92,11 +124,10 @@ SlidingWindow::WindowStats SlidingWindow::StatsOver(double window_seconds, doubl
   const int64_t first = FirstIndex(window_seconds, now);
   const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
   WindowStats stats;
-  for (const Bucket& bucket : ring_) {
-    if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+  ForEachBucketIn(first, current, [&](const Bucket& bucket) {
     stats.count += bucket.count;
     stats.sum += bucket.sum;
-  }
+  });
   if (stats.count > 0) stats.mean = stats.sum / static_cast<double>(stats.count);
   return stats;
 }
@@ -115,8 +146,7 @@ double SlidingWindow::QuantileOver(double window_seconds, double q, double now) 
   uint64_t count = 0;
   double lo_seen = 0.0;
   double hi_seen = 0.0;
-  for (const Bucket& bucket : ring_) {
-    if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+  ForEachBucketIn(first, current, [&](const Bucket& bucket) {
     for (size_t b = 0; b < merged.size(); ++b) merged[b] += bucket.bound_counts[b];
     if (count == 0) {
       lo_seen = bucket.min;
@@ -126,7 +156,7 @@ double SlidingWindow::QuantileOver(double window_seconds, double q, double now) 
       hi_seen = std::max(hi_seen, bucket.max);
     }
     count += bucket.count;
-  }
+  });
   if (count == 0) return 0.0;
   if (count == 1) return hi_seen;
   // Same bucket interpolation as Histogram::BucketQuantileLocked: find the

@@ -85,6 +85,12 @@ class SlidingWindow {
   Bucket& BucketFor(double now);  // requires mutex_ held
   /// First absolute bucket index inside [now - window, now].
   int64_t FirstIndex(double window_seconds, double now) const;
+  /// Calls `visit` on every non-empty bucket whose absolute index lies in
+  /// [first, current], in ascending ring position (the order the window
+  /// sums are taken in). Only the ring positions those indices map to are
+  /// read. Requires mutex_ held.
+  template <typename Visit>
+  void ForEachBucketIn(int64_t first, int64_t current, Visit&& visit) const;
 
   Options options_;
   mutable std::mutex mutex_;

@@ -18,6 +18,7 @@
 #include "classify/naive_bayes.h"
 #include "common/rng.h"
 #include "dp/synthesizer.h"
+#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "genomics/genome_data.h"
 #include "genomics/gwas_catalog.h"
@@ -94,11 +95,11 @@ TEST(DeterminismTest, BeliefPropagationIsByteIdenticalAcrossThreadCounts) {
   auto catalog = genomics::GenerateSyntheticCatalog(catalog_config, rng);
   auto person = genomics::SampleIndividual(catalog, rng);
   auto view = genomics::MakeTargetView(catalog, person, {});
+  // BP is serial; the global pool's width must still not reach its output.
   auto run = [&](int threads) {
-    genomics::FactorGraph::BpOptions options;
-    options.threads = threads;
+    EXPECT_TRUE(exec::ThreadPool::SetGlobalThreads(threads).ok());
     return genomics::RunGenomeInference(catalog, view,
-                                        genomics::AttackMethod::kBeliefPropagation, options);
+                                        genomics::AttackMethod::kBeliefPropagation);
   };
   auto serial = run(1);
   auto repeat = run(1);
@@ -108,6 +109,7 @@ TEST(DeterminismTest, BeliefPropagationIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.trait_marginals, parallel.trait_marginals) << "threads=" << threads;
     EXPECT_EQ(serial.snp_marginals, parallel.snp_marginals) << "threads=" << threads;
   }
+  ASSERT_TRUE(exec::ThreadPool::SetGlobalThreads(0).ok());
 }
 
 TEST(DeterminismTest, ByteIdenticalUnderInjectedSchedulingJitterAndRoundFaults) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -598,6 +600,371 @@ TEST(GputTest, HidingAllEvidenceRestoresPriorForIsolatedTrait) {
   // The NB baseline treats traits independently, so it does return priors.
   auto nb = RunGenomeInference(catalog, view, AttackMethod::kNaiveBayes);
   for (size_t t = 0; t < 3; ++t) EXPECT_NEAR(nb.trait_marginals[t][1], 0.1, 1e-12);
+}
+
+// ------------------------------------------------------ BP kernel exactness
+
+/// A factor graph as plain data: built into a FactorGraph, and solved by
+/// the reference kernel below (the nested-vector flooding schedule the flat
+/// kernel replaced, kept verbatim in its arithmetic).
+struct PlainGraph {
+  struct Factor {
+    std::vector<size_t> variables;
+    std::vector<double> table;
+  };
+  std::vector<size_t> domains;
+  std::vector<int64_t> evidence;
+  std::vector<Factor> factors;
+  std::vector<std::vector<size_t>> factors_of_variable;
+
+  FactorGraph Build() const {
+    FactorGraph graph;
+    for (size_t d : domains) graph.AddVariable(d);
+    for (const Factor& f : factors) graph.AddFactor(f.variables, f.table);
+    for (size_t v = 0; v < domains.size(); ++v) {
+      if (evidence[v] >= 0) graph.SetEvidence(v, static_cast<size_t>(evidence[v]));
+    }
+    return graph;
+  }
+};
+
+struct ReferenceMessages {
+  std::vector<std::vector<std::vector<double>>> to_factor;
+  std::vector<std::vector<std::vector<double>>> to_variable;
+  size_t iterations = 0;
+  bool converged = false;
+};
+
+ReferenceMessages ReferenceMessagePassing(const PlainGraph& g,
+                                          const FactorGraph::BpOptions& options,
+                                          bool max_product) {
+  ReferenceMessages messages;
+  auto& to_factor = messages.to_factor;
+  auto& to_variable = messages.to_variable;
+  to_factor.resize(g.factors.size());
+  to_variable.resize(g.factors.size());
+  for (size_t f = 0; f < g.factors.size(); ++f) {
+    const auto& vars = g.factors[f].variables;
+    to_factor[f].resize(vars.size());
+    to_variable[f].resize(vars.size());
+    for (size_t k = 0; k < vars.size(); ++k) {
+      double uniform = 1.0 / static_cast<double>(g.domains[vars[k]]);
+      to_factor[f][k].assign(g.domains[vars[k]], uniform);
+      to_variable[f][k].assign(g.domains[vars[k]], uniform);
+    }
+  }
+  std::vector<double> factor_change(g.factors.size(), 0.0);
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    for (size_t f = 0; f < g.factors.size(); ++f) {
+      const auto& vars = g.factors[f].variables;
+      for (size_t k = 0; k < vars.size(); ++k) {
+        size_t v = vars[k];
+        if (g.evidence[v] >= 0) {
+          std::vector<double> msg(g.domains[v], 0.0);
+          msg[static_cast<size_t>(g.evidence[v])] = 1.0;
+          to_factor[f][k] = std::move(msg);
+          continue;
+        }
+        std::vector<double> msg(g.domains[v], 1.0);
+        for (size_t other_f : g.factors_of_variable[v]) {
+          if (other_f == f) continue;
+          const auto& other_vars = g.factors[other_f].variables;
+          for (size_t k2 = 0; k2 < other_vars.size(); ++k2) {
+            if (other_vars[k2] != v) continue;
+            for (size_t x = 0; x < g.domains[v]; ++x) msg[x] *= to_variable[other_f][k2][x];
+          }
+        }
+        NormalizeInPlace(msg);
+        to_factor[f][k] = std::move(msg);
+      }
+    }
+    for (size_t f = 0; f < g.factors.size(); ++f) {
+      const auto& vars = g.factors[f].variables;
+      std::vector<size_t> assignment(vars.size(), 0);
+      std::vector<std::vector<double>> fresh(vars.size());
+      for (size_t k = 0; k < vars.size(); ++k) fresh[k].assign(g.domains[vars[k]], 0.0);
+      for (;;) {
+        size_t index = 0;
+        for (size_t k = 0; k < vars.size(); ++k) {
+          index = index * g.domains[vars[k]] + assignment[k];
+        }
+        double value = g.factors[f].table[index];
+        if (value > 0.0) {
+          for (size_t k = 0; k < vars.size(); ++k) {
+            double partial = value;
+            for (size_t k2 = 0; k2 < vars.size(); ++k2) {
+              if (k2 == k) continue;
+              partial *= to_factor[f][k2][assignment[k2]];
+            }
+            if (max_product) {
+              fresh[k][assignment[k]] = std::max(fresh[k][assignment[k]], partial);
+            } else {
+              fresh[k][assignment[k]] += partial;
+            }
+          }
+        }
+        size_t pos = vars.size();
+        bool wrapped = false;
+        for (;;) {
+          if (pos == 0) {
+            wrapped = true;
+            break;
+          }
+          --pos;
+          if (++assignment[pos] < g.domains[vars[pos]]) break;
+          assignment[pos] = 0;
+        }
+        if (wrapped) break;
+      }
+      double change = 0.0;
+      for (size_t k = 0; k < vars.size(); ++k) {
+        NormalizeInPlace(fresh[k]);
+        if (options.damping > 0.0) {
+          for (size_t x = 0; x < fresh[k].size(); ++x) {
+            fresh[k][x] = (1.0 - options.damping) * fresh[k][x] +
+                          options.damping * to_variable[f][k][x];
+          }
+          NormalizeInPlace(fresh[k]);
+        }
+        change = std::max(change, L1Distance(fresh[k], to_variable[f][k]));
+        to_variable[f][k] = std::move(fresh[k]);
+      }
+      factor_change[f] = change;
+    }
+    double max_change = 0.0;
+    for (double change : factor_change) max_change = std::max(max_change, change);
+    messages.iterations = iter + 1;
+    if (max_change < options.tolerance) {
+      messages.converged = true;
+      break;
+    }
+  }
+  return messages;
+}
+
+std::vector<std::vector<double>> ReferenceBeliefs(const PlainGraph& g,
+                                                  const ReferenceMessages& messages) {
+  std::vector<std::vector<double>> beliefs(g.domains.size());
+  for (size_t v = 0; v < g.domains.size(); ++v) {
+    if (g.evidence[v] >= 0) {
+      std::vector<double> one_hot(g.domains[v], 0.0);
+      one_hot[static_cast<size_t>(g.evidence[v])] = 1.0;
+      beliefs[v] = std::move(one_hot);
+      continue;
+    }
+    std::vector<double> belief(g.domains[v], 1.0);
+    for (size_t f : g.factors_of_variable[v]) {
+      const auto& vars = g.factors[f].variables;
+      for (size_t k = 0; k < vars.size(); ++k) {
+        if (vars[k] != v) continue;
+        for (size_t x = 0; x < g.domains[v]; ++x) belief[x] *= messages.to_variable[f][k][x];
+      }
+    }
+    NormalizeInPlace(belief);
+    beliefs[v] = std::move(belief);
+  }
+  return beliefs;
+}
+
+/// Random loopy graph: 3-12 variables of domain 2-3, unary, pairwise and
+/// ternary factors with some zero entries, evidence on about a quarter of
+/// the variables.
+PlainGraph RandomPlainGraph(Rng& rng) {
+  PlainGraph g;
+  const size_t num_variables = 3 + rng.Uniform(10);
+  for (size_t v = 0; v < num_variables; ++v) {
+    g.domains.push_back(2 + rng.Uniform(2));
+    g.evidence.push_back(rng.Bernoulli(0.25) ? static_cast<int64_t>(rng.Uniform(g.domains[v]))
+                                             : -1);
+  }
+  g.factors_of_variable.resize(num_variables);
+  const size_t num_factors = num_variables + rng.Uniform(2 * num_variables);
+  for (size_t f = 0; f < num_factors; ++f) {
+    const size_t arity = 1 + rng.Uniform(3);
+    std::vector<size_t> order(num_variables);
+    for (size_t v = 0; v < num_variables; ++v) order[v] = v;
+    rng.Shuffle(order);
+    PlainGraph::Factor factor;
+    factor.variables.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(arity));
+    size_t entries = 1;
+    for (size_t v : factor.variables) entries *= g.domains[v];
+    for (size_t i = 0; i < entries; ++i) {
+      factor.table.push_back(rng.Bernoulli(0.1) ? 0.0 : 0.05 + rng.UniformReal());
+    }
+    for (size_t v : factor.variables) g.factors_of_variable[v].push_back(g.factors.size());
+    g.factors.push_back(std::move(factor));
+  }
+  return g;
+}
+
+void ExpectSameBits(const std::vector<std::vector<double>>& got,
+                    const std::vector<std::vector<double>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t v = 0; v < got.size(); ++v) {
+    ASSERT_EQ(got[v].size(), want[v].size()) << "variable " << v;
+    for (size_t x = 0; x < got[v].size(); ++x) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[v][x]), std::bit_cast<uint64_t>(want[v][x]))
+          << "variable " << v << " state " << x;
+    }
+  }
+}
+
+TEST(FactorGraphTest, FlatKernelMatchesReferenceKernelBitForBit) {
+  Rng rng(2024);
+  size_t unconverged = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const PlainGraph plain = RandomPlainGraph(rng);
+    const FactorGraph graph = plain.Build();
+    for (double damping : {0.0, 0.3}) {
+      for (size_t max_iterations : {size_t{50}, size_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " damping " << damping
+                                          << " max_iterations " << max_iterations);
+        FactorGraph::BpOptions options;
+        options.damping = damping;
+        options.max_iterations = max_iterations;
+
+        const ReferenceMessages sum = ReferenceMessagePassing(plain, options, false);
+        const std::vector<std::vector<double>> want = ReferenceBeliefs(plain, sum);
+        const FactorGraph::BpResult bp = graph.RunBeliefPropagation(options);
+        EXPECT_EQ(bp.iterations, sum.iterations);
+        EXPECT_EQ(bp.converged, sum.converged);
+        ExpectSameBits(bp.marginals, want);
+        if (!sum.converged) ++unconverged;
+
+        // The target-only run reads the same messages.
+        std::vector<size_t> picked;
+        std::vector<std::vector<double>> picked_want;
+        for (size_t v = plain.domains.size(); v-- > 0;) {
+          if (v % 2 == 0) continue;
+          picked.push_back(v);
+          picked_want.push_back(want[v]);
+        }
+        const FactorGraph::BpResult some = graph.RunBeliefPropagation(options, picked);
+        EXPECT_EQ(some.iterations, sum.iterations);
+        EXPECT_EQ(some.converged, sum.converged);
+        ExpectSameBits(some.marginals, picked_want);
+
+        const ReferenceMessages max = ReferenceMessagePassing(plain, options, true);
+        const FactorGraph::MapResult map = graph.RunMaxProduct(options);
+        EXPECT_EQ(map.iterations, max.iterations);
+        EXPECT_EQ(map.converged, max.converged);
+        std::vector<size_t> want_assignment;
+        for (const std::vector<double>& belief : ReferenceBeliefs(plain, max)) {
+          want_assignment.push_back(ArgMax(belief));
+        }
+        EXPECT_EQ(map.assignment, want_assignment);
+      }
+    }
+  }
+  // The iteration cap must actually stop some runs short.
+  EXPECT_GT(unconverged, 0u);
+}
+
+// ------------------------------------------------- greedy GPUT equivalence
+
+/// The greedy as it was before the attack graph was built once per call:
+/// every candidate rebuilds the graph and re-solves every marginal.
+GputResult ReferenceGreedySanitize(const GwasCatalog& catalog, TargetView view,
+                                   const std::vector<size_t>& target_traits,
+                                   const GputOptions& options, TargetView* sanitized_view) {
+  auto evaluate = [&](const TargetView& v) {
+    GenomeAttackResult attack = RunGenomeInference(catalog, v, options.method, options.bp);
+    return EvaluateTraitPrivacy(attack, target_traits);
+  };
+  std::set<size_t> pool;
+  for (size_t t : target_traits) {
+    for (size_t s : NeighborSnpsOfTrait(catalog, t)) {
+      if (view.snp_known[s] && view.individual.genotypes[s] != kUnknownGenotype) pool.insert(s);
+    }
+  }
+  GputResult result;
+  PrivacyReport current = evaluate(view);
+  result.privacy_trace.push_back(current.min_entropy);
+  while (current.min_entropy < options.delta && !pool.empty() &&
+         result.sanitized.size() < options.max_sanitized) {
+    size_t best_snp = catalog.num_snps();
+    PrivacyReport best_report;
+    double best_key = -1.0;
+    for (size_t s : pool) {
+      view.snp_known[s] = false;
+      PrivacyReport report = evaluate(view);
+      view.snp_known[s] = true;
+      double key = report.min_entropy + 1e-3 * report.mean_entropy;
+      if (key > best_key) {
+        best_key = key;
+        best_snp = s;
+        best_report = report;
+      }
+    }
+    if (best_snp == catalog.num_snps()) break;
+    if (best_report.min_entropy <= current.min_entropy + 1e-12 &&
+        best_report.mean_entropy <= current.mean_entropy + 1e-12) {
+      break;
+    }
+    view.snp_known[best_snp] = false;
+    pool.erase(best_snp);
+    current = best_report;
+    result.sanitized.push_back(best_snp);
+    result.privacy_trace.push_back(current.min_entropy);
+  }
+  result.satisfied = current.min_entropy >= options.delta - 1e-12;
+  result.released = ReleasedSnpCount(view);
+  *sanitized_view = std::move(view);
+  return result;
+}
+
+TEST(GputTest, GraphReuseMatchesPerCandidateRebuildExactly) {
+  size_t steps = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    SyntheticCatalogConfig config;
+    config.num_snps = 48;
+    config.snps_per_trait = 3;
+    GwasCatalog catalog = GenerateSyntheticCatalog(config, rng);
+    if (seed != 1) {
+      // LD pairs between random loci, associated or not.
+      for (int i = 0; i < 8; ++i) {
+        const size_t a = rng.Uniform(config.num_snps);
+        size_t b = rng.Uniform(config.num_snps);
+        if (b == a) b = (a + 1) % config.num_snps;
+        catalog.AddLdPair({a, b, 0.3 + 0.6 * rng.UniformReal()});
+      }
+    }
+    const Individual person = SampleIndividual(catalog, rng);
+    TargetView view = MakeTargetView(catalog, person, /*known_traits=*/{2});
+    for (size_t s = 0; s < catalog.num_snps(); ++s) {
+      if (rng.Bernoulli(0.15)) view.snp_known[s] = false;
+      if (rng.Bernoulli(0.05)) view.individual.genotypes[s] = kUnknownGenotype;
+    }
+    for (const std::vector<size_t>& targets :
+         {std::vector<size_t>{0}, std::vector<size_t>{0, 3, 5}}) {
+      for (double delta : {0.2, 0.4, 0.9}) {
+        for (AttackMethod method : {AttackMethod::kBeliefPropagation, AttackMethod::kNaiveBayes}) {
+          for (size_t cap : {size_t{0}, size_t{1}, size_t{3}, SIZE_MAX}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " targets " << targets.size() << " delta "
+                         << delta << " method " << AttackMethodName(method) << " cap " << cap);
+            GputOptions options;
+            options.delta = delta;
+            options.method = method;
+            options.max_sanitized = cap;
+            TargetView want_view, got_view;
+            const GputResult want =
+                ReferenceGreedySanitize(catalog, view, targets, options, &want_view);
+            const GputResult got = GreedySanitize(catalog, view, targets, options, &got_view);
+            EXPECT_EQ(got.sanitized, want.sanitized);
+            EXPECT_EQ(got.privacy_trace, want.privacy_trace);
+            EXPECT_EQ(got.satisfied, want.satisfied);
+            EXPECT_EQ(got.released, want.released);
+            EXPECT_EQ(got_view.snp_known, want_view.snp_known);
+            steps += got.sanitized.size();
+          }
+        }
+      }
+    }
+  }
+  // The sweep must exercise real multi-step greedy runs.
+  EXPECT_GT(steps, 100u);
 }
 
 }  // namespace

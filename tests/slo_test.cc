@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -9,6 +13,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "obs/rotating_log.h"
 
@@ -77,6 +82,163 @@ TEST(SlidingWindowTest, QuantilesInterpolateWithinHistogramBounds) {
   SlidingWindow counter({1.0, 16, {}});
   counter.Add(1.0, 2.0);
   EXPECT_DOUBLE_EQ(counter.QuantileOver(10.0, 0.99, 3.0), 0.0);
+}
+
+/// A full-ring copy of SlidingWindow's original scans: every query walks all
+/// buckets in ring order and keeps those inside [first, current]. The
+/// window under test reads only the ring positions the window covers; both
+/// must give the same bits.
+class FullRingWindow {
+ public:
+  explicit FullRingWindow(SlidingWindow::Options options)
+      : options_(std::move(options)), ring_(options_.num_buckets) {}
+
+  void Add(double value, double now) {
+    const int64_t index = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
+    const int64_t n = static_cast<int64_t>(ring_.size());
+    Bucket& bucket = ring_[static_cast<size_t>(((index % n) + n) % n)];
+    if (bucket.index != index) {
+      bucket = Bucket{};
+      bucket.index = index;
+      bucket.bound_counts.assign(options_.bounds.size() + 1, 0);
+    }
+    if (bucket.count == 0) {
+      bucket.min = value;
+      bucket.max = value;
+    } else {
+      bucket.min = std::min(bucket.min, value);
+      bucket.max = std::max(bucket.max, value);
+    }
+    ++bucket.count;
+    bucket.sum += value;
+    size_t b = 0;
+    while (b < options_.bounds.size() && value > options_.bounds[b]) ++b;
+    ++bucket.bound_counts[b];
+  }
+
+  SlidingWindow::WindowStats StatsOver(double window_seconds, double now) const {
+    const int64_t first = FirstIndex(window_seconds, now);
+    const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
+    SlidingWindow::WindowStats stats;
+    for (const Bucket& bucket : ring_) {
+      if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+      stats.count += bucket.count;
+      stats.sum += bucket.sum;
+    }
+    if (stats.count > 0) stats.mean = stats.sum / static_cast<double>(stats.count);
+    return stats;
+  }
+
+  double QuantileOver(double window_seconds, double q, double now) const {
+    const int64_t first = FirstIndex(window_seconds, now);
+    const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
+    std::vector<uint64_t> merged(options_.bounds.size() + 1, 0);
+    uint64_t count = 0;
+    double lo_seen = 0.0;
+    double hi_seen = 0.0;
+    for (const Bucket& bucket : ring_) {
+      if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+      for (size_t b = 0; b < merged.size(); ++b) merged[b] += bucket.bound_counts[b];
+      if (count == 0) {
+        lo_seen = bucket.min;
+        hi_seen = bucket.max;
+      } else {
+        lo_seen = std::min(lo_seen, bucket.min);
+        hi_seen = std::max(hi_seen, bucket.max);
+      }
+      count += bucket.count;
+    }
+    if (count == 0) return 0.0;
+    if (count == 1) return hi_seen;
+    const double rank = std::min(std::max(q, 0.0), 1.0) * static_cast<double>(count);
+    uint64_t cumulative = 0;
+    for (size_t b = 0; b < merged.size(); ++b) {
+      if (merged[b] == 0) continue;
+      const double before = static_cast<double>(cumulative);
+      cumulative += merged[b];
+      if (static_cast<double>(cumulative) >= rank) {
+        double lo = b == 0 ? std::min(lo_seen, options_.bounds[0]) : options_.bounds[b - 1];
+        double hi = b < options_.bounds.size() ? options_.bounds[b] : hi_seen;
+        lo = std::max(lo, lo_seen);
+        hi = std::min(hi, hi_seen);
+        if (hi <= lo) return std::min(std::max(lo, lo_seen), hi_seen);
+        return lo + (rank - before) / static_cast<double>(merged[b]) * (hi - lo);
+      }
+    }
+    return hi_seen;
+  }
+
+ private:
+  struct Bucket {
+    int64_t index = -1;
+    uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::vector<uint64_t> bound_counts;
+  };
+
+  int64_t FirstIndex(double window_seconds, double now) const {
+    const double span = options_.bucket_seconds * static_cast<double>(options_.num_buckets);
+    const double window = std::min(std::max(window_seconds, options_.bucket_seconds), span);
+    const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
+    return current -
+           static_cast<int64_t>(std::ceil(window / options_.bucket_seconds - 1e-9)) + 1;
+  }
+
+  SlidingWindow::Options options_;
+  std::vector<Bucket> ring_;
+};
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(SlidingWindowTest, WindowScanMatchesFullRingScanBitForBit) {
+  SlidingWindow::Options options;
+  options.bucket_seconds = 0.25;
+  options.num_buckets = 20;  // a 5 s span
+  options.bounds = {0.001, 0.005, 0.02, 0.1, 0.5, 2.0};
+  SlidingWindow window(options);
+  FullRingWindow reference(options);
+  Rng rng(17);
+  // Shorter than a bucket, straddling ring position 0 from most query times,
+  // exactly the span, and longer than the span (clamped to it).
+  const std::vector<double> windows = {0.05, 0.25, 0.6, 1.3, 2.5, 4.75, 5.0, 7.0, 60.0};
+  const std::vector<double> quantiles = {0.0, 0.5, 0.9, 0.99, 1.0};
+  size_t queries = 0;
+  auto check = [&](double now) {
+    for (double w : windows) {
+      const SlidingWindow::WindowStats got = window.StatsOver(w, now);
+      const SlidingWindow::WindowStats want = reference.StatsOver(w, now);
+      EXPECT_EQ(got.count, want.count) << "window " << w << " now " << now;
+      EXPECT_EQ(Bits(got.sum), Bits(want.sum)) << "window " << w << " now " << now;
+      EXPECT_EQ(Bits(got.mean), Bits(want.mean)) << "window " << w << " now " << now;
+      for (double q : quantiles) {
+        EXPECT_EQ(Bits(window.QuantileOver(w, q, now)), Bits(reference.QuantileOver(w, q, now)))
+            << "window " << w << " q " << q << " now " << now;
+      }
+      ++queries;
+    }
+  };
+  // Start below zero so negative bucket indices wrap too, then run about
+  // three laps of the ring with irregular gaps, querying as the ring turns
+  // over (including just before the newest sample, so a bucket newer than
+  // `now` sits in the ring).
+  double now = -2.0;
+  while (now < 13.0) {
+    const uint64_t burst = rng.Uniform(7);
+    for (uint64_t i = 0; i < burst; ++i) {
+      const double value = 0.0005 * std::exp(9.0 * rng.UniformReal());
+      window.Add(value, now);
+      reference.Add(value, now);
+    }
+    check(now);
+    check(now - 0.3);
+    check(now + 0.25 * rng.UniformReal());
+    now += 0.4 * rng.UniformReal();
+  }
+  // Long after the last sample every window is empty.
+  check(now + 100.0);
+  EXPECT_GT(queries, 1000u);
 }
 
 // ----------------------------------------------------------------- config
