@@ -7,7 +7,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "dp/mechanisms.h"
 #include "dp/synthesizer.h"
 #include "genomics/genome_data.h"
 #include "genomics/genome_dp.h"
@@ -42,11 +41,9 @@ int main(int argc, char** argv) {
       config.epsilon = epsilon;
       config.structure_fraction = tree ? 0.3 : 0.0;
       config.seed = env.seed;
-      // Every mechanism invocation of this fit is audited against an
-      // accountant-backed ledger; an overrun would fail the fit here.
-      ppdp::dp::PrivacyAccountant accountant(epsilon);
-      ppdp::obs::PrivacyLedger ledger(
-          epsilon, [&accountant](double eps) { return accountant.Spend(eps); });
+      // Every mechanism invocation of this fit is audited against a
+      // ledger sized to ε; an overrun would fail the fit here.
+      ppdp::obs::PrivacyLedger ledger(epsilon);
       auto model = ppdp::dp::PrivateSynthesizer::Fit(data, config, &ledger);
       if (!model.ok()) continue;
       const char* model_name = tree ? "pairwise tree" : "independent";
@@ -82,9 +79,7 @@ int main(int argc, char** argv) {
     config.epsilon = 1.0;
     config.structure_fraction = 0.3;
     config.seed = env.seed;
-    ppdp::dp::PrivacyAccountant accountant(config.epsilon);
-    ppdp::obs::PrivacyLedger ledger(
-        config.epsilon, [&accountant](double eps) { return accountant.Spend(eps); });
+    ppdp::obs::PrivacyLedger ledger(config.epsilon);
     auto model = ppdp::dp::PrivateSynthesizer::Fit(data, config, &ledger);
     if (model.ok()) env.EmitLedger(ledger, "dp_synthesis_ledger_eps1");
   }

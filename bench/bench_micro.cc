@@ -16,6 +16,7 @@
 #include "classify/evaluation.h"
 #include "classify/knn.h"
 #include "classify/naive_bayes.h"
+#include "obs/ledger.h"
 #include "obs/report.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -327,6 +328,19 @@ void BM_TraceSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceSpan)->Threads(1)->Threads(4);
+
+/// The ε charge every served request makes: validation, the disarmed
+/// `dp.spend` fault point, and the budget check + entry update under the
+/// ledger mutex (no WAL). All threads share one ledger, so the 4-thread run
+/// measures that mutex under contention.
+void BM_LedgerSpend(benchmark::State& state) {
+  static ppdp::obs::PrivacyLedger ledger(1e300);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ledger.Spend("bench_micro", "laplace", 1e-9));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LedgerSpend)->Threads(1)->Threads(4);
 
 }  // namespace
 

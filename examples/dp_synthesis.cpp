@@ -42,11 +42,9 @@ int main(int argc, char** argv) {
     ppdp::dp::SynthesizerConfig config;
     config.epsilon = epsilon;
     config.seed = seed;
-    // The accountant holds the formal ε budget; the ledger routes every
-    // mechanism call through it and keeps the labeled audit trail.
-    ppdp::dp::PrivacyAccountant accountant(epsilon);
-    ppdp::obs::PrivacyLedger ledger(
-        accountant.budget(), [&accountant](double eps) { return accountant.Spend(eps); });
+    // The ledger holds the formal ε budget, refuses any overrun, and keeps
+    // the labeled audit trail of every mechanism call.
+    ppdp::obs::PrivacyLedger ledger(epsilon);
     auto model = ppdp::dp::PrivateSynthesizer::Fit(data, config, &ledger);
     if (!model.ok()) {
       std::printf("fit failed at epsilon %.2f: %s\n", epsilon,
@@ -71,17 +69,15 @@ int main(int argc, char** argv) {
     last_summary->Print(std::cout);
   }
 
-  // The ledger is enforcing, not just descriptive: once the accountant's
-  // budget is gone, further mechanism invocations are rejected and the fit
-  // fails with a non-OK Status instead of silently overspending.
-  ppdp::dp::PrivacyAccountant tight(0.5);
-  ppdp::obs::PrivacyLedger tight_ledger(
-      /*budget=*/2.0, [&tight](double eps) { return tight.Spend(eps); });
+  // The ledger is enforcing, not just descriptive: once its budget is gone,
+  // further mechanism invocations are rejected and the fit fails with a
+  // non-OK Status instead of silently overspending.
+  ppdp::obs::PrivacyLedger tight_ledger(0.5);
   ppdp::dp::SynthesizerConfig overrun_config;
-  overrun_config.epsilon = 2.0;  // asks for 4x what the accountant allows
+  overrun_config.epsilon = 2.0;  // asks for 4x what the ledger allows
   overrun_config.seed = seed;
   auto overrun = ppdp::dp::PrivateSynthesizer::Fit(data, overrun_config, &tight_ledger);
-  std::printf("\nfit with a 0.5-budget accountant but epsilon=2.0 -> %s\n",
+  std::printf("\nfit with a 0.5-budget ledger but epsilon=2.0 -> %s\n",
               overrun.ok() ? "unexpectedly succeeded"
                            : overrun.status().ToString().c_str());
   std::printf("rejected spends recorded by the ledger: %zu\n",

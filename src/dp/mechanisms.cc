@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "fault/fault.h"
 #include "obs/metrics.h"
 
 namespace ppdp::dp {
@@ -96,24 +95,6 @@ size_t RandomizedResponse::Perturb(size_t value, Rng& rng) const {
 double RandomizedResponse::Debias(double observed_frequency) const {
   double lie = (1.0 - keep_) / (static_cast<double>(domain_size_) - 1.0);
   return (observed_frequency - lie) / (keep_ - lie);
-}
-
-PrivacyAccountant::PrivacyAccountant(double budget) : budget_(budget) {
-  PPDP_CHECK(budget > 0.0) << "privacy budget must be positive";
-}
-
-Status PrivacyAccountant::Spend(double epsilon) {
-  if (epsilon <= 0.0) return Status::InvalidArgument("epsilon must be positive");
-  if (spent_ + epsilon > budget_ + 1e-12) {
-    return Status::FailedPrecondition("privacy budget exhausted");
-  }
-  // Crash-before-write: a fired fault refuses the spend while spent_ is
-  // still untouched, so an accountant never records a charge the caller
-  // believes failed (or vice versa).
-  fault::FaultDecision fault_decision = PPDP_FAULT_POINT("dp.spend", fault::kMaskDrop);
-  if (fault_decision.drop()) return fault_decision.AsStatus("dp.spend");
-  spent_ += epsilon;
-  return Status::Ok();
 }
 
 }  // namespace ppdp::dp

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 
 namespace ppdp::dp {
 
@@ -57,22 +56,6 @@ class RandomizedResponse {
  private:
   size_t domain_size_;
   double keep_;
-};
-
-/// Sequential-composition privacy accountant: tracks ε spent against a
-/// budget; Spend fails once the budget would be exceeded.
-class PrivacyAccountant {
- public:
-  explicit PrivacyAccountant(double budget);
-
-  Status Spend(double epsilon);
-  double spent() const { return spent_; }
-  double remaining() const { return budget_ - spent_; }
-  double budget() const { return budget_; }
-
- private:
-  double budget_;
-  double spent_ = 0.0;
 };
 
 }  // namespace ppdp::dp

@@ -70,11 +70,9 @@ Status SynthesizerConfig::Validate() const {
 
 Result<PrivateSynthesizer> PrivateSynthesizer::Fit(const CategoricalData& data,
                                                    const SynthesizerConfig& config) {
-  // The previously free-floating PrivacyAccountant now backs every fit: the
-  // ledger records each labeled spend and the accountant enforces the total.
-  PrivacyAccountant accountant(config.epsilon > 0.0 ? config.epsilon : 1.0);
-  obs::PrivacyLedger ledger(accountant.budget(),
-                            [&accountant](double eps) { return accountant.Spend(eps); });
+  // A private ledger sized to the declared ε records and enforces every
+  // labeled spend of this fit.
+  obs::PrivacyLedger ledger(config.epsilon > 0.0 ? config.epsilon : 1.0);
   return Fit(data, config, &ledger);
 }
 

@@ -51,8 +51,7 @@ class PrivateSynthesizer {
  public:
   /// Fits the model on `data` (all rows same width, values in [0, domain)).
   /// Fails on empty data or invalid configuration. Budget accounting runs
-  /// against an internal PrivacyAccountant-backed ledger sized to
-  /// config.epsilon.
+  /// against an internal PrivacyLedger sized to config.epsilon.
   static Result<PrivateSynthesizer> Fit(const CategoricalData& data,
                                         const SynthesizerConfig& config);
 

@@ -2,7 +2,6 @@
 #define PPDP_OBS_LEDGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -14,19 +13,20 @@
 
 namespace ppdp::obs {
 
-/// Auditable privacy-budget ledger: every differential-privacy mechanism
-/// invocation is recorded as a labeled ε spend and checked against a budget
-/// *before* it happens, so budget exhaustion surfaces as a non-OK Status at
-/// the offending call instead of silent over-spending.
+class LedgerWal;
+
+/// Auditable privacy-budget ledger and the one place that decides whether
+/// ε may be charged: every differential-privacy mechanism invocation is
+/// recorded as a labeled ε spend and checked against the budget by
+/// sequential composition *before* it happens, so budget exhaustion
+/// surfaces as a non-OK Status at the offending call instead of silent
+/// over-spending.
 ///
-/// Enforcement is pluggable: by default the ledger applies sequential
-/// composition against its own budget; alternatively an external enforcer
-/// (e.g. a dp::PrivacyAccountant's Spend) can be attached, making the
-/// ledger the audit trail in front of an existing accountant:
-///
-///   dp::PrivacyAccountant accountant(1.0);
-///   obs::PrivacyLedger ledger(1.0, [&](double e) { return accountant.Spend(e); });
+///   obs::PrivacyLedger ledger(1.0);
 ///   PPDP_RETURN_IF_ERROR(ledger.Spend("cpt", "laplace", 0.1));
+///
+/// The ledger lives in obs/ rather than dp/ because dp/ links obs/ and the
+/// run reports and /statusz read ledger snapshots from obs/.
 ///
 /// Thread-safe; entries aggregate by (label, mechanism).
 class PrivacyLedger {
@@ -35,16 +35,31 @@ class PrivacyLedger {
   /// (must be positive).
   explicit PrivacyLedger(double budget);
 
-  /// Delegates the budget check to `enforcer` (called once per Spend with
-  /// the total ε of that call); `budget` is kept for reporting.
-  PrivacyLedger(double budget, std::function<Status(double)> enforcer);
-
   /// Records `invocations` applications of `mechanism` costing `epsilon`
-  /// each, under `label`. Fails (recording nothing) when ε is not positive
-  /// or the remaining budget cannot cover the spend; the failure itself is
-  /// tallied and visible via rejected_spends().
+  /// each, under `label`. Refusals record nothing, in this order:
+  ///   - `invocations == 0` → kInvalidArgument;
+  ///   - ε not finite or not positive → kInvalidArgument;
+  ///   - the `dp.spend` fault point fires (crash-before-write) → kUnavailable;
+  ///   - with a WAL attached, the charge-ahead record cannot be appended →
+  ///     kUnavailable (see IsWalRefusal);
+  ///   - the remaining budget cannot cover ε × invocations →
+  ///     kFailedPrecondition, and the charge-ahead record is aborted.
+  /// Refusals other than the first and the WAL's are tallied in
+  /// rejected_spends().
   Status Spend(std::string_view label, std::string_view mechanism, double epsilon,
                uint64_t invocations = 1);
+
+  /// Makes every later Spend durable through `wal` under `tenant`
+  /// (non-owning; the caller keeps it alive). Charge-ahead: the spend
+  /// record is appended before the budget check, outside the ledger's
+  /// mutex, and a refused spend is cancelled with a best-effort abort
+  /// record — a crash in between replays as spent, which only over-counts.
+  /// Call once, before the first Spend.
+  void AttachWal(LedgerWal* wal, std::string tenant);
+
+  /// True when `status` is Spend's refusal for a WAL that could not log the
+  /// charge-ahead record (as opposed to an injected `dp.spend` fault).
+  static bool IsWalRefusal(const Status& status);
 
   /// Recovery-only: records a spend replayed from a durable log WITHOUT any
   /// budget check. A charge-ahead WAL record proves the ε may already have
@@ -106,8 +121,16 @@ class PrivacyLedger {
   PrivacyLedger& operator=(const PrivacyLedger&) = delete;
 
  private:
+  /// Adds `total` ε under (label, mechanism); requires mutex_ held.
+  void Record(std::string_view label, std::string_view mechanism, double total,
+              uint64_t invocations);
+  /// Tallies a refused spend (counter, flight event, WARN log); returns it.
+  Status Refuse(std::string_view label, std::string_view mechanism, double total,
+                Status verdict);
+
   double budget_;
-  std::function<Status(double)> enforcer_;  ///< empty = internal composition
+  LedgerWal* wal_ = nullptr;  ///< set once by AttachWal; null = in-memory only
+  std::string wal_tenant_;
   mutable std::mutex mutex_;
   std::string name_;              ///< auto "ledger<N>" until SetName
   class Gauge* remaining_gauge_ = nullptr;  ///< set by SetName; guarded by mutex_

@@ -472,14 +472,83 @@ void ServeApp::ObserveQueueDepth() {
                          static_cast<double>(max_pending));
 }
 
+obs::PrivacyLedger* ServeApp::AdmitAndCharge(RequestContext* context, const std::string& tenant,
+                                             double deadline, std::string_view label,
+                                             std::string_view mechanism, double epsilon,
+                                             AdmissionSlot* slot, obs::HttpResponse* response) {
+  static obs::Counter& budget_rejected =
+      obs::MetricsRegistry::Global().counter("serve.budget.rejected");
+  // Admission before spending: a request refused for queue pressure must
+  // not have charged its tenant. A declared deadline waits in line for a
+  // slot until it expires (504); no deadline keeps the immediate 429.
+  StageTimer admit_stage(context, "serve.admission.queue");
+  *slot = deadline > 0.0 ? admission_.TryAdmitUntil(deadline) : admission_.TryAdmit();
+  admit_stage.Stop();
+  ObserveQueueDepth();
+  if (!slot->held()) {
+    if (deadline > 0.0) {
+      DeadlineExceededCounter().Increment();
+      JsonError(response, 504, "deadline exceeded while queued for admission");
+      return nullptr;
+    }
+    JsonValue detail = JsonValue::Object();
+    detail.Set("pending", JsonValue::Number(static_cast<double>(admission_.pending())));
+    detail.Set("max_pending", JsonValue::Number(static_cast<double>(admission_.max_pending())));
+    JsonError(response, 429, "admission queue full", std::move(detail));
+    return nullptr;
+  }
+  if (deadline > 0.0 && obs::MonotonicSeconds() >= deadline) {
+    // Expired before spending: the tenant must not be charged for work the
+    // client has already given up on.
+    DeadlineExceededCounter().Increment();
+    JsonError(response, 504, "deadline exceeded");
+    return nullptr;
+  }
+
+  StageTimer spend_stage(context, "serve.ledger.spend");
+  Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(tenant);
+  if (!ledger.ok()) {
+    const int status = ledger.status().code() == StatusCode::kFailedPrecondition ? 403 : 400;
+    JsonError(response, status, ledger.status().ToString());
+    return nullptr;
+  }
+  // Budget-once: each request charges its own tenant exactly once, before
+  // any coalescing — a coalesced batch spends N tenants' ε for one run. With
+  // a WAL attached the ledger logs the charge ahead of admitting it, so a
+  // crash here replays it as spent.
+  Status spend = (*ledger)->Spend(label, mechanism, epsilon);
+  spend_stage.Stop();
+  if (!spend.ok()) {
+    if (spend.code() == StatusCode::kUnavailable) {
+      if (obs::PrivacyLedger::IsWalRefusal(spend)) WalUnavailableCounter().Increment();
+      JsonError(response, 503, spend.ToString());
+      return nullptr;
+    }
+    budget_rejected.Increment();
+    obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
+    JsonValue detail = JsonValue::Object();
+    detail.Set("tenant", JsonValue::String(tenant));
+    detail.Set("requested_epsilon", JsonValue::Number(epsilon));
+    detail.Set("remaining_epsilon", JsonValue::Number(snapshot.remaining));
+    detail.Set("budget", JsonValue::Number(snapshot.budget));
+    JsonError(response, 403, "privacy budget exhausted", std::move(detail));
+    return nullptr;
+  }
+  context->record.epsilon = epsilon;
+  // Feed the tenant's burn-rate window with the post-spend balance, then
+  // evaluate: the ledger-burn rule is what pages *before* the first 403.
+  const obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
+  slo_->RecordSpend(tenant, epsilon, snapshot.remaining, snapshot.budget);
+  slo_->EvaluateIfDue();
+  return *ledger;
+}
+
 void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse* response) {
   static obs::Counter& requests =
       obs::MetricsRegistry::Global().counter("serve.publish.requests");
   static obs::Counter& runs = obs::MetricsRegistry::Global().counter("serve.publish.runs");
   static obs::Counter& fanout =
       obs::MetricsRegistry::Global().counter("serve.coalesced.fanout");
-  static obs::Counter& budget_rejected =
-      obs::MetricsRegistry::Global().counter("serve.budget.rejected");
   requests.Increment();
   RequestContext context("/v1/publish", request);
   response->SetHeader("traceparent", context.ResponseTraceparent());
@@ -520,72 +589,11 @@ void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse*
     }
   }
 
-  // Admission before spending: a request refused for queue pressure must
-  // not have charged its tenant. A declared deadline waits in line for a
-  // slot until it expires (504); no deadline keeps the immediate 429.
-  StageTimer admit_stage(&context, "serve.admission.queue");
-  AdmissionSlot slot = deadline > 0.0 ? admission_.TryAdmitUntil(deadline)
-                                      : admission_.TryAdmit();
-  admit_stage.Stop();
-  ObserveQueueDepth();
-  if (!slot.held()) {
-    if (deadline > 0.0) {
-      DeadlineExceededCounter().Increment();
-      JsonError(response, 504, "deadline exceeded while queued for admission");
-      return;
-    }
-    JsonValue detail = JsonValue::Object();
-    detail.Set("pending", JsonValue::Number(static_cast<double>(admission_.pending())));
-    detail.Set("max_pending", JsonValue::Number(static_cast<double>(admission_.max_pending())));
-    JsonError(response, 429, "admission queue full", std::move(detail));
-    return;
-  }
-  if (deadline > 0.0 && obs::MonotonicSeconds() >= deadline) {
-    // Expired before spending: the tenant must not be charged for work the
-    // client has already given up on.
-    DeadlineExceededCounter().Increment();
-    JsonError(response, 504, "deadline exceeded");
-    return;
-  }
-
-  StageTimer spend_stage(&context, "serve.ledger.spend");
-  Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(tenant);
-  if (!ledger.ok()) {
-    const int status = ledger.status().code() == StatusCode::kFailedPrecondition ? 403 : 400;
-    JsonError(response, status, ledger.status().ToString());
-    return;
-  }
-  // Budget-once: each request charges its own tenant exactly once, before
-  // coalescing — a coalesced batch spends N tenants' ε for one run. With a
-  // WAL attached the charge is logged ahead of admission, so a crash here
-  // replays it as spent.
-  Status spend =
-      tenants_.SpendDurable(*ledger, tenant, core::PublisherKindName(*kind), "publish", epsilon);
-  spend_stage.Stop();
-  if (!spend.ok()) {
-    if (spend.code() == StatusCode::kUnavailable) {
-      WalUnavailableCounter().Increment();
-      JsonError(response, 503, spend.ToString());
-      return;
-    }
-    budget_rejected.Increment();
-    obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    JsonValue detail = JsonValue::Object();
-    detail.Set("tenant", JsonValue::String(tenant));
-    detail.Set("requested_epsilon", JsonValue::Number(epsilon));
-    detail.Set("remaining_epsilon", JsonValue::Number(snapshot.remaining));
-    detail.Set("budget", JsonValue::Number(snapshot.budget));
-    JsonError(response, 403, "privacy budget exhausted", std::move(detail));
-    return;
-  }
-  context.record.epsilon = epsilon;
-  {
-    // Feed the tenant's burn-rate window with the post-spend balance, then
-    // evaluate: the ledger-burn rule is what pages *before* the first 403.
-    const obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    slo_->RecordSpend(tenant, epsilon, snapshot.remaining, snapshot.budget);
-    slo_->EvaluateIfDue();
-  }
+  AdmissionSlot slot;
+  obs::PrivacyLedger* ledger = AdmitAndCharge(&context, tenant, deadline,
+                                              core::PublisherKindName(*kind), "publish",
+                                              epsilon, &slot, response);
+  if (ledger == nullptr) return;
 
   core::Publisher* publisher = PublisherFor(*kind);
   const core::PublishConfig publish_config = *config;
@@ -625,7 +633,7 @@ void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse*
   doc.Set("coalesced", JsonValue::Bool(!outcome.leader));
   doc.Set("batch_size", JsonValue::Number(static_cast<double>(outcome.batch_size)));
   doc.Set("epsilon_spent", JsonValue::Number(epsilon));
-  doc.Set("remaining_epsilon", JsonValue::Number((*ledger)->remaining()));
+  doc.Set("remaining_epsilon", JsonValue::Number(ledger->remaining()));
   doc.Set("output", outcome.result->ToJson());
   response->Json(200, doc);
   write_stage.Stop();
@@ -694,8 +702,6 @@ void ServeApp::HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* r
 void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpResponse* response) {
   static obs::Counter& requests =
       obs::MetricsRegistry::Global().counter("serve.aggregate.requests");
-  static obs::Counter& budget_rejected =
-      obs::MetricsRegistry::Global().counter("serve.budget.rejected");
   requests.Increment();
   RequestContext context("/v1/dp/aggregate", request);
   response->SetHeader("traceparent", context.ResponseTraceparent());
@@ -719,62 +725,31 @@ void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpRespons
   const std::string op = body->GetStringOr("op", "histogram");
   const double epsilon = body->GetNumberOr("epsilon", 0.1);
   const double deadline = RequestDeadline(*body, started, options_.request_deadline_seconds);
+  // Every input check runs before the charge: a refused request is never
+  // charged ε.
+  const double q = body->GetNumberOr("q", 0.5);
+  int64_t lo = 0, hi = 0;
+  if (op == "range_count") {
+    lo = static_cast<int64_t>(body->GetNumberOr("lo", 0));
+    hi = static_cast<int64_t>(body->GetNumberOr("hi", static_cast<double>(degree_domain_ - 1)));
+    if (lo < 0 || hi < lo || static_cast<size_t>(hi) >= degree_domain_) {
+      JsonError(response, 400, "range [lo, hi] out of degree domain");
+      return;
+    }
+  } else if (op == "quantile" && !(q >= 0.0 && q <= 1.0)) {
+    JsonError(response, 400, Status::InvalidArgument("q must be in [0,1]").ToString());
+    return;
+  } else if (op != "histogram" && op != "quantile") {
+    JsonError(response, 400, "unknown op: " + op +
+                                 " (expected histogram | quantile | range_count)");
+    return;
+  }
   parse_stage.Stop();
 
-  StageTimer admit_stage(&context, "serve.admission.queue");
-  AdmissionSlot slot = deadline > 0.0 ? admission_.TryAdmitUntil(deadline)
-                                      : admission_.TryAdmit();
-  admit_stage.Stop();
-  ObserveQueueDepth();
-  if (!slot.held()) {
-    if (deadline > 0.0) {
-      DeadlineExceededCounter().Increment();
-      JsonError(response, 504, "deadline exceeded while queued for admission");
-      return;
-    }
-    JsonValue detail = JsonValue::Object();
-    detail.Set("pending", JsonValue::Number(static_cast<double>(admission_.pending())));
-    detail.Set("max_pending", JsonValue::Number(static_cast<double>(admission_.max_pending())));
-    JsonError(response, 429, "admission queue full", std::move(detail));
-    return;
-  }
-  if (deadline > 0.0 && obs::MonotonicSeconds() >= deadline) {
-    DeadlineExceededCounter().Increment();
-    JsonError(response, 504, "deadline exceeded");
-    return;
-  }
-
-  StageTimer spend_stage(&context, "serve.ledger.spend");
-  Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(tenant);
-  if (!ledger.ok()) {
-    const int status = ledger.status().code() == StatusCode::kFailedPrecondition ? 403 : 400;
-    JsonError(response, status, ledger.status().ToString());
-    return;
-  }
-  Status spend = tenants_.SpendDurable(*ledger, tenant, "dp.aggregate", op, epsilon);
-  spend_stage.Stop();
-  if (!spend.ok()) {
-    if (spend.code() == StatusCode::kUnavailable) {
-      WalUnavailableCounter().Increment();
-      JsonError(response, 503, spend.ToString());
-      return;
-    }
-    budget_rejected.Increment();
-    obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    JsonValue detail = JsonValue::Object();
-    detail.Set("tenant", JsonValue::String(tenant));
-    detail.Set("requested_epsilon", JsonValue::Number(epsilon));
-    detail.Set("remaining_epsilon", JsonValue::Number(snapshot.remaining));
-    detail.Set("budget", JsonValue::Number(snapshot.budget));
-    JsonError(response, 403, "privacy budget exhausted", std::move(detail));
-    return;
-  }
-  context.record.epsilon = epsilon;
-  {
-    const obs::PrivacyLedger::BudgetSnapshot snapshot = (*ledger)->snapshot();
-    slo_->RecordSpend(tenant, epsilon, snapshot.remaining, snapshot.budget);
-    slo_->EvaluateIfDue();
-  }
+  AdmissionSlot slot;
+  obs::PrivacyLedger* ledger =
+      AdmitAndCharge(&context, tenant, deadline, "dp.aggregate", op, epsilon, &slot, response);
+  if (ledger == nullptr) return;
 
   // Fresh noise per request: the sequence number keeps streams disjoint
   // while the base seed keeps a daemon run reproducible end to end.
@@ -787,30 +762,18 @@ void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpRespons
     result = JsonValue::Array();
     for (double bucket : buckets) result.Append(JsonValue::Number(bucket));
   } else if (op == "quantile") {
-    const double q = body->GetNumberOr("q", 0.5);
     Result<int64_t> quantile = dp::PrivateQuantile(degrees_, degree_domain_, q, epsilon, rng);
     if (!quantile.ok()) {
       JsonError(response, 400, quantile.status().ToString());
       return;
     }
     result = JsonValue::Number(static_cast<double>(*quantile));
-  } else if (op == "range_count") {
-    const int64_t lo = static_cast<int64_t>(body->GetNumberOr("lo", 0));
-    const int64_t hi = static_cast<int64_t>(
-        body->GetNumberOr("hi", static_cast<double>(degree_domain_ - 1)));
-    if (lo < 0 || hi < lo || static_cast<size_t>(hi) >= degree_domain_) {
-      JsonError(response, 400, "range [lo, hi] out of degree domain");
-      return;
-    }
+  } else {
     size_t count = 0;
     for (int64_t degree : degrees_) {
       if (degree >= lo && degree <= hi) ++count;
     }
     result = JsonValue::Number(dp::NoisyCount(count, epsilon, rng));
-  } else {
-    JsonError(response, 400, "unknown op: " + op +
-                                 " (expected histogram | quantile | range_count)");
-    return;
   }
   publish_stage.Stop();
 
@@ -821,7 +784,7 @@ void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpRespons
   doc.Set("tenant", JsonValue::String(tenant));
   doc.Set("op", JsonValue::String(op));
   doc.Set("epsilon_spent", JsonValue::Number(epsilon));
-  doc.Set("remaining_epsilon", JsonValue::Number((*ledger)->remaining()));
+  doc.Set("remaining_epsilon", JsonValue::Number(ledger->remaining()));
   doc.Set("result", std::move(result));
   response->Json(200, doc);
   write_stage.Stop();

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -154,6 +155,17 @@ class ServeApp {
   /// Records the admission queue depth into the SLO engine (sampled after
   /// each admission attempt on the spending endpoints).
   void ObserveQueueDepth();
+
+  /// The one charge path of the spending endpoints, called once a handler
+  /// has validated its body: admission (429, or 504 once `deadline`
+  /// passes in line), the deadline re-check (504), the tenant's ledger
+  /// (400/403), its Spend (503 when refused as unavailable, 403 otherwise)
+  /// and the SLO burn-rate feed. Returns the charged ledger with `*slot`
+  /// held, or nullptr after writing the error response.
+  obs::PrivacyLedger* AdmitAndCharge(RequestContext* context, const std::string& tenant,
+                                     double deadline, std::string_view label,
+                                     std::string_view mechanism, double epsilon,
+                                     AdmissionSlot* slot, obs::HttpResponse* response);
 
   /// Runs `task` inline on the calling connection thread. Publishers
   /// parallelize internally via ParallelFor, which enlists pool workers as

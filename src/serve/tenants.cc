@@ -31,15 +31,15 @@ Result<obs::PrivacyLedger*> TenantRegistry::ForTenant(const std::string& tenant)
   }
   auto ledger = std::make_unique<obs::PrivacyLedger>(options_.budget_per_tenant);
   ledger->SetName("tenant." + tenant);
+  if (wal_ != nullptr) ledger->AttachWal(wal_, tenant);
   obs::PrivacyLedger* raw = ledger.get();
   ledgers_.emplace(tenant, std::move(ledger));
   return raw;
 }
 
 Status TenantRegistry::AttachWal(obs::LedgerWal* wal) {
-  // Replay outside the registry lock is unnecessary care here — AttachWal
-  // runs once, before the first request — but ForTenant takes mutex_, so
-  // stage the replay through the public surface rather than inlining it.
+  // ForTenant takes mutex_, so stage the replay through the public surface
+  // rather than inlining it; the WAL is wired in only after the replay.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (wal_ != nullptr) return Status::FailedPrecondition("a ledger WAL is already attached");
@@ -60,35 +60,9 @@ Status TenantRegistry::AttachWal(obs::LedgerWal* wal) {
         .gauge("serve.ledger.recovered_epsilon." + tenant)
         .Set(epsilon);
   }
+  for (const auto& [tenant, ledger] : ledgers_) ledger->AttachWal(wal, tenant);
   wal_ = wal;
   return Status::Ok();
-}
-
-Status TenantRegistry::SpendDurable(obs::PrivacyLedger* ledger, const std::string& tenant,
-                                    std::string_view label, std::string_view mechanism,
-                                    double epsilon, uint64_t invocations) {
-  obs::LedgerWal* wal;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    wal = wal_;
-  }
-  if (wal == nullptr) return ledger->Spend(label, mechanism, epsilon, invocations);
-
-  uint64_t seq = 0;
-  Status logged = wal->AppendSpend(tenant, label, mechanism, epsilon, invocations, &seq);
-  if (!logged.ok()) {
-    // Charge-ahead could not be made durable: refuse the spend so a crash
-    // can never replay less than what was admitted.
-    return Status::Unavailable("ledger wal unavailable; spend refused")
-        .Annotate(logged.ToString());
-  }
-  Status admitted = ledger->Spend(label, mechanism, epsilon, invocations);
-  if (!admitted.ok()) {
-    // Best effort: if the abort itself cannot be logged, the recovered
-    // ledger will count this spend as spent — conservative, never unsafe.
-    (void)wal->AppendAbort(seq);
-  }
-  return admitted;
 }
 
 std::vector<std::pair<std::string, double>> TenantRegistry::RecoveredEpsilon() const {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,7 +19,9 @@ namespace ppdp::serve {
 /// Per-tenant privacy-budget bookkeeping for the serve daemon: every tenant
 /// named in a request gets its own PrivacyLedger (created on first use,
 /// named "tenant.<name>" so it shows up in /statusz snapshots and exports a
-/// ledger.tenant.<name>.remaining_epsilon gauge). Ledgers are never removed
+/// ledger.tenant.<name>.remaining_epsilon gauge). The registry only creates
+/// and wires ledgers; each ledger's Spend alone decides and, with a WAL
+/// attached, makes durable every ε charge. Ledgers are never removed
 /// while the registry lives, so a returned pointer stays valid for the
 /// daemon's lifetime and one tenant's exhaustion cannot disturb another's
 /// ledger.
@@ -53,26 +54,18 @@ class TenantRegistry {
   /// must not allocate ledgers for never-seen tenants).
   obs::PrivacyLedger* FindTenant(const std::string& tenant) const;
 
-  /// Makes every later SpendDurable charge-ahead through `wal` (non-owning;
-  /// the caller keeps it alive), then replays the spends `wal` recovered
-  /// into per-tenant ledgers via RestoreSpend — so remaining-ε is continuous
-  /// across a daemon restart. Recovered tenants count against max_tenants;
-  /// recovery fails (kFailedPrecondition) rather than silently dropping a
-  /// tenant's spent budget when the cap is too small, and fails
-  /// (kDataLoss) on a recovered tenant name that no longer validates.
-  /// Per-tenant recovered ε is exported as a
-  /// `serve.ledger.recovered_epsilon.<tenant>` gauge.
+  /// Wires `wal` (non-owning; the caller keeps it alive) into every
+  /// tenant's ledger via PrivacyLedger::AttachWal — existing ones now, new
+  /// ones as ForTenant creates them — so each Spend charges ahead through
+  /// it. First replays the spends `wal` recovered into per-tenant ledgers
+  /// via RestoreSpend, so remaining-ε is continuous across a daemon
+  /// restart. Recovered tenants count against max_tenants; recovery fails
+  /// (kFailedPrecondition) rather than silently dropping a tenant's spent
+  /// budget when the cap is too small, and fails (kDataLoss) on a recovered
+  /// tenant name that no longer validates. Per-tenant recovered ε is
+  /// exported as a `serve.ledger.recovered_epsilon.<tenant>` gauge. Call
+  /// once, before the first request.
   Status AttachWal(obs::LedgerWal* wal);
-
-  /// Durable spend: appends a charge-ahead WAL record, then asks `ledger`
-  /// to admit the spend; a ledger rejection is cancelled with an abort
-  /// record (best effort — a crash in between replays as spent, which only
-  /// over-counts). When the WAL cannot log (poisoned or IO failure) the
-  /// spend is refused with kUnavailable: an unlogged spend could leak
-  /// budget across a crash. Without an attached WAL this is plain Spend.
-  Status SpendDurable(obs::PrivacyLedger* ledger, const std::string& tenant,
-                      std::string_view label, std::string_view mechanism, double epsilon,
-                      uint64_t invocations = 1);
 
   std::vector<std::string> TenantNames() const;
   size_t size() const;
@@ -85,7 +78,7 @@ class TenantRegistry {
   Options options_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<obs::PrivacyLedger>> ledgers_;
-  obs::LedgerWal* wal_ = nullptr;  ///< set once by AttachWal before serving
+  obs::LedgerWal* wal_ = nullptr;  ///< set once by AttachWal; wired into new ledgers
   std::map<std::string, double> recovered_;
 };
 

@@ -99,12 +99,13 @@ TEST(RandomizedResponseTest, DebiasRecoversTrueFrequency) {
 }
 
 TEST(AccountantTest, BudgetEnforced) {
-  PrivacyAccountant accountant(1.0);
-  EXPECT_TRUE(accountant.Spend(0.4).ok());
-  EXPECT_TRUE(accountant.Spend(0.6).ok());
+  // The privacy ledger is the DP pipeline's budget accountant.
+  obs::PrivacyLedger accountant(1.0);
+  EXPECT_TRUE(accountant.Spend("query", "laplace", 0.4).ok());
+  EXPECT_TRUE(accountant.Spend("query", "laplace", 0.6).ok());
   EXPECT_NEAR(accountant.remaining(), 0.0, 1e-12);
-  EXPECT_EQ(accountant.Spend(0.1).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(accountant.Spend(-1.0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.Spend("query", "laplace", 0.1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(accountant.Spend("query", "laplace", -1.0).code(), StatusCode::kInvalidArgument);
 }
 
 // --- Synthesizer -------------------------------------------------------------

@@ -4,14 +4,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "dp/mechanisms.h"
 #include "dp/synthesizer.h"
+#include "fault/fault.h"
+#include "obs/wal.h"
 
 namespace ppdp::obs {
 namespace {
@@ -79,17 +81,108 @@ TEST(PrivacyLedgerTest, NonPositiveEpsilonRejected) {
 }
 
 TEST(PrivacyLedgerTest, ExternalAccountantEnforces) {
-  dp::PrivacyAccountant accountant(0.5);
-  PrivacyLedger ledger(0.5, [&accountant](double eps) { return accountant.Spend(eps); });
-
+  // A caller that hands its ledger to a pipeline gets the ledger's own
+  // budget check: there is no separate accountant to keep in step.
+  PrivacyLedger ledger(0.5);
   EXPECT_TRUE(ledger.Spend("query", "laplace", 0.3).ok());
-  EXPECT_DOUBLE_EQ(accountant.spent(), 0.3) << "spends must flow through the accountant";
+  EXPECT_DOUBLE_EQ(ledger.spent(), 0.3);
 
   Status overrun = ledger.Spend("query", "laplace", 0.3);
-  EXPECT_FALSE(overrun.ok());
-  EXPECT_DOUBLE_EQ(accountant.spent(), 0.3);
+  EXPECT_EQ(overrun.code(), StatusCode::kFailedPrecondition);
   EXPECT_DOUBLE_EQ(ledger.spent(), 0.3);
+  EXPECT_DOUBLE_EQ(ledger.remaining(), 0.2);
   EXPECT_EQ(ledger.rejected_spends(), 1u);
+}
+
+TEST(PrivacyLedgerTest, NanEpsilonIsRefusedAndCannotOpenTheBudget) {
+  // NaN fails every comparison, so a bare `epsilon <= 0` check admits it and
+  // spent becomes NaN — after which no overrun test can ever fire again.
+  PrivacyLedger ledger(1.0);
+  EXPECT_EQ(ledger.Spend("q", "laplace", std::nan("")).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ledger.spent(), 0.0);
+  EXPECT_EQ(ledger.Spend("q", "laplace", 100.0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ledger.spent(), 0.0);
+  EXPECT_TRUE(ledger.entries().empty());
+}
+
+TEST(PrivacyLedgerTest, EveryRefusalPathLeavesStateUnchanged) {
+  const std::string path = ::testing::TempDir() + "/ledger_test_refusals_" +
+                           std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+                           ".wal";
+  std::remove(path.c_str());
+  auto wal = LedgerWal::Open({.path = path});
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  PrivacyLedger ledger(1.0);
+  ledger.AttachWal(wal->get(), "acme");
+  ASSERT_TRUE(ledger.Spend("q", "laplace", 0.4).ok());
+
+  auto expect_refused = [&ledger](Status status, StatusCode code, const std::string& what) {
+    const double spent = ledger.spent();
+    const std::vector<PrivacyLedger::Entry> entries = ledger.entries();
+    EXPECT_EQ(status.code(), code) << what << ": " << status.ToString();
+    EXPECT_EQ(ledger.spent(), spent) << what;
+    ASSERT_EQ(ledger.entries().size(), entries.size()) << what;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(ledger.entries()[i].calls, entries[i].calls) << what;
+      EXPECT_EQ(ledger.entries()[i].total_epsilon, entries[i].total_epsilon) << what;
+    }
+  };
+  const double spent_before = ledger.spent();
+  const size_t entries_before = ledger.entries().size();
+  expect_refused(ledger.Spend("q", "laplace", 0.0), StatusCode::kInvalidArgument, "zero");
+  expect_refused(ledger.Spend("q", "laplace", -1.0), StatusCode::kInvalidArgument, "negative");
+  expect_refused(ledger.Spend("q", "laplace", std::nan("")), StatusCode::kInvalidArgument,
+                 "NaN");
+  expect_refused(ledger.Spend("q", "laplace", HUGE_VAL), StatusCode::kInvalidArgument,
+                 "infinite");
+  expect_refused(ledger.Spend("q", "laplace", 0.1, /*invocations=*/0),
+                 StatusCode::kInvalidArgument, "zero invocations");
+  expect_refused(ledger.Spend("q", "laplace", 0.7), StatusCode::kFailedPrecondition,
+                 "over budget");
+  {
+    fault::FaultPlan plan;
+    plan.point_rates["dp.spend"] = 1.0;
+    fault::ScopedFaultPlan armed(plan);
+    Status faulted = ledger.Spend("q", "laplace", 0.1);
+    EXPECT_FALSE(PrivacyLedger::IsWalRefusal(faulted));
+    expect_refused(faulted, StatusCode::kUnavailable, "dp.spend fault");
+  }
+  EXPECT_EQ(ledger.spent(), spent_before);
+  EXPECT_EQ(ledger.entries().size(), entries_before);
+  // Every refusal but the zero-invocation one is tallied as a rejection.
+  EXPECT_EQ(ledger.rejected_spends(), 6u);
+
+  // Spending exactly the rest of the budget is admitted; then nothing is.
+  ASSERT_TRUE(ledger.Spend("q", "laplace", 0.6).ok());
+  EXPECT_NEAR(ledger.remaining(), 0.0, 1e-12);
+  expect_refused(ledger.Spend("q", "laplace", 0.1), StatusCode::kFailedPrecondition,
+                 "exhausted");
+  {
+    // The charge-ahead append precedes the budget check, so a WAL that
+    // cannot log refuses the spend as unavailable.
+    fault::FaultPlan plan;
+    plan.point_rates["ledger.wal.append"] = 1.0;
+    fault::ScopedFaultPlan armed(plan);
+    Status unlogged = ledger.Spend("q", "laplace", 0.1);
+    EXPECT_TRUE(PrivacyLedger::IsWalRefusal(unlogged)) << unlogged.ToString();
+    expect_refused(unlogged, StatusCode::kUnavailable, "wal append fault");
+  }
+  const double admitted = ledger.spent();
+  wal->reset();
+
+  // Only the admitted spends survive a reopen: refused ones wrote nothing
+  // or were aborted.
+  auto reopened = LedgerWal::Open({.path = path});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  double recovered = 0.0;
+  for (const WalSpend& spend : (*reopened)->recovery().spends) {
+    EXPECT_EQ(spend.tenant, "acme");
+    recovered += spend.total_epsilon();
+  }
+  EXPECT_EQ(recovered, admitted);
+  EXPECT_EQ((*reopened)->recovery().spends.size(), 2u);
+  reopened->reset();
+  std::remove(path.c_str());
 }
 
 TEST(PrivacyLedgerTest, SummaryHasTotalRowAndShares) {
@@ -121,22 +214,19 @@ TEST(PrivacyLedgerTest, SynthesizerFitStaysWithinDeclaredEpsilon) {
   config.epsilon = 1.0;
   config.seed = 11;
 
-  dp::PrivacyAccountant accountant(config.epsilon);
-  PrivacyLedger ledger(accountant.budget(),
-                       [&accountant](double eps) { return accountant.Spend(eps); });
+  PrivacyLedger ledger(config.epsilon);
   auto model = dp::PrivateSynthesizer::Fit(data, config, &ledger);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_EQ(ledger.rejected_spends(), 0u);
   EXPECT_NEAR(ledger.spent(), config.epsilon, 1e-9);
-  EXPECT_NEAR(accountant.spent(), config.epsilon, 1e-9);
 
-  // An accountant holding less than the synthesizer needs fails the fit.
-  dp::PrivacyAccountant tight(config.epsilon / 4.0);
-  PrivacyLedger tight_ledger(config.epsilon,
-                             [&tight](double eps) { return tight.Spend(eps); });
+  // A ledger holding less than the synthesizer needs fails the fit, and
+  // never lets the spends it did admit exceed its budget.
+  PrivacyLedger tight_ledger(config.epsilon / 4.0);
   auto failed = dp::PrivateSynthesizer::Fit(data, config, &tight_ledger);
-  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_GE(tight_ledger.rejected_spends(), 1u);
+  EXPECT_LE(tight_ledger.spent(), tight_ledger.budget() + 1e-12);
 }
 
 TEST(PrivacyLedgerTest, SnapshotIsInternallyConsistent) {

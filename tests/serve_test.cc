@@ -418,6 +418,53 @@ double AuditedSpent(int port, const std::string& tenant) {
   return doc.ok() ? doc->GetNumberOr("spent", -1.0) : -1.0;
 }
 
+/// The tenant's /v1/audit document (Null when the audit fails).
+JsonValue AuditDoc(int port, const std::string& tenant) {
+  JsonValue body = JsonValue::Object();
+  body.Set("tenant", JsonValue::String(tenant));
+  auto audit = PostJson(port, "/v1/audit", body);
+  if (!audit.ok() || audit->status != 200) return JsonValue::Null();
+  auto doc = audit->Json();
+  return doc.ok() ? *doc : JsonValue::Null();
+}
+
+TEST(ServeAppTest, InvalidAggregateInputsAreRefusedBeforeAnyCharge) {
+  ServeOptions options = FastOptions();
+  auto app = ServeApp::Create(options);
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  ASSERT_TRUE((*app)->Start().ok());
+  const int port = (*app)->port();
+  auto first = PostJson(port, "/v1/dp/aggregate", AggregateBody("strict", 0.2));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->status, 200) << first->body;
+  const JsonValue before = AuditDoc(port, "strict");
+  ASSERT_FALSE(before.is_null());
+
+  std::vector<JsonValue> bad_bodies;
+  bad_bodies.push_back(AggregateBody("strict", 0.2, "median"));
+  for (double q : {-0.1, 1.5}) {
+    bad_bodies.push_back(AggregateBody("strict", 0.2, "quantile"));
+    bad_bodies.back().Set("q", JsonValue::Number(q));
+  }
+  for (auto [lo, hi] : {std::pair{-1.0, 2.0}, std::pair{3.0, 2.0}, std::pair{0.0, 1e6}}) {
+    bad_bodies.push_back(AggregateBody("strict", 0.2, "range_count"));
+    bad_bodies.back().Set("lo", JsonValue::Number(lo));
+    bad_bodies.back().Set("hi", JsonValue::Number(hi));
+  }
+  for (const JsonValue& body : bad_bodies) {
+    auto response = PostJson(port, "/v1/dp/aggregate", body);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 400) << body.Dump() << " -> " << response->body;
+    // Same balance, same audit trail: the refused request was never charged.
+    const JsonValue after = AuditDoc(port, "strict");
+    ASSERT_FALSE(after.is_null());
+    EXPECT_EQ(after.GetNumberOr("remaining", -1.0), before.GetNumberOr("remaining", -2.0))
+        << body.Dump();
+    EXPECT_EQ(after.Find("entries")->Dump(), before.Find("entries")->Dump()) << body.Dump();
+  }
+  (*app)->Stop();
+}
+
 TEST(ServeAppWalTest, BudgetSurvivesRestart) {
   const std::string wal_path = TempWalPath("restart");
   ServeOptions options = FastOptions();
@@ -588,6 +635,45 @@ TEST(ServeAppWalTest, EmptyWalStartsFresh) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 200);
   (*app)->Stop();
+  std::remove(wal_path.c_str());
+}
+
+TEST(ServeAppWalTest, InjectedSpendFaultGets503WithoutChargeOrWalCount) {
+  const std::string wal_path = TempWalPath("dp_spend_fault");
+  ServeOptions options = FastOptions();
+  options.ledger_wal = wal_path;
+  auto app = ServeApp::Create(options);
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  ASSERT_TRUE((*app)->Start().ok());
+  const int port = (*app)->port();
+  auto first = PostJson(port, "/v1/dp/aggregate", AggregateBody("faulty", 0.1));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->status, 200) << first->body;
+  const double spent = AuditedSpent(port, "faulty");
+  obs::Counter& wal_unavailable = obs::MetricsRegistry::Global().counter("serve.wal.unavailable");
+  const uint64_t wal_unavailable_before = wal_unavailable.value();
+  {
+    fault::FaultPlan plan;
+    plan.point_rates["dp.spend"] = 1.0;
+    fault::ScopedFaultPlan armed(plan);
+    auto publish = PostJson(port, "/v1/publish", PublishBody("faulty", 0.2, "social"));
+    ASSERT_TRUE(publish.ok());
+    EXPECT_EQ(publish->status, 503) << publish->body;
+    auto aggregate = PostJson(port, "/v1/dp/aggregate", AggregateBody("faulty", 0.2));
+    ASSERT_TRUE(aggregate.ok());
+    EXPECT_EQ(aggregate->status, 503) << aggregate->body;
+  }
+  // Refused before the WAL record: nothing charged, logged, or blamed on the WAL.
+  EXPECT_EQ(AuditedSpent(port, "faulty"), spent);
+  EXPECT_EQ(wal_unavailable.value(), wal_unavailable_before);
+  auto after = PostJson(port, "/v1/dp/aggregate", AggregateBody("faulty", 0.1));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->status, 200) << after->body;
+  (*app)->Stop();
+
+  auto recovery = obs::LedgerWal::Scan(wal_path);
+  ASSERT_TRUE(recovery.ok());
+  ASSERT_EQ(recovery->spends.size(), 2u);
   std::remove(wal_path.c_str());
 }
 

@@ -251,37 +251,43 @@ TEST(LedgerWalTest, RestoreSpendReplaysWithoutAdmissionChecks) {
   EXPECT_FALSE(ledger.Spend("publish", "laplace", 0.1).ok());
 }
 
-TEST(TenantRegistrySpendDurableTest, WalFailureRefusesTheSpend) {
-  const std::string path = TempWalPath("spend_durable");
+TEST(TenantRegistryAttachWalTest, WalFailureRefusesTheSpend) {
+  const std::string path = TempWalPath("attach_wal");
   auto wal = LedgerWal::Open({.path = path});
   ASSERT_TRUE(wal.ok());
 
   serve::TenantRegistry registry({.budget_per_tenant = 1.0, .max_tenants = 4});
+  auto early = registry.ForTenant("early");  // created before the WAL: wired on attach
+  ASSERT_TRUE(early.ok());
   ASSERT_TRUE(registry.AttachWal(wal->get()).ok());
   auto ledger = registry.ForTenant("acme");
   ASSERT_TRUE(ledger.ok());
 
-  // A durable spend lands in both the ledger and the log.
-  ASSERT_TRUE(registry.SpendDurable(*ledger, "acme", "publish", "laplace", 0.4).ok());
+  // A spend lands in both the ledger and the log.
+  ASSERT_TRUE((*ledger)->Spend("publish", "laplace", 0.4).ok());
+  ASSERT_TRUE((*early)->Spend("publish", "laplace", 0.2).ok());
   // A rejected spend is aborted in the log: recovery must not replay it.
-  Status rejected = registry.SpendDurable(*ledger, "acme", "publish", "laplace", 0.9);
+  Status rejected = (*ledger)->Spend("publish", "laplace", 0.9);
   EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
 
   fault::FaultPlan plan;
   plan.seed = 3;
   plan.point_rates["ledger.wal.append"] = 1.0;
   ASSERT_TRUE(fault::FaultInjector::Global().Arm(plan).ok());
-  Status refused = registry.SpendDurable(*ledger, "acme", "publish", "laplace", 0.1);
+  Status refused = (*ledger)->Spend("publish", "laplace", 0.1);
   fault::FaultInjector::Global().Disarm();
   EXPECT_EQ(refused.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(PrivacyLedger::IsWalRefusal(refused)) << refused.ToString();
   // The unlogged spend was refused, so the ledger was never charged for it.
   EXPECT_DOUBLE_EQ((*ledger)->spent(), 0.4);
 
   auto recovery = LedgerWal::Scan(path);
   ASSERT_TRUE(recovery.ok());
-  double replayed = 0.0;
-  for (const auto& spend : recovery->spends) replayed += spend.total_epsilon();
-  EXPECT_DOUBLE_EQ(replayed, 0.4);
+  ASSERT_EQ(recovery->spends.size(), 2u);
+  EXPECT_EQ(recovery->spends[0].tenant, "acme");
+  EXPECT_DOUBLE_EQ(recovery->spends[0].total_epsilon(), 0.4);
+  EXPECT_EQ(recovery->spends[1].tenant, "early");
+  EXPECT_DOUBLE_EQ(recovery->spends[1].total_epsilon(), 0.2);
   std::remove(path.c_str());
 }
 
