@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
 // belief propagation (the chapter-5 "linear complexity" claim), collective
 // inference and its KNN local model, reduct computation, the simplex solver,
-// link scoring and removal, the δ-privacy greedy and SLO evaluation.
+// link scoring and removal, the δ-privacy greedy, SLO evaluation, and the
+// primitives every layer shares (spans, metrics, ParallelFor, the ledger).
 //
 //   $ ./bench_micro [--benchmark_filter=...] [--report_out=F]
 #include <benchmark/benchmark.h>
@@ -16,7 +17,9 @@
 #include "classify/evaluation.h"
 #include "classify/knn.h"
 #include "classify/naive_bayes.h"
+#include "exec/parallel.h"
 #include "obs/ledger.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -207,6 +210,27 @@ void BM_IcaSolver(benchmark::State& state) {
 }
 BENCHMARK(BM_IcaSolver)->ArgsProduct({{2, 5}, {0, 1}})->Unit(benchmark::kMillisecond);
 
+/// The same KNN ICA run on the full-scale MIT-like graph at execution width
+/// 1, 2 and 4: whether parallel bootstrap and refinement rounds earn their
+/// pool traffic at the largest committed bench scale.
+void BM_IcaWidth(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  (void)ppdp::exec::ThreadPool::SetGlobalThreads(width);
+  auto g = GenerateSyntheticGraph(ppdp::graph::MitLikeConfig(1.0, 13));
+  Rng rng(7);
+  auto known = ppdp::classify::SampleKnownMask(g, 0.7, rng);
+  ppdp::classify::CollectiveConfig config;
+  config.threads = width;
+  for (auto _ : state) {
+    auto local = ppdp::classify::MakeLocalClassifier(ppdp::classify::LocalModel::kKnn);
+    ppdp::classify::IcaSolver solver(g, known, *local, config);
+    while (!solver.Done()) benchmark::DoNotOptimize(solver.Step());
+    benchmark::DoNotOptimize(solver.iteration());
+  }
+  (void)ppdp::exec::ThreadPool::SetGlobalThreads(0);
+}
+BENCHMARK(BM_IcaWidth)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+
 void BM_MaxProductReconstruction(benchmark::State& state) {
   size_t num_snps = static_cast<size_t>(state.range(0));
   Rng rng(7);
@@ -328,6 +352,39 @@ void BM_TraceSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceSpan)->Threads(1)->Threads(4);
+
+/// The fixed cost of one ParallelFor: 256 indices in grain-64 chunks with an
+/// empty body, inline at width 1 and through the pool at width 4.
+void BM_ParallelForEmpty(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  (void)ppdp::exec::ThreadPool::SetGlobalThreads(width);
+  for (auto _ : state) {
+    ppdp::exec::ParallelFor(0, 256, 64, [](size_t i) { benchmark::DoNotOptimize(i); },
+                            ppdp::exec::ExecConfig{width});
+  }
+  (void)ppdp::exec::ThreadPool::SetGlobalThreads(0);
+}
+BENCHMARK(BM_ParallelForEmpty)->Arg(1)->Arg(4)->UseRealTime();
+
+/// One Histogram::Observe on a shared histogram (its mutex, bucket search and
+/// raw-sample buffer); the 4-thread run measures the mutex under contention.
+void BM_HistogramObserve(benchmark::State& state) {
+  static ppdp::obs::Histogram& histogram =
+      ppdp::obs::MetricsRegistry::Global().histogram("bench_micro.observe_seconds");
+  for (auto _ : state) histogram.Observe(2.0e-3);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramObserve)->Threads(1)->Threads(4);
+
+/// One Counter::Increment on a shared counter: a relaxed fetch_add, with
+/// cache-line ping-pong in the 4-thread run.
+void BM_CounterIncrement(benchmark::State& state) {
+  static ppdp::obs::Counter& counter =
+      ppdp::obs::MetricsRegistry::Global().counter("bench_micro.increments");
+  for (auto _ : state) counter.Increment();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CounterIncrement)->Threads(1)->Threads(4);
 
 /// The ε charge every served request makes: validation, the disarmed
 /// `dp.spend` fault point, and the budget check + entry update under the

@@ -9,23 +9,12 @@
 
 #include "common/logging.h"
 #include "fault/fault.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ppdp::exec {
 
 namespace {
-
-/// Scheduling-jitter fault: stall this thread before it runs a chunk. The
-/// claim order of later chunks shifts, which is exactly the perturbation
-/// determinism_test must be immune to — results may not change by a bit.
-void MaybeStallChunk() {
-  fault::FaultDecision fault_decision = PPDP_FAULT_POINT("exec.chunk", fault::kMaskDelay);
-  if (fault_decision.delay()) {
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(fault_decision.delay_ms));
-  }
-}
 
 /// Shared claim state of one parallel region. Lives on the caller's stack;
 /// the caller blocks until every helper has detached from it.
@@ -34,31 +23,34 @@ struct Region {
   size_t end = 0;
   size_t grain = 1;
   size_t num_chunks = 0;
-  const std::function<void(size_t, size_t)>* body = nullptr;
+  const std::function<void(size_t)>* body = nullptr;
 
   std::atomic<size_t> next_chunk{0};
-  std::atomic<uint64_t> helper_chunks{0};   ///< chunks run by pool workers
-  std::atomic<uint32_t> occupied_threads{0};  ///< threads that ran >= 1 chunk
 
   std::mutex mutex;
   std::condition_variable done;
   size_t active_helpers = 0;
 
-  /// Claims and runs chunks until none remain; returns how many this thread
-  /// ran.
-  size_t Drain() {
-    size_t ran = 0;
-    for (;;) {
-      size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) break;
-      size_t chunk_begin = begin + chunk * grain;
-      size_t chunk_end = std::min(end, chunk_begin + grain);
-      MaybeStallChunk();
-      (*body)(chunk_begin, chunk_end);
-      ++ran;
+  /// Runs one chunk. Scheduling-jitter fault first: stalling this thread
+  /// shifts the claim order of later chunks, which is exactly the
+  /// perturbation determinism_test must be immune to — results may not
+  /// change by a bit.
+  void RunChunk(size_t chunk) const {
+    fault::FaultDecision fault_decision = PPDP_FAULT_POINT("exec.chunk", fault::kMaskDelay);
+    if (fault_decision.delay()) {
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(fault_decision.delay_ms));
     }
-    if (ran > 0) occupied_threads.fetch_add(1, std::memory_order_relaxed);
-    return ran;
+    const size_t chunk_begin = begin + chunk * grain;
+    const size_t chunk_end = std::min(end, chunk_begin + grain);
+    for (size_t i = chunk_begin; i < chunk_end; ++i) (*body)(i);
+  }
+
+  /// Claims and runs chunks until none remain.
+  void Drain() {
+    for (size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed); chunk < num_chunks;
+         chunk = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+      RunChunk(chunk);
+    }
   }
 };
 
@@ -68,89 +60,62 @@ thread_local bool t_in_parallel_region = false;
 
 }  // namespace
 
-void ParallelForChunked(size_t begin, size_t end, size_t grain,
-                        const std::function<void(size_t, size_t)>& body,
-                        const ExecConfig& config) {
+void ParallelFor(size_t begin, size_t end, size_t grain, const std::function<void(size_t)>& body,
+                 const ExecConfig& config) {
   Status valid = config.Validate();
   PPDP_CHECK(valid.ok()) << valid.ToString();
   if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  const size_t num_chunks = (end - begin + grain - 1) / grain;
-
   static obs::Counter& calls = obs::MetricsRegistry::Global().counter("exec.parallel_for.calls");
-  static obs::Counter& serial_calls =
-      obs::MetricsRegistry::Global().counter("exec.parallel_for.serial_calls");
-  static obs::Counter& steals = obs::MetricsRegistry::Global().counter("exec.pool.steals");
-  static obs::Histogram& latency =
-      obs::MetricsRegistry::Global().histogram("exec.parallel_for.seconds");
-  static obs::Histogram& occupancy = obs::MetricsRegistry::Global().histogram(
-      "exec.parallel_for.occupancy", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   calls.Increment();
 
-  const size_t width = config.threads == 0 ? ThreadPool::GlobalThreadTarget()
-                                           : static_cast<size_t>(config.threads);
-  // Serial fallback: --threads 1, a single chunk, or a nested region. The
-  // chunk boundaries match the parallel path exactly (required by
-  // ParallelReduce's in-order fold).
-  if (width <= 1 || num_chunks <= 1 || t_in_parallel_region) {
-    serial_calls.Increment();
-    double start = obs::MonotonicSeconds();
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      size_t chunk_begin = begin + chunk * grain;
-      MaybeStallChunk();
-      body(chunk_begin, std::min(end, chunk_begin + grain));
-    }
-    latency.Observe(obs::MonotonicSeconds() - start);
-    occupancy.Observe(1.0);
-    return;
-  }
-
-  obs::TraceSpan span("exec.parallel_for");
-  ThreadPool& pool = ThreadPool::Global();
   Region region;
   region.begin = begin;
   region.end = end;
-  region.grain = grain;
-  region.num_chunks = num_chunks;
+  region.grain = grain == 0 ? 1 : grain;
+  region.num_chunks = (end - begin + region.grain - 1) / region.grain;
   region.body = &body;
+
+  const size_t width = config.threads == 0 ? ThreadPool::GlobalThreadTarget()
+                                           : static_cast<size_t>(config.threads);
+  // Serial fallback: --threads 1, a single chunk, or a nested region. Same
+  // chunks (and fault points) as the parallel path, run in order.
+  if (width <= 1 || region.num_chunks <= 1 || t_in_parallel_region) {
+    for (size_t chunk = 0; chunk < region.num_chunks; ++chunk) region.RunChunk(chunk);
+    return;
+  }
 
   // The caller is one execution thread; enlist at most width - 1 helpers,
   // and never more than there are chunks to share.
-  size_t helpers = std::min({width - 1, pool.num_workers(), num_chunks - 1});
+  ThreadPool& pool = ThreadPool::Global();
+  const size_t helpers = std::min({width - 1, pool.num_workers(), region.num_chunks - 1});
   {
     std::lock_guard<std::mutex> lock(region.mutex);
     region.active_helpers = helpers;
   }
+  const uint32_t caller_span = obs::CurrentThreadSpanId();
   for (size_t h = 0; h < helpers; ++h) {
-    pool.Submit([&region] {
-      obs::TraceSpan worker_span("exec.worker");
-      t_in_parallel_region = true;
-      size_t ran = region.Drain();
-      t_in_parallel_region = false;
-      region.helper_chunks.fetch_add(ran, std::memory_order_relaxed);
+    pool.Submit([&region, caller_span] {
       {
-        // Notify while still holding the mutex: the caller destroys Region
-        // (it lives on its stack) the moment it observes active_helpers ==
-        // 0, and it can only re-acquire the mutex after this unlock — so
-        // the condition variable is guaranteed to outlive the notify call.
-        std::lock_guard<std::mutex> lock(region.mutex);
-        --region.active_helpers;
-        region.done.notify_one();
+        obs::SpanIdScope span(caller_span);
+        t_in_parallel_region = true;
+        region.Drain();
+        t_in_parallel_region = false;
       }
+      // Notify while still holding the mutex: the caller destroys Region
+      // (it lives on its stack) the moment it observes active_helpers == 0,
+      // and it can only re-acquire the mutex after this unlock — so the
+      // condition variable is guaranteed to outlive the notify call.
+      std::lock_guard<std::mutex> lock(region.mutex);
+      --region.active_helpers;
+      region.done.notify_one();
     });
   }
 
   t_in_parallel_region = true;
   region.Drain();
   t_in_parallel_region = false;
-  {
-    std::unique_lock<std::mutex> lock(region.mutex);
-    region.done.wait(lock, [&region] { return region.active_helpers == 0; });
-  }
-
-  steals.Increment(region.helper_chunks.load(std::memory_order_relaxed));
-  latency.Observe(span.ElapsedSeconds());
-  occupancy.Observe(static_cast<double>(region.occupied_threads.load()));
+  std::unique_lock<std::mutex> lock(region.mutex);
+  region.done.wait(lock, [&region] { return region.active_helpers == 0; });
 }
 
 }  // namespace ppdp::exec

@@ -3,65 +3,30 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "exec/exec_config.h"
 #include "exec/thread_pool.h"
 
 namespace ppdp::exec {
 
-/// Work-sharing parallel loop over [begin, end). The range is cut into
-/// fixed chunks of `grain` indices (the last chunk may be shorter) and the
-/// chunks are claimed greedily by the calling thread plus the global pool's
-/// workers; `body(chunk_begin, chunk_end)` runs once per chunk.
+/// Work-sharing parallel loop: `body(i)` runs once for each i in
+/// [begin, end). The range is cut into fixed chunks of `grain` indices (the
+/// last chunk may be shorter) and the chunks are claimed greedily by the
+/// calling thread plus the global pool's workers.
 ///
 /// Determinism contract: the chunk partition depends only on (begin, end,
-/// grain) — never on the thread count or scheduling — and every chunk runs
-/// exactly once. A body that writes only to per-index (or per-chunk) slots
-/// therefore produces byte-identical results at --threads 1, 2, and n.
+/// grain) — never on the thread count or scheduling — and every index runs
+/// exactly once. A body that writes only to per-index slots therefore
+/// produces byte-identical results at --threads 1, 2, and n.
 /// `config.threads` caps the execution width (0 = the global pool's size,
-/// 1 = inline serial execution with the same chunk boundaries).
+/// 1 = inline serial execution).
 ///
+/// Pool workers run their chunks under the caller's innermost span id, so
+/// profiler samples and /statusz stacks on them name the caller's phase.
 /// Blocks until every chunk has completed. Bodies must not throw; nested
 /// parallel regions execute the inner region inline.
-void ParallelForChunked(size_t begin, size_t end, size_t grain,
-                        const std::function<void(size_t, size_t)>& body,
-                        const ExecConfig& config = {});
-
-/// Element-wise convenience wrapper: `body(i)` for each i in [begin, end),
-/// with the same chunking and determinism contract as ParallelForChunked.
-inline void ParallelFor(size_t begin, size_t end, size_t grain,
-                        const std::function<void(size_t)>& body, const ExecConfig& config = {}) {
-  ParallelForChunked(
-      begin, end, grain,
-      [&body](size_t chunk_begin, size_t chunk_end) {
-        for (size_t i = chunk_begin; i < chunk_end; ++i) body(i);
-      },
-      config);
-}
-
-/// Deterministic parallel reduction: `map(chunk_begin, chunk_end)` produces
-/// one partial per chunk (computed in parallel), and the partials are folded
-/// with `combine` strictly in chunk order — so even non-associative
-/// floating-point reductions are byte-identical across thread counts.
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(size_t begin, size_t end, size_t grain, T identity, MapFn map,
-                 CombineFn combine, const ExecConfig& config = {}) {
-  if (end <= begin) return identity;
-  if (grain == 0) grain = 1;
-  const size_t num_chunks = (end - begin + grain - 1) / grain;
-  std::vector<T> partials(num_chunks, identity);
-  ParallelForChunked(
-      begin, end, grain,
-      [&](size_t chunk_begin, size_t chunk_end) {
-        partials[(chunk_begin - begin) / grain] = map(chunk_begin, chunk_end);
-      },
-      config);
-  T result = std::move(identity);
-  for (T& partial : partials) result = combine(std::move(result), std::move(partial));
-  return result;
-}
+void ParallelFor(size_t begin, size_t end, size_t grain, const std::function<void(size_t)>& body,
+                 const ExecConfig& config = {});
 
 }  // namespace ppdp::exec
 

@@ -1,5 +1,6 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -29,6 +30,18 @@ const bool kStatuszRegistered = [] {
   });
   return true;
 }();
+
+/// The pool's one tally: what /metrics exports and GlobalStats reads.
+struct PoolMetrics {
+  obs::Counter& submitted = obs::MetricsRegistry::Global().counter("exec.pool.submitted");
+  obs::Counter& executed = obs::MetricsRegistry::Global().counter("exec.pool.tasks");
+  obs::Gauge& active = obs::MetricsRegistry::Global().gauge("exec.pool.active_workers");
+  obs::Gauge& queue_depth = obs::MetricsRegistry::Global().gauge("exec.pool.queue_depth");
+};
+PoolMetrics& Metrics() {
+  static PoolMetrics metrics;
+  return metrics;
+}
 
 std::mutex& GlobalMutex() {
   static std::mutex mutex;
@@ -67,15 +80,14 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  static obs::Counter& submitted = obs::MetricsRegistry::Global().counter("exec.pool.submitted");
-  static obs::Gauge& depth = obs::MetricsRegistry::Global().gauge("exec.pool.queue_depth");
   {
+    // Counted under the queue lock, so the worker that pops the task (under
+    // the same lock) counts its execution after its submission.
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    depth.Set(static_cast<double>(queue_.size()));
+    Metrics().queue_depth.Set(static_cast<double>(queue_.size()));
+    Metrics().submitted.Increment();
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  submitted.Increment();
   wake_.notify_one();
 }
 
@@ -83,9 +95,7 @@ void ThreadPool::WorkerLoop() {
   // Workers register with the sampling profiler for their whole lifetime so
   // parallel regions are profiled; free when no capture is running.
   obs::ProfiledThreadScope profiled;
-  static obs::Counter& executed = obs::MetricsRegistry::Global().counter("exec.pool.tasks");
-  static obs::Gauge& depth = obs::MetricsRegistry::Global().gauge("exec.pool.queue_depth");
-  static obs::Gauge& active = obs::MetricsRegistry::Global().gauge("exec.pool.active_workers");
+  PoolMetrics& metrics = Metrics();
   for (;;) {
     std::function<void()> task;
     {
@@ -94,37 +104,28 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stopping_ with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
-      depth.Set(static_cast<double>(queue_.size()));
+      metrics.queue_depth.Set(static_cast<double>(queue_.size()));
     }
-    active_.fetch_add(1, std::memory_order_relaxed);
-    active.Add(1.0);
+    metrics.active.Add(1.0);
     task();
-    active_.fetch_sub(1, std::memory_order_relaxed);
-    active.Add(-1.0);
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    executed.Increment();
+    metrics.active.Add(-1.0);
+    metrics.executed.Increment();
   }
-}
-
-ThreadPool::PoolStats ThreadPool::stats() const {
-  PoolStats stats;
-  stats.workers = workers_.size();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.queue_depth = queue_.size();
-  }
-  stats.active = active_.load(std::memory_order_relaxed);
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.executed = executed_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 ThreadPool::PoolStats ThreadPool::GlobalStats() {
   std::lock_guard<std::mutex> lock(GlobalMutex());
-  auto& slot = GlobalSlot();
   PoolStats stats;
-  if (slot) stats = slot->stats();
   stats.target_threads = ResolveTarget(GlobalTarget());
+  const PoolMetrics& metrics = Metrics();
+  stats.executed = metrics.executed.value();
+  stats.submitted = metrics.submitted.value();
+  stats.active = static_cast<size_t>(std::max(0.0, metrics.active.value()));
+  if (const auto& slot = GlobalSlot()) {
+    stats.workers = slot->workers_.size();
+    std::lock_guard<std::mutex> queue_lock(slot->mutex_);
+    stats.queue_depth = slot->queue_.size();
+  }
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #ifndef PPDP_EXEC_THREAD_POOL_H_
 #define PPDP_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -21,9 +20,9 @@ namespace ppdp::exec {
 /// first time a parallel region actually needs workers — binaries that stay
 /// serial never spawn a thread.
 ///
-/// The pool is an execution vehicle, not a determinism boundary: callers
-/// (ParallelFor / ParallelReduce) partition work by index so results do not
-/// depend on which worker runs which chunk. Submitted tasks must not throw.
+/// The pool is an execution vehicle, not a determinism boundary: ParallelFor
+/// partitions work by index so results do not depend on which worker runs
+/// which chunk. Submitted tasks must not throw.
 class ThreadPool {
  public:
   /// Starts `workers` threads (0 is allowed: a degenerate pool that never
@@ -39,9 +38,9 @@ class ThreadPool {
   /// Enqueues a task for any idle worker.
   void Submit(std::function<void()> task);
 
-  /// Live utilization of one pool instance — what /metrics gauges and
-  /// /statusz report. Consistent enough for monitoring: queue_depth is read
-  /// under the queue lock, the counters are relaxed atomics.
+  /// Live utilization of the pool — what /statusz reports. The counts are
+  /// the registry's `exec.pool.*` metrics (the one tally /metrics exports),
+  /// so submitted/executed are process-lifetime totals across resizes.
   struct PoolStats {
     size_t target_threads = 0;  ///< configured total width (workers + caller)
     size_t workers = 0;         ///< pool threads actually running
@@ -50,12 +49,12 @@ class ThreadPool {
     uint64_t submitted = 0;     ///< tasks ever enqueued
     uint64_t executed = 0;      ///< tasks finished by workers
   };
-  PoolStats stats() const;
 
   /// Stats of the global pool, taken under the same lock SetGlobalThreads
   /// holds while resizing — so a telemetry scrape can never read a pool
-  /// that a concurrent resize is tearing down (the race the plain
-  /// `Global().stats()` pattern would have). A not-yet-started pool reports
+  /// that a concurrent resize is tearing down. Consistent enough for
+  /// monitoring: queue_depth is read under the queue lock, the counts are
+  /// relaxed reads of the registry metrics. A not-yet-started pool reports
   /// zero workers with the configured target.
   static PoolStats GlobalStats();
 
@@ -78,14 +77,11 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> executed_{0};
-  std::atomic<size_t> active_{0};
 };
 
 }  // namespace ppdp::exec

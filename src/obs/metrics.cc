@@ -78,9 +78,7 @@ std::vector<uint64_t> Histogram::CumulativeBucketCounts() const {
 
 double Histogram::ApproxQuantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  return BucketQuantileLocked(q);
+  return BucketQuantile(bounds_, counts_, count_, min_, max_, q);
 }
 
 double Histogram::QuantileLocked(double q) const {
@@ -98,24 +96,7 @@ double Histogram::QuantileLocked(double q) const {
     double within = position - static_cast<double>(lo);
     return sorted[lo] + within * (sorted[hi] - sorted[lo]);
   }
-  return BucketQuantileLocked(q);
-}
-
-double Histogram::BucketQuantileLocked(double q) const {
-  // Interpolate within the covering bucket (clamped to observed extremes).
-  double rank = q * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    double lo = b == 0 ? std::min(min_, bounds_[0]) : bounds_[b - 1];
-    double hi = b < bounds_.size() ? bounds_[b] : max_;
-    if (static_cast<double>(seen + counts_[b]) >= rank) {
-      double within = (rank - static_cast<double>(seen)) / static_cast<double>(counts_[b]);
-      return std::clamp(lo + within * (hi - lo), min_, max_);
-    }
-    seen += counts_[b];
-  }
-  return max_;
+  return BucketQuantile(bounds_, counts_, count_, min_, max_, q);
 }
 
 double Histogram::Quantile(double q) const {
@@ -131,6 +112,29 @@ void Histogram::Reset() {
   sum_ = 0.0;
   min_ = 0.0;
   max_ = 0.0;
+}
+
+double BucketQuantile(const std::vector<double>& bounds, const std::vector<uint64_t>& counts,
+                      uint64_t count, double min, double max, double q) {
+  if (count == 0) return 0.0;
+  if (count == 1) return max;
+  const double rank = std::min(std::max(q, 0.0), 1.0) * static_cast<double>(count);
+  uint64_t cumulative = 0;
+  for (size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
+    const double before = static_cast<double>(cumulative);
+    cumulative += counts[b];
+    if (static_cast<double>(cumulative) >= rank) {
+      double lo = b == 0 ? std::min(min, bounds[0]) : bounds[b - 1];
+      double hi = b < bounds.size() ? bounds[b] : max;
+      lo = std::max(lo, min);
+      hi = std::min(hi, max);
+      if (hi <= lo) return std::min(std::max(lo, min), max);
+      const double within = (rank - before) / static_cast<double>(counts[b]);
+      return lo + within * (hi - lo);
+    }
+  }
+  return max;
 }
 
 std::string SanitizeMetricName(std::string_view name) {

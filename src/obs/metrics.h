@@ -72,7 +72,7 @@ class Histogram {
   /// the JSON exports keep emitting; the text exposition needs `le`
   /// cumulative semantics.)
   std::vector<uint64_t> CumulativeBucketCounts() const;
-  /// Linear-interpolated quantile estimate from the buckets, q in [0, 1].
+  /// Bucket-interpolated quantile estimate (BucketQuantile), q in [0, 1].
   double ApproxQuantile(double q) const;
   /// Best available quantile: exact (linear interpolation over the retained
   /// raw samples) while count() <= kExactSampleCap, bucket-interpolated
@@ -84,8 +84,7 @@ class Histogram {
   static constexpr size_t kExactSampleCap = 4096;
 
  private:
-  double QuantileLocked(double q) const;        // requires mutex_ held
-  double BucketQuantileLocked(double q) const;  // requires mutex_ held
+  double QuantileLocked(double q) const;  // requires mutex_ held
 
   std::vector<double> bounds_;
   mutable std::mutex mutex_;
@@ -96,6 +95,16 @@ class Histogram {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+/// Quantile q (clamped to [0, 1]) of a bucketed population, interpolated
+/// linearly inside the bucket that covers rank q * count. `counts[i]` counts
+/// observations <= bounds[i] (and above the previous bound); the final entry
+/// is the overflow bucket. The covering bucket's edges are first clamped to
+/// the observed [min, max], so a population sitting inside one wide bucket
+/// interpolates over where it actually lies. 0 when count == 0, max when
+/// count == 1. Histogram and SlidingWindow both estimate through it.
+double BucketQuantile(const std::vector<double>& bounds, const std::vector<uint64_t>& counts,
+                      uint64_t count, double min, double max, double q);
 
 /// Default latency buckets in seconds: 10µs .. 10s, one per decade plus
 /// half-decades — wide enough for both per-iteration and per-phase timings.

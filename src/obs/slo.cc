@@ -157,29 +157,7 @@ double SlidingWindow::QuantileOver(double window_seconds, double q, double now) 
     }
     count += bucket.count;
   });
-  if (count == 0) return 0.0;
-  if (count == 1) return hi_seen;
-  // Same bucket interpolation as Histogram::BucketQuantileLocked: find the
-  // bucket covering rank q*count and interpolate linearly inside it, with
-  // the observed min/max clamping the open-ended edges.
-  const double clamped_q = std::min(std::max(q, 0.0), 1.0);
-  const double rank = clamped_q * static_cast<double>(count);
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < merged.size(); ++b) {
-    if (merged[b] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += merged[b];
-    if (static_cast<double>(cumulative) >= rank) {
-      double lo = b == 0 ? std::min(lo_seen, options_.bounds[0]) : options_.bounds[b - 1];
-      double hi = b < options_.bounds.size() ? options_.bounds[b] : hi_seen;
-      lo = std::max(lo, lo_seen);
-      hi = std::min(hi, hi_seen);
-      if (hi <= lo) return std::min(std::max(lo, lo_seen), hi_seen);
-      const double within = (rank - before) / static_cast<double>(merged[b]);
-      return lo + within * (hi - lo);
-    }
-  }
-  return hi_seen;
+  return BucketQuantile(options_.bounds, merged, count, lo_seen, hi_seen, q);
 }
 
 // ----------------------------------------------------------------- rule model

@@ -85,6 +85,24 @@ SpanStackSlot& ThisThreadSlot() {
   return *slot;
 }
 
+/// Publishes `id` as the calling thread's innermost span, for the
+/// profiler's signal handler and /statusz: the id is stored before the
+/// depth that makes it visible.
+void PushSpanId(uint32_t id) {
+  SpanStackSlot& slot = ThisThreadSlot();
+  uint32_t depth = slot.depth.load(std::memory_order_relaxed);
+  if (depth < kMaxSignalSpanDepth) slot.ids[depth].store(id, std::memory_order_relaxed);
+  slot.depth.store(depth + 1, std::memory_order_release);
+}
+
+/// Pops the calling thread's innermost span id; returns its slot.
+SpanStackSlot& PopSpanId() {
+  SpanStackSlot& slot = ThisThreadSlot();
+  uint32_t depth = slot.depth.load(std::memory_order_relaxed);
+  if (depth > 0) slot.depth.store(depth - 1, std::memory_order_release);
+  return slot;
+}
+
 }  // namespace
 
 uint32_t InternSpanName(const std::string& name) {
@@ -246,12 +264,7 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
 }
 
 TraceSpan::TraceSpan(const std::string& name) : id_(InternSpanName(name)) {
-  // Publish the id for the profiler's signal handler and /statusz: the id
-  // is stored before the depth that makes it visible.
-  SpanStackSlot& slot = ThisThreadSlot();
-  uint32_t depth = slot.depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSignalSpanDepth) slot.ids[depth].store(id_, std::memory_order_relaxed);
-  slot.depth.store(depth + 1, std::memory_order_release);
+  PushSpanId(id_);
   start_us_ = MonotonicSeconds() * 1e6;
   start_cpu_us_ = ThreadCpuSeconds() * 1e6;
   start_alloc_bytes_ = ThreadAllocBytes();
@@ -262,9 +275,7 @@ double TraceSpan::ElapsedSeconds() const { return MonotonicSeconds() - start_us_
 double TraceSpan::Stop() {
   if (!open_) return 0.0;
   open_ = false;
-  SpanStackSlot& slot = ThisThreadSlot();
-  uint32_t depth = slot.depth.load(std::memory_order_relaxed);
-  if (depth > 0) slot.depth.store(depth - 1, std::memory_order_release);
+  const SpanStackSlot& slot = PopSpanId();
   TraceEvent event;
   event.span = id_;
   event.thread = slot.thread;
@@ -275,6 +286,14 @@ double TraceSpan::Stop() {
   event.rss_bytes = CurrentRssBytesCached();
   TraceRecorder::Global().Record(event);
   return event.duration_us;
+}
+
+SpanIdScope::SpanIdScope(uint32_t id) : pushed_(id != 0) {
+  if (pushed_) PushSpanId(id);
+}
+
+SpanIdScope::~SpanIdScope() {
+  if (pushed_) PopSpanId();
 }
 
 }  // namespace ppdp::obs

@@ -159,6 +159,22 @@ class TraceSpan {
   uint64_t start_alloc_bytes_;
 };
 
+/// Pushes an already-open span's id onto the calling thread's span-id stack
+/// for the scope's lifetime: a TraceSpan's push/pop without its clock reads,
+/// CPU/alloc probes or phase fold. Pool workers run a caller's chunks under
+/// it, so profiler samples and /statusz stacks name the caller's phase.
+/// Pushes nothing for id 0.
+class SpanIdScope {
+ public:
+  explicit SpanIdScope(uint32_t id);
+  SpanIdScope(const SpanIdScope&) = delete;
+  SpanIdScope& operator=(const SpanIdScope&) = delete;
+  ~SpanIdScope();
+
+ private:
+  bool pushed_;
+};
+
 }  // namespace ppdp::obs
 
 #endif  // PPDP_OBS_TRACE_H_

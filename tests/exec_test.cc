@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "exec/exec_config.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ppdp::exec {
 namespace {
@@ -66,21 +69,6 @@ TEST(ParallelForTest, EmptyAndSingleChunkRanges) {
   EXPECT_EQ(calls.load(), 3);
 }
 
-TEST(ParallelForTest, ChunkBoundariesIndependentOfThreadCount) {
-  auto chunks_at = [](int threads) {
-    std::vector<std::pair<size_t, size_t>> chunks(13);  // ceil(100 / 8)
-    ParallelForChunked(
-        0, 100, 8,
-        [&](size_t b, size_t e) { chunks[b / 8] = {b, e}; }, ExecConfig{threads});
-    return chunks;
-  };
-  auto serial = chunks_at(1);
-  EXPECT_EQ(serial.front(), (std::pair<size_t, size_t>{0, 8}));
-  EXPECT_EQ(serial.back(), (std::pair<size_t, size_t>{96, 100}));
-  EXPECT_EQ(chunks_at(2), serial);
-  EXPECT_EQ(chunks_at(8), serial);
-}
-
 TEST(ParallelForTest, NestedRegionsRunInline) {
   std::vector<std::atomic<int>> hits(64 * 64);
   for (auto& h : hits) h.store(0);
@@ -93,36 +81,37 @@ TEST(ParallelForTest, NestedRegionsRunInline) {
   for (size_t k = 0; k < hits.size(); ++k) ASSERT_EQ(hits[k].load(), 1) << "slot " << k;
 }
 
-TEST(ParallelReduceTest, FloatingPointSumIsByteIdenticalAcrossThreadCounts) {
-  // A sum whose value depends on association order: catastrophic mixing of
-  // magnitudes. The chunk-ordered fold must give the same bits regardless
-  // of execution width.
-  std::vector<double> values(4096);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = (i % 2 == 0 ? 1.0e16 : 1.0) / static_cast<double>(i + 1);
+TEST(ParallelForTest, HelpersRunUnderTheCallersSpanAndOpenNoPhases) {
+  obs::TraceRecorder::Global().Clear();
+  obs::Counter& calls = obs::MetricsRegistry::Global().counter("exec.parallel_for.calls");
+  ASSERT_TRUE(ThreadPool::SetGlobalThreads(4).ok());
+  std::vector<uint32_t> seen(64, 0);
+  std::vector<std::thread::id> ran_on(seen.size());
+  uint32_t caller = 0;
+  uint64_t calls_before = 0;
+  {
+    obs::TraceSpan span("exec_test.caller");
+    caller = span.id();
+    calls_before = calls.value();
+    // One index per chunk with a stall, so the helpers claim some.
+    ParallelFor(0, seen.size(), 1,
+                [&](size_t i) {
+                  seen[i] = obs::CurrentThreadSpanId();
+                  ran_on[i] = std::this_thread::get_id();
+                  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                },
+                ExecConfig{4});
+    EXPECT_EQ(calls.value(), calls_before + 1);
   }
-  auto sum_at = [&](int threads) {
-    return ParallelReduce<double>(
-        0, values.size(), /*grain=*/17, 0.0,
-        [&](size_t b, size_t e) {
-          double partial = 0.0;
-          for (size_t i = b; i < e; ++i) partial += values[i];
-          return partial;
-        },
-        [](double a, double b) { return a + b; }, ExecConfig{threads});
-  };
-  const double serial = sum_at(1);
-  for (int threads : {2, 4, 8}) {
-    double parallel = sum_at(threads);
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;  // exact, not NEAR
+  EXPECT_NE(std::count(ran_on.begin(), ran_on.end(), ran_on.front()),
+            static_cast<std::ptrdiff_t>(ran_on.size()))
+      << "no helper ran a chunk";
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], caller) << "index " << i;
+  for (const obs::TraceRecorder::PhaseStats& phase :
+       obs::TraceRecorder::Global().PhaseStatsSorted()) {
+    EXPECT_NE(phase.name.rfind("exec.", 0), 0u) << "per-call phase row " << phase.name;
   }
-}
-
-TEST(ParallelReduceTest, EmptyRangeReturnsIdentity) {
-  uint64_t result = ParallelReduce<uint64_t>(
-      10, 10, 4, 42u, [](size_t, size_t) { return 7u; },
-      [](uint64_t a, uint64_t b) { return a + b; }, ExecConfig{4});
-  EXPECT_EQ(result, 42u);
+  ASSERT_TRUE(ThreadPool::SetGlobalThreads(0).ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "common/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 #include "obs/trace.h"
 
 namespace ppdp::obs {
@@ -433,6 +434,23 @@ TEST_F(ObsTest, HistogramQuantilesDegradeToBucketsBeyondTheCap) {
 
   histogram.Reset();
   EXPECT_DOUBLE_EQ(histogram.Quantile(0.5), 0.0) << "Reset must drop retained samples";
+}
+
+TEST_F(ObsTest, BucketQuantileInterpolatesOverTheObservedRange) {
+  // Beyond the sample cap, inside one wide default bucket (1..3 ms): the
+  // median lies where the observations do, not at their minimum.
+  Histogram histogram(DefaultLatencyBoundsSeconds());
+  SlidingWindow window({.bucket_seconds = 10.0, .num_buckets = 1,
+                        .bounds = DefaultLatencyBoundsSeconds()});
+  const int n = 5000;
+  for (int i = 0; i < n; ++i) {
+    const double value = 2.0e-3 + 0.5e-3 * static_cast<double>(i) / (n - 1);
+    histogram.Observe(value);
+    window.Add(value, 1.0);
+  }
+  EXPECT_NEAR(histogram.Quantile(0.5), 2.25e-3, 1e-9);
+  EXPECT_DOUBLE_EQ(histogram.Quantile(0.5), window.QuantileOver(10.0, 0.5, 1.0));
+  EXPECT_DOUBLE_EQ(histogram.ApproxQuantile(0.95), window.QuantileOver(10.0, 0.95, 1.0));
 }
 
 TEST_F(ObsTest, JsonLogRecordIsParseableAndEscaped) {
