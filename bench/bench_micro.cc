@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/slo.h"
+#include "obs/telemetry_server.h"
 #include "obs/trace.h"
 #include "classify/relational.h"
 #include "common/rng.h"
@@ -36,6 +37,7 @@
 #include "rst/information_system.h"
 #include "rst/reduct.h"
 #include "sanitize/link_selection.h"
+#include "serve/client.h"
 
 namespace {
 
@@ -398,6 +400,33 @@ void BM_LedgerSpend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LedgerSpend)->Threads(1)->Threads(4);
+
+/// One loopback `GET /healthz` round trip through a TelemetryServer:
+/// connect, the accept loop's hand-off, a handler thread's read, dispatch
+/// and write, and the close — the HTTP layer every served request pays.
+/// With 8 client threads the handlers and the accept loop run contended.
+void BM_HttpRoundTrip(benchmark::State& state) {
+  static ppdp::obs::TelemetryServer* server = nullptr;
+  if (state.thread_index() == 0) {
+    ppdp::obs::TelemetryServer::Options options;
+    options.max_connections = 16;
+    server = new ppdp::obs::TelemetryServer(std::move(options));
+    if (!server->Start().ok()) state.SkipWithError("TelemetryServer::Start failed");
+  }
+  for (auto _ : state) {
+    auto response = ppdp::serve::Get(server->port(), "/healthz");
+    if (!response.ok() || response->status != 200) {
+      state.SkipWithError("round trip failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    delete server;
+    server = nullptr;
+  }
+}
+BENCHMARK(BM_HttpRoundTrip)->Threads(1)->Threads(8)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -631,14 +631,19 @@ std::vector<AlertTransition> SloEngine::Evaluate() {
 }
 
 void SloEngine::EvaluateIfDue() {
+  // Single flight over the period check and the evaluation together: a
+  // caller that finds an evaluation running returns at once (the running
+  // one stands for it) instead of queueing on mutex_, and two callers can
+  // never both pass the check and evaluate twice in one period.
+  if (evaluating_.exchange(true, std::memory_order_acquire)) return;
+  bool due;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
     const double now = clock_();
-    if (last_eval_seconds_ >= 0 && now - last_eval_seconds_ < options_.eval_period_seconds) {
-      return;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    due = last_eval_seconds_ < 0 || now - last_eval_seconds_ >= options_.eval_period_seconds;
   }
-  Evaluate();
+  if (due) Evaluate();
+  evaluating_.store(false, std::memory_order_release);
 }
 
 int SloEngine::WorstFiringSeverity() const {

@@ -1,6 +1,7 @@
 #ifndef PPDP_OBS_SLO_H_
 #define PPDP_OBS_SLO_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -229,6 +230,7 @@ class SloEngine {
   /// timeline.
   std::vector<AlertTransition> Evaluate();
   /// Evaluate() at most once per eval_period_seconds; cheap no-op between.
+  /// Single-flight: returns at once while another EvaluateIfDue is running.
   void EvaluateIfDue();
 
   /// Worst severity among currently-firing alerts: 0 = none, 1 = ticket
@@ -304,6 +306,7 @@ class SloEngine {
   /// Keyed "rule" for global rules, "rule\ntenant" for ledger instances.
   std::map<std::string, Instance> instances_;
   double last_eval_seconds_ = -1.0;
+  std::atomic<bool> evaluating_{false};  ///< an EvaluateIfDue is in progress
   uint64_t transitions_total_ = 0;
   RotatingJsonlLog alert_log_;
 };

@@ -61,11 +61,20 @@ enum class RecvVerdict { kData, kClosed, kTimeout };
 /// Poll-bounded recv against an absolute MonotonicSeconds deadline. The
 /// deadline covers the WHOLE read (every call shares it), so a client
 /// trickling one byte per poll interval cannot keep the connection alive
-/// the way it could against a per-recv SO_RCVTIMEO.
+/// the way it could against a per-recv SO_RCVTIMEO. Bytes already buffered
+/// are taken without a poll; it polls only when there are none.
 RecvVerdict RecvWithDeadline(int fd, char* buffer, size_t cap, double deadline, ssize_t* n_out) {
   while (true) {
     const double remaining = deadline - MonotonicSeconds();
     if (remaining <= 0.0) return RecvVerdict::kTimeout;
+    const ssize_t n = ::recv(fd, buffer, cap, MSG_DONTWAIT);
+    if (n > 0) {
+      *n_out = n;
+      return RecvVerdict::kData;
+    }
+    if (n == 0) return RecvVerdict::kClosed;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return RecvVerdict::kClosed;
     pollfd pfd{fd, POLLIN, 0};
     const int timeout_ms = static_cast<int>(std::min(remaining * 1000.0 + 1.0, 2.0e9));
     const int ready = ::poll(&pfd, 1, timeout_ms);
@@ -74,23 +83,27 @@ RecvVerdict RecvWithDeadline(int fd, char* buffer, size_t cap, double deadline, 
       return RecvVerdict::kClosed;
     }
     if (ready == 0) return RecvVerdict::kTimeout;
-    const ssize_t n = ::recv(fd, buffer, cap, 0);
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-    if (n <= 0) return RecvVerdict::kClosed;
-    *n_out = n;
-    return RecvVerdict::kData;
   }
 }
 
 /// Deadline-bounded full write; MSG_NOSIGNAL keeps a client that hung up
 /// from killing the process with SIGPIPE. Returns false when the peer
 /// stopped draining before the deadline (the write-timeout counterpart of
-/// the slow-loris read defense).
+/// the slow-loris read defense). Like the read, it polls only when the
+/// socket buffer is full.
 bool SendAll(int fd, const std::string& data, double deadline) {
   size_t sent = 0;
   while (sent < data.size()) {
     const double remaining = deadline - MonotonicSeconds();
     if (remaining <= 0.0) return false;
+    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    // Peer gone or socket shut down — nothing to salvage.
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
     pollfd pfd{fd, POLLOUT, 0};
     const int timeout_ms = static_cast<int>(std::min(remaining * 1000.0 + 1.0, 2.0e9));
     const int ready = ::poll(&pfd, 1, timeout_ms);
@@ -99,10 +112,6 @@ bool SendAll(int fd, const std::string& data, double deadline) {
       return false;
     }
     if (ready == 0) return false;
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-    if (n <= 0) return false;  // peer gone or socket shut down — nothing to salvage
-    sent += static_cast<size_t>(n);
   }
   return true;
 }
@@ -295,97 +304,111 @@ Status TelemetryServer::Start() {
 void TelemetryServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Unblock the accept loop: poll() notices stopping_ within its timeout,
-  // and shutting the listening socket down makes any racing accept fail
-  // immediately instead of handing us one last connection.
+  // Unblock the accept loop: shutting the listening socket down fails its
+  // blocked (or racing) accept immediately instead of handing us one last
+  // connection, and the loop then sees stopping_.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Kick every in-flight connection out of its blocking read/write, then
-  // wait for the handlers to finish — no thread outlives Stop.
+  // Kick every in-flight and queued connection out of its blocking read,
+  // then wait for the handlers to drain the queue and exit — no thread
+  // outlives Stop. An in-flight connection keeps its write side, so a
+  // response already dispatched (a request the serve layer drained) still
+  // reaches its client within the write deadline. stopping_ was set
+  // before this lock was taken, so no handler can check it and then miss
+  // the notify.
+  std::vector<std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto& connection : connections_) {
-      if (connection->fd >= 0) ::shutdown(connection->fd, SHUT_RDWR);
-    }
+    for (int fd : serving_) ::shutdown(fd, SHUT_RD);
+    for (int fd : queued_) ::shutdown(fd, SHUT_RDWR);
+    handlers.swap(handlers_);
   }
-  ReapConnections(/*all=*/true);
+  connections_cv_.notify_all();
+  for (std::thread& handler : handlers) handler.join();
   PPDP_LOG(INFO) << "telemetry server stopped";
-}
-
-void TelemetryServer::ReapConnections(bool all) {
-  std::list<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if (all || (*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& connection : finished) {
-    if (connection->thread.joinable()) connection->thread.join();
-    // The fd is closed only here, after the join: the handler thread never
-    // touches Connection::fd's value, so Stop can safely shutdown() every
-    // still-listed connection without racing a close.
-    if (connection->fd >= 0) {
-      ::close(connection->fd);
-      connection->fd = -1;
-    }
-  }
 }
 
 void TelemetryServer::AcceptLoop() {
   static Counter& rejected =
       MetricsRegistry::Global().counter("telemetry.rejected_connections");
   while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    if (ready <= 0) continue;  // timeout or EINTR: re-check stopping_
+    // Blocks until a connection arrives; Stop's shutdown of the listening
+    // socket fails it at once.
     int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+    if (fd < 0) continue;  // EINTR, a client that gave up, or Stop: re-check
 
-    timeval timeout{};
-    timeout.tv_sec = static_cast<time_t>(options_.read_timeout_seconds);
-    timeout.tv_usec = static_cast<suseconds_t>(
-        (options_.read_timeout_seconds - static_cast<double>(timeout.tv_sec)) * 1e6);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-    ReapConnections(/*all=*/false);
-    size_t active;
+    bool over_cap;
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
-      active = connections_.size();
+      // The cap counts connections accepted and not yet answered.
+      over_cap = queued_.size() + serving_.size() >= static_cast<size_t>(options_.max_connections);
+      if (!over_cap) {
+        queued_.push_back(fd);
+        // Spawn on demand: a new handler only when the idle ones cannot
+        // cover the queue, and never more than max_connections.
+        if (idle_handlers_ < queued_.size() &&
+            handlers_.size() < static_cast<size_t>(options_.max_connections)) {
+          handlers_.emplace_back([this] { HandlerLoop(); });
+        }
+      }
     }
-    if (active >= static_cast<size_t>(options_.max_connections)) {
+    if (over_cap) {
       // Fast-fail under load: a scrape storm gets an immediate structured
-      // 503 rather than an unbounded pile of handler threads.
+      // 503 rather than an unbounded queue. Half-close first so the client
+      // reads the 503 and EOF even if a reset follows, then drop what it
+      // already sent (without waiting for more) so close() sends no reset.
       rejected.Increment();
       SendAll(fd, EnvelopeResponse(503, "telemetry connection limit reached"),
               MonotonicSeconds() + options_.write_timeout_seconds);
+      ::shutdown(fd, SHUT_WR);
+      char buffer[1024];
+      size_t drained = 0;
+      ssize_t n;
+      while (drained < options_.max_header_bytes &&
+             (n = ::recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT)) > 0) {
+        drained += static_cast<size_t>(n);
+      }
       ::close(fd);
-      continue;
+    } else {
+      connections_cv_.notify_one();
     }
-
-    auto connection = std::make_unique<Connection>();
-    connection->fd = fd;
-    Connection* raw = connection.get();
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(std::move(connection));
-    }
-    raw->thread = std::thread([this, raw] { HandleConnection(raw); });
   }
 }
 
-void TelemetryServer::HandleConnection(Connection* connection) {
+void TelemetryServer::HandlerLoop() {
+  while (true) {
+    int fd;
+    {
+      std::unique_lock<std::mutex> lock(connections_mutex_);
+      ++idle_handlers_;
+      connections_cv_.wait(lock, [this] {
+        return !queued_.empty() || stopping_.load(std::memory_order_acquire);
+      });
+      --idle_handlers_;
+      if (queued_.empty()) return;  // stopping, and nothing left to drain
+      fd = queued_.front();
+      queued_.pop_front();
+      serving_.push_back(fd);
+    }
+    HandleConnection(fd);
+    {
+      // Answered: un-listing frees the connection's slot.
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      serving_.erase(std::find(serving_.begin(), serving_.end(), fd));
+    }
+    // Only after un-listing: the client sees EOF once the socket is shut
+    // down, so its next connection always finds the slot free, and Stop
+    // never shuts down a descriptor number that was closed and reused.
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
+  }
+}
+
+void TelemetryServer::HandleConnection(int fd) {
   static Counter& scrapes = MetricsRegistry::Global().counter("telemetry.requests");
   static Counter& read_timeouts = MetricsRegistry::Global().counter("telemetry.read_timeouts");
   static Counter& write_timeouts = MetricsRegistry::Global().counter("telemetry.write_timeouts");
@@ -401,7 +424,7 @@ void TelemetryServer::HandleConnection(Connection* connection) {
          request.size() <= options_.max_header_bytes) {
     ssize_t n = 0;
     const RecvVerdict verdict =
-        RecvWithDeadline(connection->fd, buffer, sizeof(buffer), read_deadline, &n);
+        RecvWithDeadline(fd, buffer, sizeof(buffer), read_deadline, &n);
     if (verdict == RecvVerdict::kTimeout) {
       timed_out = true;
       break;
@@ -447,8 +470,8 @@ void TelemetryServer::HandleConnection(Connection* connection) {
       while (request.size() < total) {
         ssize_t n = 0;
         const RecvVerdict verdict =
-            RecvWithDeadline(connection->fd, buffer,
-                             std::min(sizeof(buffer), total - request.size()), read_deadline, &n);
+            RecvWithDeadline(fd, buffer, std::min(sizeof(buffer), total - request.size()),
+                             read_deadline, &n);
         if (verdict == RecvVerdict::kTimeout) {
           timed_out = true;
           break;
@@ -473,14 +496,9 @@ void TelemetryServer::HandleConnection(Connection* connection) {
       }
     }
   }
-  if (!response.empty() && !SendAll(connection->fd, response, write_deadline)) {
+  if (!response.empty() && !SendAll(fd, response, write_deadline)) {
     write_timeouts.Increment();
   }
-
-  // ReapConnections closes the fd after joining this thread; closing here
-  // would race Stop()'s shutdown of the same descriptor.
-  ::shutdown(connection->fd, SHUT_RDWR);
-  connection->done.store(true, std::memory_order_release);
 }
 
 HttpResponse TelemetryServer::Dispatch(const HttpRequest& request) const {

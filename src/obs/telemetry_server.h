@@ -2,9 +2,10 @@
 #define PPDP_OBS_TELEMETRY_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,7 +23,7 @@ namespace ppdp::obs {
 /// pool registers itself here, the serve layer adds its queue state) — obs
 /// serves them without linking against their libraries. Re-registering a
 /// key replaces the provider. Providers are called on a telemetry
-/// connection thread and must be thread-safe.
+/// handler thread and must be thread-safe.
 void RegisterStatuszSection(const std::string& key, std::function<JsonValue()> provider);
 /// Removes every registered section (tests).
 void ClearStatuszSections();
@@ -33,13 +34,14 @@ void ClearStatuszSections();
 /// or privacy-ledger spend rejections.
 bool TelemetryDegraded();
 
-/// A small, dependency-free routed HTTP/1.1 server: blocking sockets, one
-/// thread per connection (bounded; excess connections are answered 503
-/// immediately), loopback only, clean shutdown that unblocks in-flight
-/// reads. Endpoints are a routing table — RegisterHandler binds a (method,
-/// path prefix) to an HttpHandler, and the introspection endpoints below
-/// are pre-registered through the same table, so a layer above (the serve
-/// daemon) can add POST APIs or override /healthz without subclassing:
+/// A small, dependency-free routed HTTP/1.1 server: blocking sockets served
+/// by handler threads that are spawned on demand and reused (bounded;
+/// excess connections are answered 503 immediately), loopback only, clean
+/// shutdown that unblocks in-flight reads. Endpoints are a routing table —
+/// RegisterHandler binds a (method, path prefix) to an HttpHandler, and the
+/// introspection endpoints below are pre-registered through the same
+/// table, so a layer above (the serve daemon) can add POST APIs or override
+/// /healthz without subclassing:
 ///
 ///   /metrics   Prometheus text exposition 0.0.4 of the MetricsRegistry
 ///   /healthz   "ok" / "degraded" liveness probe (TelemetryDegraded)
@@ -67,9 +69,11 @@ class TelemetryServer {
     /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read the
     /// result from port() after Start).
     int port = 0;
-    /// Concurrent connection-handler threads; further connections get an
-    /// immediate 503 (counted by telemetry.rejected_connections) so a
-    /// scrape storm cannot pile up threads. Flag: --http_max_conns.
+    /// Connections accepted but not yet answered, and the most handler
+    /// threads ever spawned; a connection arriving while this many are
+    /// unanswered gets an immediate 503 (counted by
+    /// telemetry.rejected_connections) so a scrape storm cannot pile up
+    /// work. Flag: --http_max_conns.
     int max_connections = 8;
     /// Overall per-connection read deadline (request line + headers +
     /// body). Poll-based: a slow-loris client trickling one byte per
@@ -105,7 +109,7 @@ class TelemetryServer {
   /// prefix wins; among routes with that prefix the method must match or
   /// the request is answered 405. Re-registering the same (method, prefix)
   /// replaces the handler — how the serve layer overrides /healthz.
-  /// Handlers run on connection threads and must be thread-safe; may be
+  /// Handlers run on handler threads and must be thread-safe; may be
   /// called before or after Start.
   void RegisterHandler(const std::string& method, const std::string& path_prefix,
                        HttpHandler handler);
@@ -115,8 +119,10 @@ class TelemetryServer {
   /// bound. Calling Start twice is an error.
   Status Start();
 
-  /// Clean shutdown: stops accepting, unblocks every in-flight connection
-  /// (their sockets are shut down), joins all threads. Idempotent.
+  /// Clean shutdown: stops accepting, unblocks every in-flight and queued
+  /// connection (their sockets are shut down; a response already being
+  /// written still completes within the write deadline), joins all
+  /// threads. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -140,12 +146,6 @@ class TelemetryServer {
   JsonValue StatuszDocument() const;
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   struct Route {
     std::string method;
     std::string prefix;
@@ -155,10 +155,10 @@ class TelemetryServer {
   void RegisterBuiltinRoutes();
   void HandleProfilez(const HttpRequest& request, HttpResponse* response) const;
   void AcceptLoop();
-  void HandleConnection(Connection* connection);
-  /// Joins finished connection threads; with `all`, joins every connection
-  /// (Stop path, after their sockets were shut down).
-  void ReapConnections(bool all);
+  /// A handler thread: serves queued connections until Stop.
+  void HandlerLoop();
+  /// Reads one request from `fd`, dispatches it and writes the response.
+  void HandleConnection(int fd);
 
   Options options_;
   std::atomic<bool> running_{false};
@@ -166,11 +166,19 @@ class TelemetryServer {
   std::atomic<int> port_{0};
   int listen_fd_ = -1;
   double start_seconds_ = 0.0;  ///< MonotonicSeconds at Start
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
   mutable std::mutex routes_mutex_;
   std::vector<Route> routes_;
+  std::mutex connections_mutex_;  ///< guards the handler state below
+  std::condition_variable connections_cv_;
+  size_t idle_handlers_ = 0;
+  /// Accepted and not yet answered, the two together fill the
+  /// max_connections slots: fds no handler has taken yet, and fds a handler
+  /// is serving (Stop shuts both down).
+  std::deque<int> queued_;
+  std::vector<int> serving_;
+  // Threads last: they use every member above.
+  std::vector<std::thread> handlers_;
+  std::thread accept_thread_;
 };
 
 }  // namespace ppdp::obs

@@ -1,6 +1,5 @@
 #include "serve/coalescer.h"
 
-#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -12,45 +11,19 @@ BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestConte
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = open_batches_.find(key);
-    if (it != open_batches_.end()) {
-      // Joining is only sound while the leader's window is open; the open
-      // flag is checked under the batch's own lock to close the race with
-      // the leader ending its window.
-      std::lock_guard<std::mutex> batch_lock(it->second->mutex);
-      if (it->second->open) {
-        batch = it->second;
-        ++batch->members;
-      }
-    }
-    if (batch == nullptr) {
-      batch = std::make_shared<Batch>();
-      if (context != nullptr) batch->leader_request_id = context->record.request_id;
-      open_batches_[key] = batch;
+    auto [it, inserted] = in_flight_.try_emplace(key);
+    if (inserted) {
+      it->second = std::make_shared<Batch>();
+      if (context != nullptr) it->second->leader_request_id = context->record.request_id;
       leader = true;
+    } else {
+      ++it->second->members;
+      followers_served_.fetch_add(1, std::memory_order_relaxed);
     }
+    batch = it->second;
   }
 
   if (leader) {
-    {
-      // The leader's coalesce.wait is exactly its batching window.
-      std::optional<StageTimer> wait_stage;
-      if (context != nullptr) wait_stage.emplace(context, "serve.coalesce.wait");
-      std::unique_lock<std::mutex> batch_lock(batch->mutex);
-      // The batching window: followers accumulate while the leader waits.
-      // Shutdown() short-circuits it so draining never waits out windows.
-      batch->cv.wait_for(batch_lock,
-                         std::chrono::duration<double>(options_.window_seconds),
-                         [this] { return stopping_.load(std::memory_order_acquire); });
-      batch->open = false;
-    }
-    {
-      // Un-list before running: arrivals during the (long) publisher run
-      // start a fresh batch instead of waiting two windows.
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = open_batches_.find(key);
-      if (it != open_batches_.end() && it->second == batch) open_batches_.erase(it);
-    }
     Result<core::PublishOutput> result = [&] {
       std::optional<StageTimer> publish_stage;
       if (context != nullptr) publish_stage.emplace(context, "serve.publish");
@@ -58,15 +31,20 @@ BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestConte
     }();
     batches_run_.fetch_add(1, std::memory_order_relaxed);
     {
+      // Un-list before marking done: once a member can see the result, no
+      // new arrival can join this batch — it starts a fresh run.
+      std::lock_guard<std::mutex> lock(mutex_);
+      in_flight_.erase(key);
+    }
+    {
       std::lock_guard<std::mutex> batch_lock(batch->mutex);
       batch->result = std::move(result);
       batch->done = true;
     }
     batch->cv.notify_all();
   } else {
-    followers_served_.fetch_add(1, std::memory_order_relaxed);
-    // A waiter's whole latency inside the coalescer is wait: the leader's
-    // window plus the leader's publish run.
+    // A waiter's whole latency inside the coalescer is wait: the rest of
+    // the leader's run.
     std::optional<StageTimer> wait_stage;
     if (context != nullptr) wait_stage.emplace(context, "serve.coalesce.wait");
     std::unique_lock<std::mutex> batch_lock(batch->mutex);
@@ -75,12 +53,6 @@ BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestConte
 
   std::lock_guard<std::mutex> batch_lock(batch->mutex);
   return Outcome{batch->result, leader, batch->members, batch->leader_request_id};
-}
-
-void BatchCoalescer::Shutdown() {
-  stopping_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, batch] : open_batches_) batch->cv.notify_all();
 }
 
 }  // namespace ppdp::serve

@@ -17,22 +17,16 @@
 namespace ppdp::serve {
 
 /// Request coalescing for publisher runs: requests that name the same
-/// corpus + sanitization config (same key) within a batching window share
-/// one run. The first arrival becomes the batch leader — it waits
-/// `window_seconds` for followers, closes the batch, executes the run once,
-/// and the result fans out to every member. Publisher::Publish is const and
-/// deterministic for equal configs, which is what makes sharing sound; ε
-/// accounting stays per-request (every member's tenant is charged by the
+/// corpus + sanitization config (same key) while a run for that key is in
+/// flight join it. The first arrival becomes the leader and runs at once;
+/// arrivals during the run wait for it and share its result; an arrival
+/// after the run completed starts a fresh one. Publisher::Publish is const
+/// and deterministic for equal configs, which is what makes sharing sound;
+/// ε accounting stays per-request (every member's tenant is charged by the
 /// caller before joining), so coalescing saves compute, never privacy
 /// budget.
 class BatchCoalescer {
  public:
-  struct Options {
-    /// How long a leader holds the batch open for followers. Small on
-    /// purpose: it bounds the latency cost of coalescing at one window.
-    double window_seconds = 0.005;
-  };
-
   using Runner = std::function<Result<core::PublishOutput>()>;
 
   struct Outcome {
@@ -45,43 +39,38 @@ class BatchCoalescer {
     std::string leader_request_id;
   };
 
-  explicit BatchCoalescer(Options options) : options_(options) {}
+  BatchCoalescer() = default;
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  /// Joins the open batch for `key`, or leads a new one. Blocks until the
-  /// batch's run has completed and returns its (shared) result. When
-  /// `context` is non-null its stage timeline is annotated: the leader
-  /// records serve.coalesce.wait (its window) and serve.publish (the run);
-  /// a waiter records serve.coalesce.wait for its whole wait.
+  /// Joins the run in flight for `key`, or leads a new one. Blocks until
+  /// that run has completed and returns its (shared) result. When `context`
+  /// is non-null its stage timeline is annotated: the leader records
+  /// serve.publish (the run); a waiter records serve.coalesce.wait for its
+  /// whole wait.
   Outcome Run(const std::string& key, RequestContext* context, const Runner& runner);
 
-  /// Wakes every leader still holding its window open so shutdown does not
-  /// wait out pending windows. In-flight runs still complete.
-  void Shutdown();
-
   uint64_t batches_run() const { return batches_run_.load(std::memory_order_relaxed); }
+  /// Followers that joined a run; counted when they join, before the run
+  /// completes.
   uint64_t followers_served() const { return followers_served_.load(std::memory_order_relaxed); }
 
  private:
   struct Batch {
     std::mutex mutex;
     std::condition_variable cv;
-    bool open = true;   ///< still accepting followers (leader in its window)
     bool done = false;  ///< result is populated
+    /// Written under the registry lock while the batch is listed; read
+    /// after `done`, which the leader sets only once it has un-listed it.
     size_t members = 1;
-    /// Set by the leader before the batch is published in open_batches_
-    /// (so the registry lock orders it before any follower's read).
     std::string leader_request_id;
     Result<core::PublishOutput> result = Status::Internal("batch pending");
   };
 
-  Options options_;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> batches_run_{0};
   std::atomic<uint64_t> followers_served_{0};
   std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<Batch>> open_batches_;
+  std::map<std::string, std::shared_ptr<Batch>> in_flight_;
 };
 
 }  // namespace ppdp::serve

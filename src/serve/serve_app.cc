@@ -169,8 +169,7 @@ ServeApp::ServeApp(const ServeOptions& options, std::vector<int64_t> degrees,
       tradeoff_(std::move(tradeoff)),
       genome_(std::move(genome)),
       tenants_(TenantRegistry::Options{options.tenant_budget, options.max_tenants}),
-      admission_(AdmissionController::Options{options.max_pending, /*pressure_window=*/5.0}) ,
-      coalescer_(BatchCoalescer::Options{options.coalesce_window_seconds}) {
+      admission_(AdmissionController::Options{options.max_pending, /*pressure_window=*/5.0}) {
   obs::TelemetryServer::Options server_options;
   server_options.port = options_.port;
   server_options.max_connections = options_.http_max_conns;
@@ -297,7 +296,6 @@ Status ServeApp::Start() { return server_->Start(); }
 void ServeApp::Stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
   draining_.store(true, std::memory_order_release);
-  coalescer_.Shutdown();
   // Drain: requests already past the draining check finish normally (their
   // sockets stay open); new arrivals are answered 503 by the handlers.
   const double deadline = obs::MonotonicSeconds() + options_.drain_timeout_seconds;

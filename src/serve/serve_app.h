@@ -35,7 +35,6 @@ struct ServeOptions {
   double tenant_budget = 4.0;  ///< ε budget per tenant ledger
   size_t max_tenants = 64;
   int max_pending = 64;        ///< admission queue bound (429 beyond)
-  double coalesce_window_seconds = 0.005;
   double drain_timeout_seconds = 10.0;
   /// Path of the privacy-ledger write-ahead log (--ledger_wal). Empty =
   /// in-memory ledgers only: a restart forgets all spent ε.

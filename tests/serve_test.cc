@@ -100,17 +100,22 @@ TEST(AdmissionControllerTest, BoundsPendingAndReportsPressure) {
 }
 
 TEST(BatchCoalescerTest, IdenticalKeysShareOneRun) {
-  BatchCoalescer coalescer({.window_seconds = 0.1});
+  BatchCoalescer coalescer;
+  constexpr int kThreads = 6;
   std::atomic<int> runs{0};
-  auto runner = [&runs]() -> Result<core::PublishOutput> {
+  // The run stays in flight until every other caller has joined it, so the
+  // batch is exactly the kThreads concurrent callers — no timing window.
+  auto runner = [&]() -> Result<core::PublishOutput> {
     runs.fetch_add(1);
+    while (coalescer.followers_served() < static_cast<uint64_t>(kThreads - 1)) {
+      std::this_thread::yield();
+    }
     core::PublishOutput output;
     output.kind = "test";
     output.privacy_after = 0.5;
     return output;
   };
 
-  constexpr int kThreads = 6;
   std::vector<std::optional<BatchCoalescer::Outcome>> outcomes(kThreads);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
@@ -132,11 +137,36 @@ TEST(BatchCoalescerTest, IdenticalKeysShareOneRun) {
   EXPECT_EQ(coalescer.batches_run(), 1u);
   EXPECT_EQ(coalescer.followers_served(), static_cast<uint64_t>(kThreads - 1));
 
+  // An arrival after the run completed starts a fresh run of its own.
+  auto again = coalescer.Run("k", nullptr, runner);
+  ASSERT_TRUE(again.result.ok());
+  EXPECT_TRUE(again.leader);
+  EXPECT_EQ(again.batch_size, 1u);
+  EXPECT_EQ(runs.load(), 2);
+
   // Different keys never share.
   auto other = coalescer.Run("other", nullptr, runner);
   ASSERT_TRUE(other.result.ok());
   EXPECT_TRUE(other.leader);
-  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(coalescer.followers_served(), static_cast<uint64_t>(kThreads - 1));
+}
+
+/// Arms the serve.publish fault point so the first publish run sleeps
+/// `hold_ms`: it stays in flight while the test's other requests join it
+/// or while Stop drains it. A point's delays are a pure function of (plan,
+/// point, index), so a private injector previews the first draw's share of
+/// max_delay_ms.
+std::unique_ptr<fault::ScopedFaultPlan> HoldFirstPublishRun(double hold_ms) {
+  fault::FaultPlan plan;
+  plan.seed = 17;
+  plan.rate = 0.0;
+  plan.point_rates["serve.publish"] = 1.0;
+  plan.max_delay_ms = 1.0;
+  fault::FaultInjector preview;
+  EXPECT_TRUE(preview.Arm(plan).ok());
+  plan.max_delay_ms = hold_ms / preview.Evaluate("serve.publish", fault::kMaskDelay).delay_ms;
+  return std::make_unique<fault::ScopedFaultPlan>(plan);
 }
 
 TEST(ServeAppTest, ConcurrentTenantsAreChargedExactlyOnceEach) {
@@ -183,9 +213,10 @@ TEST(ServeAppTest, ConcurrentTenantsAreChargedExactlyOnceEach) {
 }
 
 TEST(ServeAppTest, CoalescedPublishFansOutOneRunButChargesEveryTenant) {
+  // The first run is held in flight long enough for every request to join.
+  auto held = HoldFirstPublishRun(/*hold_ms=*/500.0);
   ServeOptions options = FastOptions();
   options.tenant_budget = 10.0;
-  options.coalesce_window_seconds = 0.25;  // wide window: all requests join one batch
   auto app = ServeApp::Create(options);
   ASSERT_TRUE(app.ok()) << app.status().ToString();
   ASSERT_TRUE((*app)->Start().ok());
@@ -302,10 +333,9 @@ TEST(ServeAppTest, FullAdmissionQueueGets429AndDegradesHealth) {
 }
 
 TEST(ServeAppTest, StopDrainsInFlightRequestsThenRefusesNewOnes) {
-  ServeOptions options = FastOptions();
-  // A long window keeps the publish in flight until Stop short-circuits it.
-  options.coalesce_window_seconds = 5.0;
-  auto app = ServeApp::Create(options);
+  // A delayed publish run keeps the request in flight while Stop begins.
+  auto held = HoldFirstPublishRun(/*hold_ms=*/300.0);
+  auto app = ServeApp::Create(FastOptions());
   ASSERT_TRUE(app.ok()) << app.status().ToString();
   ASSERT_TRUE((*app)->Start().ok());
   const int port = (*app)->port();
@@ -315,14 +345,13 @@ TEST(ServeAppTest, StopDrainsInFlightRequestsThenRefusesNewOnes) {
     auto response = PostJson(port, "/v1/publish", PublishBody("drainer", 0.5), /*timeout=*/20.0);
     inflight_status.store(response.ok() ? response->status : -2);
   });
-  // Wait until the request is actually in flight (leader parked in its
-  // batching window).
+  // Wait until the request is actually in flight.
   for (int i = 0; i < 1000 && (*app)->inflight() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_GT((*app)->inflight(), 0u);
 
-  (*app)->Stop();  // must cut the window short, not wait out 5 s
+  (*app)->Stop();  // drains: the held publish still completes with 200
   client.join();
   EXPECT_EQ(inflight_status.load(), 200);
   EXPECT_TRUE((*app)->draining());
@@ -872,9 +901,9 @@ TEST(ServeAppTraceTest, AccessLogRecordsEveryRequestOnceWithBoundedStageSums) {
 
 TEST(ServeAppTraceTest, WaitersRecordTheLeadersRequestId) {
   const std::string log_path = TempAccessLogPath("coalesce");
+  auto held = HoldFirstPublishRun(/*hold_ms=*/500.0);
   ServeOptions options = FastOptions();
   options.access_log = log_path;
-  options.coalesce_window_seconds = 0.25;
   auto app = ServeApp::Create(options);
   ASSERT_TRUE(app.ok()) << app.status().ToString();
   ASSERT_TRUE((*app)->Start().ok());
@@ -901,10 +930,10 @@ TEST(ServeAppTraceTest, WaitersRecordTheLeadersRequestId) {
     if (role == "leader") {
       EXPECT_TRUE(leader_id.empty()) << "one batch has exactly one leader";
       leader_id = record.GetStringOr("request_id", "");
-      // The leader waited out the window and ran the publish itself.
+      // The leader ran the publish at once, without waiting.
       const JsonValue* stages = record.Find("stages");
       ASSERT_NE(stages, nullptr);
-      EXPECT_TRUE(stages->Has("serve.coalesce.wait"));
+      EXPECT_FALSE(stages->Has("serve.coalesce.wait"));
       EXPECT_TRUE(stages->Has("serve.publish"));
     } else if (role == "waiter") {
       waiter_leader_ids.push_back(record.GetStringOr("leader_request_id", ""));

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -516,6 +520,74 @@ TEST(SloEngineTest, LedgerBurnFiresBeforeExhaustionAndNamesTheTenant) {
     EXPECT_LE(slo.attained, rule.horizon_seconds);  // projected TTE
   }
   EXPECT_TRUE(found);
+}
+
+TEST(SloEngineTest, EvaluateIfDueIsSingleFlight) {
+  // A scripted clock that, while `hold` is set, parks every reader until
+  // released: the first caller past the single-flight guard is held
+  // mid-evaluation and every other caller must return at once instead of
+  // queueing behind it.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool hold = true;
+  int held_readers = 0;
+  double now = 10.0;
+  SloEngine::Options options = ScriptedEngineOptions(nullptr);
+  options.eval_period_seconds = 1.0;
+  options.clock = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (hold) {
+      ++held_readers;
+      cv.notify_all();
+      cv.wait(lock, [&] { return !hold; });
+    }
+    return now;
+  };
+  Result<std::unique_ptr<SloEngine>> engine = SloEngine::Create(std::move(options));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  std::thread holder([&] { (*engine)->EvaluateIfDue(); });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return held_readers == 1; });
+  }
+
+  // N threads released together at one instant, all while the evaluation
+  // is held: every one returns without reading the clock.
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::atomic<int> returned{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kThreads; ++i) {
+    callers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      (*engine)->EvaluateIfDue();
+      returned.fetch_add(1);
+    });
+  }
+  go.store(true);
+  for (int i = 0; i < 1000 && returned.load() < kThreads; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(returned.load(), kThreads) << "callers queued behind the held evaluation";
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(held_readers, 1) << "only the held caller may get past the guard";
+    hold = false;
+  }
+  cv.notify_all();
+  for (std::thread& caller : callers) caller.join();
+  holder.join();
+
+  // The held call was the one evaluation: it stamped the instant, and the
+  // period now throttles the next callers at that same instant.
+  EXPECT_DOUBLE_EQ((*engine)->AlertzDocument().GetNumberOr("t_seconds", -1.0), 10.0);
+  now = 10.5;
+  (*engine)->EvaluateIfDue();
+  EXPECT_DOUBLE_EQ((*engine)->AlertzDocument().GetNumberOr("t_seconds", -1.0), 10.0);
+  now = 11.0;
+  (*engine)->EvaluateIfDue();
+  EXPECT_DOUBLE_EQ((*engine)->AlertzDocument().GetNumberOr("t_seconds", -1.0), 11.0);
 }
 
 TEST(SloEngineTest, AlertzAndSlozDocumentsCarryTheirSchemas) {

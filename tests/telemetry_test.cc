@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -40,9 +42,10 @@ std::string TempPath(const std::string& name) { return ::testing::TempDir() + "/
 /// Minimal blocking HTTP client against 127.0.0.1:`port`: sends `request`
 /// verbatim, reads until the server closes, and splits status code, raw
 /// header block (optional), and body. Returns false when the connection
-/// itself fails.
+/// itself fails; a read that ends in an error instead of EOF leaves its
+/// errno in `recv_errno` (optional).
 bool RawHttp(int port, const std::string& request, int* status, std::string* body,
-             std::string* headers = nullptr) {
+             std::string* headers = nullptr, int* recv_errno = nullptr) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
   sockaddr_in addr{};
@@ -65,6 +68,7 @@ bool RawHttp(int port, const std::string& request, int* status, std::string* bod
   while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
     response.append(buffer, static_cast<size_t>(n));
   }
+  if (n < 0 && recv_errno != nullptr) *recv_errno = errno;
   ::close(fd);
   size_t space = response.find(' ');
   if (space == std::string::npos) return false;
@@ -476,6 +480,45 @@ TEST(TelemetryServerTest, ConnectionLimitAnswers503) {
   ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 503);
 
+  ::close(hog);
+  server.Stop();
+}
+
+TEST(TelemetryServerTest, CappedConnectionsReadThe503EnvelopeNeverAReset) {
+  TelemetryServer::Options options;
+  options.max_connections = 1;
+  options.read_timeout_seconds = 30.0;  // the hog keeps its slot for the whole test
+  TelemetryServer server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+
+  int hog = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(hog, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ASSERT_EQ(::connect(hog, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // Full requests, body included, each already sent when the server
+  // refuses it: every client must read the whole 503 envelope and a clean
+  // EOF, never ECONNRESET.
+  const std::string body = R"({"tenant":"t","kind":"genome","epsilon":0.05})";
+  const std::string request = "POST /v1/publish HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                              "Content-Type: application/json\r\nContent-Length: " +
+                              std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+                              body;
+  for (int i = 0; i < 200; ++i) {
+    int status = 0;
+    int recv_errno = 0;
+    std::string response_body;
+    ASSERT_TRUE(RawHttp(server.port(), request, &status, &response_body, nullptr, &recv_errno))
+        << "request " << i;
+    ASSERT_EQ(recv_errno, 0) << "request " << i << ": " << std::strerror(recv_errno);
+    ASSERT_EQ(status, 503) << "request " << i;
+    auto doc = JsonValue::Parse(response_body);
+    ASSERT_TRUE(doc.ok()) << response_body;
+    EXPECT_EQ(doc->GetStringOr("schema", ""), "ppdp.serve.error.v1");
+  }
   ::close(hog);
   server.Stop();
 }

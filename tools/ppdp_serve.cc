@@ -17,7 +17,6 @@
 //   --tenant_budget X     ε budget per tenant ledger (4.0)
 //   --max_tenants N       tenant registry cap (64)
 //   --max_pending N       admission queue bound; 429 beyond (64)
-//   --coalesce_window_ms X  publish batching window (5)
 //   --drain_timeout_s X   graceful-shutdown drain bound (10)
 //   --ledger_wal PATH     privacy-ledger write-ahead log; spends are logged
 //                         before admission and replayed at startup so
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
   options.max_tenants =
       static_cast<size_t>(flags.GetInt("max_tenants", static_cast<int64_t>(options.max_tenants)));
   options.max_pending = static_cast<int>(flags.GetInt("max_pending", options.max_pending));
-  options.coalesce_window_seconds = flags.GetDouble("coalesce_window_ms", 5.0) / 1000.0;
   options.drain_timeout_seconds = flags.GetDouble("drain_timeout_s", 10.0);
   options.ledger_wal = flags.GetString("ledger_wal", "");
   options.request_deadline_seconds = flags.GetDouble("request_deadline_s", 30.0);
