@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "classify/relational.h"
 #include "common/logging.h"
@@ -45,13 +47,21 @@ IcaSolver::IcaSolver(const SocialGraph& g, const std::vector<bool>& known,
   static obs::Counter& runs = obs::MetricsRegistry::Global().counter("classify.ica.runs");
   runs.Increment();
 
-  weights_ = LinkWeightRows(g_, known_, config_.threads);
+  links_ = VoteLinks(g_, known_, config_.threads);
   local.Train(g_, known_);
-  distributions_ = BootstrapDistributions(g_, known_, local, config_.threads);
+  distributions_ = LabelRows(BootstrapDistributions(g_, known_, local, config_.threads),
+                             static_cast<size_t>(g_.num_labels()));
   // The bootstrap holds each unknown node's attribute posterior, which
   // stays fixed; only P_L changes per round.
   attribute_posterior_ = distributions_;
+  MarkKnownRows();
   node_change_.assign(g_.num_nodes(), 0.0);
+}
+
+void IcaSolver::MarkKnownRows() {
+  for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+    if (known_[u]) distributions_.MarkOneHot(u);
+  }
 }
 
 Status IcaSolver::Step() {
@@ -72,7 +82,7 @@ Status IcaSolver::Step() {
   double sweep_start = obs::MonotonicSeconds();
   // next_ is filled once; known nodes never change, so after that only the
   // hidden slots are rewritten, and each round swaps the two buffers.
-  if (next_.empty()) next_ = distributions_;
+  if (next_.num_rows() == 0) next_ = distributions_;
   // Every node's re-estimate reads only the previous round's distributions
   // and writes its own slot, so the sweep parallelizes without changing a
   // single bit of the serial result.
@@ -85,18 +95,19 @@ Status IcaSolver::Step() {
         }
         // The wvRN vote and the α/β mix, written straight into u's slot.
         const NodeId node = static_cast<NodeId>(u);
-        LabelDistribution& mixed = next_[u];
-        RelationalPredictInto(g_, node, weights_[node], distributions_, mixed);
+        const std::span<double> mixed = next_.MutableRow(node);
+        links_.Vote(node, distributions_, mixed);
+        const std::span<const double> posterior = attribute_posterior_[node];
         for (size_t y = 0; y < mixed.size(); ++y) {
-          mixed[y] = (config_.alpha * attribute_posterior_[u][y] + config_.beta * mixed[y]) / norm;
+          mixed[y] = (config_.alpha * posterior[y] + config_.beta * mixed[y]) / norm;
         }
         NormalizeInPlace(mixed);
-        node_change_[u] = L1Distance(mixed, distributions_[u]);
+        node_change_[u] = L1Distance(mixed, distributions_[node]);
       },
       exec_config);
   double max_change = 0.0;
   for (double change : node_change_) max_change = std::max(max_change, change);
-  distributions_.swap(next_);
+  std::swap(distributions_, next_);
   ++iteration_;
   iterations.Increment();
   sweep_seconds.Observe(obs::MonotonicSeconds() - sweep_start);
@@ -106,7 +117,7 @@ Status IcaSolver::Step() {
 
 IcaCheckpoint IcaSolver::Snapshot() const {
   IcaCheckpoint checkpoint;
-  checkpoint.distributions = distributions_;
+  checkpoint.distributions = distributions_.ToDistributions();
   checkpoint.iteration = iteration_;
   checkpoint.converged = converged_;
   return checkpoint;
@@ -121,12 +132,20 @@ Status IcaSolver::Restore(const IcaCheckpoint& checkpoint) {
     if (dist.size() != labels) {
       return Status::InvalidArgument("ICA checkpoint distribution width mismatch");
     }
+    for (double p : dist) {
+      if (!(std::isfinite(p) && p >= 0.0)) {
+        return Status::InvalidArgument("ICA checkpoint holds a negative or non-finite entry");
+      }
+    }
   }
   if (checkpoint.iteration > config_.max_iterations) {
     return Status::InvalidArgument("ICA checkpoint beyond this solver's round budget");
   }
-  distributions_ = checkpoint.distributions;
-  next_.clear();  // its known-node slots may not match the checkpoint's
+  // Known rows may be soft (a checkpoint from another mask), so they are
+  // marked by value again.
+  distributions_ = LabelRows(checkpoint.distributions, labels);
+  MarkKnownRows();
+  next_ = LabelRows();  // its known-node slots may not match the checkpoint's
   iteration_ = checkpoint.iteration;
   converged_ = checkpoint.converged;
   return Status::Ok();
@@ -134,7 +153,7 @@ Status IcaSolver::Restore(const IcaCheckpoint& checkpoint) {
 
 CollectiveResult IcaSolver::Finish() const {
   CollectiveResult result;
-  result.distributions = distributions_;
+  result.distributions = distributions_.ToDistributions();
   result.iterations = iteration_;
   result.converged = converged_;
   return result;

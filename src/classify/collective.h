@@ -74,24 +74,29 @@ class IcaSolver {
 
   IcaCheckpoint Snapshot() const;
   /// Reinstalls a Snapshot taken from a solver over the same graph/mask.
-  /// kInvalidArgument on a shape mismatch: a node count or a distribution
-  /// width (num_labels) that differs from this solver's graph.
+  /// kInvalidArgument, with the state untouched, on a shape mismatch (a
+  /// node count or a distribution width other than this solver's graph's)
+  /// and on any negative or non-finite entry, which a round would abort on.
   Status Restore(const IcaCheckpoint& checkpoint);
 
   /// The current estimates packaged as a CollectiveResult.
   CollectiveResult Finish() const;
 
  private:
+  /// Marks the known rows of distributions_ that are one-hot, by value.
+  void MarkKnownRows();
+
   const SocialGraph& g_;
   const std::vector<bool>& known_;
   CollectiveConfig config_;
-  LinkWeightRows weights_;  ///< fixed for the run: ICA never edits the graph
-  std::vector<LabelDistribution> attribute_posterior_;
-  std::vector<LabelDistribution> distributions_;
+  VoteLinks links_;  ///< fixed for the run: ICA never edits the graph
+  LabelRows attribute_posterior_;
+  /// Known rows are marked one-hot when they are; hidden rows never are.
+  LabelRows distributions_;
   /// The round being written; swapped with distributions_ after each Step.
   /// Filled from distributions_ on the first Step after construction or
   /// Restore, empty until then.
-  std::vector<LabelDistribution> next_;
+  LabelRows next_;
   std::vector<double> node_change_;
   size_t iteration_ = 0;
   bool converged_ = false;

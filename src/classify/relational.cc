@@ -1,10 +1,19 @@
 #include "classify/relational.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "exec/parallel.h"
 
 namespace ppdp::classify {
+
+namespace {
+/// An attribute value no node holds: stored values are in [0, num_values)
+/// or kMissingAttribute.
+constexpr graph::AttributeValue kNeverHeld = graph::kMissingAttribute - 1;
+}  // namespace
 
 LinkWeightRows::LinkWeightRows(const SocialGraph& g, const std::vector<bool>& known,
                                int threads) {
@@ -14,65 +23,131 @@ LinkWeightRows::LinkWeightRows(const SocialGraph& g, const std::vector<bool>& kn
     offsets_[u + 1] = offsets_[u] + (known[u] ? 0 : g.Degree(u));
   }
   weights_.resize(offsets_.back());
+  // SocialGraph::LinkWeight for every link: the same integer ratio
+  // shared / published, so the same doubles. Each ratio a row can give is
+  // divided once, into ratios[published * (C + 1) + shared].
+  const size_t categories = g.num_categories();
+  std::vector<double> ratios((categories + 1) * (categories + 1));
+  for (size_t published = 1; published <= categories; ++published) {
+    for (size_t shared = 0; shared <= published; ++shared) {
+      ratios[published * (categories + 1) + shared] =
+          static_cast<double>(shared) / static_cast<double>(published);
+    }
+  }
+  // The rows are read from the attribute block by offset. In u's own row
+  // a missing value becomes one no row holds, so a shared category is one
+  // equality.
+  const std::span<const graph::AttributeValue> block = g.AttributeBlock();
+  std::vector<graph::AttributeValue> probes(block.begin(), block.end());
+  for (graph::AttributeValue& a : probes) {
+    if (a == graph::kMissingAttribute) a = kNeverHeld;
+  }
   // Each row is written by exactly one task, so the rows are
   // thread-count-invariant.
   exec::ParallelFor(
       0, g.num_nodes(), /*grain=*/64,
       [&](size_t u) {
         if (known[u]) return;
-        // SocialGraph::LinkWeight for every neighbour, with u's published
-        // count taken once: the same integer ratio, so the same doubles.
-        const std::span<const graph::AttributeValue> own = g.Attributes(static_cast<NodeId>(u));
+        const graph::AttributeValue* own = probes.data() + u * categories;
         size_t published = 0;
-        for (graph::AttributeValue a : own) published += a != graph::kMissingAttribute;
+        for (size_t c = 0; c < categories; ++c) published += own[c] != kNeverHeld;
         if (published == 0) return;  // weights_ starts zeroed
+        const double* ratio = ratios.data() + published * (categories + 1);
         const auto& neighbors = g.Neighbors(static_cast<NodeId>(u));
         double* row = weights_.data() + offsets_[u];
         for (size_t j = 0; j < neighbors.size(); ++j) {
-          const std::span<const graph::AttributeValue> other = g.Attributes(neighbors[j]);
+          const graph::AttributeValue* other = block.data() + size_t{neighbors[j]} * categories;
           size_t shared = 0;
-          for (size_t c = 0; c < own.size(); ++c) {
-            shared += own[c] != graph::kMissingAttribute && own[c] == other[c];
-          }
-          row[j] = static_cast<double>(shared) / static_cast<double>(published);
+          for (size_t c = 0; c < categories; ++c) shared += own[c] == other[c];
+          row[j] = ratio[shared];
         }
       },
       exec::ExecConfig{threads});
 }
 
-void AccumulateVote(const std::vector<NodeId>& neighbors, std::span<const double> weights,
-                    size_t begin, size_t end, const std::vector<LabelDistribution>& current,
-                    LabelDistribution& combined, double& total) {
-  const size_t labels = combined.size();
-  for (size_t j = begin; j < end; ++j) {
-    const double w = weights[j];
-    if (w <= 0.0) continue;
-    total += w;
-    const LabelDistribution& neighbor = current[neighbors[j]];
-    for (size_t y = 0; y < labels; ++y) combined[y] += w * neighbor[y];
+LabelRows::LabelRows(const std::vector<LabelDistribution>& dists, size_t labels)
+    : labels_(labels), hot_(dists.size(), kNotOneHot) {
+  values_.reserve(dists.size() * labels);
+  for (const LabelDistribution& dist : dists) {
+    PPDP_CHECK(dist.size() == labels) << "distribution of width " << dist.size() << ", want "
+                                      << labels;
+    values_.insert(values_.end(), dist.begin(), dist.end());
   }
 }
 
-void RelationalPredictInto(const SocialGraph& g, NodeId u, std::span<const double> weights,
-                           const std::vector<LabelDistribution>& current, LabelDistribution& out) {
-  PPDP_CHECK(current.size() == g.num_nodes());
-  const auto& neighbors = g.Neighbors(u);
-  PPDP_CHECK(weights.size() == neighbors.size());
-  out.assign(static_cast<size_t>(g.num_labels()), 0.0);
-  double weight_total = 0.0;
-  AccumulateVote(neighbors, weights, 0, neighbors.size(), current, out, weight_total);
-  if (weight_total <= 0.0) {
-    out = current[u];
+void LabelRows::MarkOneHot(NodeId u) {
+  const std::span<const double> row = (*this)[u];
+  int32_t hot = kNotOneHot;
+  for (size_t y = 0; y < row.size(); ++y) {
+    if (row[y] == 1.0 && hot == kNotOneHot) {
+      hot = static_cast<int32_t>(y);
+    } else if (row[y] != 0.0) {  // a second 1.0, anything else non-zero, or NaN
+      hot = kNotOneHot;
+      break;
+    }
+  }
+  hot_[u] = hot;
+}
+
+std::vector<LabelDistribution> LabelRows::ToDistributions() const {
+  std::vector<LabelDistribution> dists;
+  dists.reserve(num_rows());
+  for (NodeId u = 0; u < num_rows(); ++u) {
+    const std::span<const double> row = (*this)[u];
+    dists.emplace_back(row.begin(), row.end());
+  }
+  return dists;
+}
+
+VoteLinks::VoteLinks(const SocialGraph& g, const std::vector<bool>& known, int threads) {
+  const LinkWeightRows rows(g, known, threads);
+  offsets_.assign(g.num_nodes() + 1, 0);
+  totals_.assign(g.num_nodes(), 0.0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const std::span<const double> row = rows[u];
+    const auto& neighbors = g.Neighbors(u);
+    double total = 0.0;
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (row[j] <= 0.0) continue;
+      targets_.push_back(neighbors[j]);
+      weights_.push_back(row[j]);
+      total += row[j];
+    }
+    offsets_[u + 1] = targets_.size();
+    totals_[u] = total;
+  }
+}
+
+void VoteLinks::Vote(NodeId u, const LabelRows& current, std::span<double> out) const {
+  const double total = totals_[u];
+  if (total <= 0.0) {
+    const std::span<const double> own = current[u];
+    std::copy(own.begin(), own.end(), out.begin());
     return;
   }
-  for (double& p : out) p /= weight_total;
+  std::fill(out.begin(), out.end(), 0.0);
+  for (size_t k = offsets_[u]; k < offsets_[u + 1]; ++k) {
+    const NodeId v = targets_[k];
+    AddVote(current[v], current.OneHotLabel(v), weights_[k], out);
+  }
+  for (double& p : out) p /= total;
 }
 
 LabelDistribution RelationalPredict(const SocialGraph& g, NodeId u,
                                     std::span<const double> weights,
                                     const std::vector<LabelDistribution>& current) {
-  LabelDistribution out;
-  RelationalPredictInto(g, u, weights, current, out);
+  PPDP_CHECK(current.size() == g.num_nodes());
+  const auto& neighbors = g.Neighbors(u);
+  PPDP_CHECK(weights.size() == neighbors.size());
+  LabelDistribution out(static_cast<size_t>(g.num_labels()), 0.0);
+  double total = 0.0;
+  for (size_t j = 0; j < neighbors.size(); ++j) {
+    if (weights[j] <= 0.0) continue;
+    total += weights[j];
+    AddVote(current[neighbors[j]], LabelRows::kNotOneHot, weights[j], out);
+  }
+  if (total <= 0.0) return current[u];
+  for (double& p : out) p /= total;
   return out;
 }
 
@@ -113,17 +188,21 @@ std::vector<LabelDistribution> LinkOnlyInference(const SocialGraph& g,
                                                  const std::vector<bool>& known,
                                                  const AttributeClassifier& local,
                                                  size_t passes) {
-  std::vector<LabelDistribution> dists = BootstrapDistributions(g, known, local);
-  const LinkWeightRows weights(g, known);
-  for (size_t pass = 0; pass < passes; ++pass) {
-    std::vector<LabelDistribution> next = dists;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (known[u]) continue;
-      next[u] = RelationalPredict(g, u, weights[u], dists);
-    }
-    dists = std::move(next);
+  LabelRows dists(BootstrapDistributions(g, known, local), static_cast<size_t>(g.num_labels()));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (known[u]) dists.MarkOneHot(u);
   }
-  return dists;
+  const VoteLinks links(g, known);
+  // Known rows never change, so each pass rewrites only the hidden rows of
+  // the other buffer, then the two swap.
+  LabelRows next = dists;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (!known[u]) links.Vote(u, dists, next.MutableRow(u));
+    }
+    std::swap(dists, next);
+  }
+  return dists.ToDistributions();
 }
 
 }  // namespace ppdp::classify

@@ -25,14 +25,14 @@ NodeId SocialGraph::AddNode(std::vector<AttributeValue> attributes, Label label)
   }
   PPDP_CHECK(label == kUnknownLabel || (label >= 0 && label < num_labels_))
       << "label " << label << " out of range";
-  attributes_.push_back(std::move(attributes));
+  attributes_.insert(attributes_.end(), attributes.begin(), attributes.end());
   labels_.push_back(label);
   adjacency_.emplace_back();
-  return static_cast<NodeId>(attributes_.size() - 1);
+  return static_cast<NodeId>(labels_.size() - 1);
 }
 
 void SocialGraph::CheckNode(NodeId u) const {
-  PPDP_CHECK(u < attributes_.size()) << "node " << u << " out of range";
+  PPDP_CHECK(u < labels_.size()) << "node " << u << " out of range";
 }
 
 bool SocialGraph::AddEdge(NodeId u, NodeId v) {
@@ -77,12 +77,13 @@ const std::vector<NodeId>& SocialGraph::Neighbors(NodeId u) const {
 AttributeValue SocialGraph::Attribute(NodeId u, size_t category) const {
   CheckNode(u);
   PPDP_CHECK(category < categories_.size()) << "category " << category << " out of range";
-  return attributes_[u][category];
+  return attributes_[u * categories_.size() + category];
 }
 
 std::span<const AttributeValue> SocialGraph::Attributes(NodeId u) const {
   CheckNode(u);
-  return attributes_[u];
+  return std::span<const AttributeValue>(attributes_).subspan(u * categories_.size(),
+                                                              categories_.size());
 }
 
 void SocialGraph::SetAttribute(NodeId u, size_t category, AttributeValue value) {
@@ -91,7 +92,7 @@ void SocialGraph::SetAttribute(NodeId u, size_t category, AttributeValue value) 
   PPDP_CHECK(value == kMissingAttribute ||
              (value >= 0 && value < categories_[category].num_values))
       << "attribute value " << value << " out of range";
-  attributes_[u][category] = value;
+  attributes_[u * categories_.size() + category] = value;
 }
 
 Label SocialGraph::GetLabel(NodeId u) const {
@@ -107,13 +108,15 @@ void SocialGraph::SetLabel(NodeId u, Label label) {
 
 void SocialGraph::MaskCategory(size_t category) {
   PPDP_CHECK(category < categories_.size()) << "category " << category << " out of range";
-  for (auto& attrs : attributes_) attrs[category] = kMissingAttribute;
+  for (size_t i = category; i < attributes_.size(); i += categories_.size()) {
+    attributes_[i] = kMissingAttribute;
+  }
 }
 
 std::vector<std::pair<NodeId, NodeId>> SocialGraph::Edges() const {
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(num_edges_);
-  for (NodeId u = 0; u < attributes_.size(); ++u) {
+  for (NodeId u = 0; u < labels_.size(); ++u) {
     for (NodeId v : adjacency_[u]) {
       if (u < v) edges.emplace_back(u, v);
     }
@@ -122,14 +125,14 @@ std::vector<std::pair<NodeId, NodeId>> SocialGraph::Edges() const {
 }
 
 double SocialGraph::LinkWeight(NodeId u, NodeId v) const {
-  CheckNode(u);
-  CheckNode(v);
+  const std::span<const AttributeValue> own = Attributes(u);
+  const std::span<const AttributeValue> other = Attributes(v);
   size_t published = 0;
   size_t shared = 0;
-  for (size_t c = 0; c < categories_.size(); ++c) {
-    if (attributes_[u][c] == kMissingAttribute) continue;
+  for (size_t c = 0; c < own.size(); ++c) {
+    if (own[c] == kMissingAttribute) continue;
     ++published;
-    if (attributes_[u][c] == attributes_[v][c]) ++shared;
+    if (own[c] == other[c]) ++shared;
   }
   if (published == 0) return 0.0;
   return static_cast<double>(shared) / static_cast<double>(published);

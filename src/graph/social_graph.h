@@ -57,7 +57,7 @@ class SocialGraph {
 
   bool HasEdge(NodeId u, NodeId v) const;
 
-  size_t num_nodes() const { return attributes_.size(); }
+  size_t num_nodes() const { return labels_.size(); }
   size_t num_edges() const { return num_edges_; }
   size_t num_categories() const { return categories_.size(); }
   int32_t num_labels() const { return num_labels_; }
@@ -70,6 +70,10 @@ class SocialGraph {
   /// u's whole attribute row, one value per category; one node check
   /// instead of one per Attribute call.
   std::span<const AttributeValue> Attributes(NodeId u) const;
+  /// Every node's attributes as one row-major block: node u's row is
+  /// [u * num_categories(), (u + 1) * num_categories()). For kernels that
+  /// read many rows and have checked their node ids once.
+  std::span<const AttributeValue> AttributeBlock() const { return attributes_; }
   void SetAttribute(NodeId u, size_t category, AttributeValue value);
 
   Label GetLabel(NodeId u) const;
@@ -93,7 +97,7 @@ class SocialGraph {
 
   std::vector<AttributeCategory> categories_;
   int32_t num_labels_;
-  std::vector<std::vector<AttributeValue>> attributes_;
+  std::vector<AttributeValue> attributes_;  ///< num_nodes() × num_categories(), row-major
   std::vector<Label> labels_;
   std::vector<std::vector<NodeId>> adjacency_;
   size_t num_edges_ = 0;

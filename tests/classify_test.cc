@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -553,15 +557,34 @@ TEST(CollectiveConfigTest, ValidateRejectsBadParameters) {
   EXPECT_EQ(negative_threads.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+/// The wvRN vote (Eq. 4.3) as first written: every link weight from
+/// SocialGraph::LinkWeight, every neighbour's whole row multiplied in.
+LabelDistribution ReferenceVote(const SocialGraph& g, NodeId u,
+                                const std::vector<LabelDistribution>& current) {
+  LabelDistribution combined(static_cast<size_t>(g.num_labels()), 0.0);
+  double total = 0.0;
+  for (NodeId v : g.Neighbors(u)) {
+    const double w = g.LinkWeight(u, v);
+    if (w <= 0.0) continue;
+    total += w;
+    for (size_t y = 0; y < combined.size(); ++y) combined[y] += w * current[v][y];
+  }
+  if (total <= 0.0) return current[u];
+  for (double& p : combined) p /= total;
+  return combined;
+}
+
 /// Algorithm 1 as first written: the attribute posteriors from a second
-/// Predict pass, and every round recomputing each link weight through the
-/// one-off RelationalPredict. The reference the solver's cached weight
-/// rows must match bit for bit.
+/// Predict pass, and every round recomputing each link weight through
+/// ReferenceVote. The reference the solver's cached weight rows and
+/// one-hot votes must match bit for bit. Starts from `start` instead of
+/// the bootstrap when one is given.
 CollectiveResult ReferenceIca(const SocialGraph& g, const std::vector<bool>& known,
-                              AttributeClassifier& local, const CollectiveConfig& config) {
+                              AttributeClassifier& local, const CollectiveConfig& config,
+                              const std::vector<LabelDistribution>* start = nullptr) {
   local.Train(g, known);
   CollectiveResult result;
-  result.distributions = BootstrapDistributions(g, known, local);
+  result.distributions = start != nullptr ? *start : BootstrapDistributions(g, known, local);
   std::vector<LabelDistribution> posterior(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (!known[u]) posterior[u] = local.Predict(g, u);
@@ -572,7 +595,7 @@ CollectiveResult ReferenceIca(const SocialGraph& g, const std::vector<bool>& kno
     double max_change = 0.0;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (known[u]) continue;
-      LabelDistribution link = RelationalPredict(g, u, result.distributions);
+      LabelDistribution link = ReferenceVote(g, u, result.distributions);
       LabelDistribution mixed(link.size());
       for (size_t y = 0; y < mixed.size(); ++y) {
         mixed[y] = (config.alpha * posterior[u][y] + config.beta * link[y]) / norm;
@@ -634,6 +657,133 @@ TEST(IcaSolverTest, RestoreRejectsDistributionsOfTheWrongWidth) {
   IcaSolver fresh(g, known, fresh_nb, {});
   ASSERT_TRUE(fresh.Step().ok());
   EXPECT_EQ(solver.Snapshot().distributions, fresh.Snapshot().distributions);
+}
+
+TEST(IcaSolverTest, RestoreRejectsNonFiniteAndNegativeEntries) {
+  SocialGraph g = GenerateSyntheticGraph(graph::CaltechLikeConfig(0.1, 3));
+  Rng rng(1);
+  auto known = SampleKnownMask(g, 0.7, rng);
+  NaiveBayesClassifier nb;
+  IcaSolver solver(g, known, nb, {});
+  const IcaCheckpoint good = solver.Snapshot();
+  NodeId hidden = 0, visible = 0;
+  while (known[hidden]) ++hidden;
+  while (!known[visible]) ++visible;
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), -0.25}) {
+    SCOPED_TRACE(bad);
+    IcaCheckpoint hidden_slot = good;
+    hidden_slot.distributions[hidden][1] = bad;
+    EXPECT_EQ(solver.Restore(hidden_slot).code(), StatusCode::kInvalidArgument);
+    IcaCheckpoint known_slot = good;
+    known_slot.distributions[visible][0] = bad;
+    EXPECT_EQ(solver.Restore(known_slot).code(), StatusCode::kInvalidArgument);
+  }
+
+  // The rejected checkpoints left the state as it was: the next round runs
+  // (a NaN would abort it) and matches a fresh solver's.
+  ASSERT_TRUE(solver.Step().ok());
+  NaiveBayesClassifier fresh_nb;
+  IcaSolver fresh(g, known, fresh_nb, {});
+  ASSERT_TRUE(fresh.Step().ok());
+  EXPECT_EQ(solver.Snapshot().distributions, fresh.Snapshot().distributions);
+}
+
+/// Same doubles, down to the sign of zero.
+void ExpectSameBits(const std::vector<LabelDistribution>& actual,
+                    const std::vector<LabelDistribution>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t u = 0; u < actual.size(); ++u) {
+    ASSERT_EQ(actual[u].size(), expected[u].size()) << "node " << u;
+    for (size_t y = 0; y < actual[u].size(); ++y) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(actual[u][y]), std::bit_cast<uint64_t>(expected[u][y]))
+          << "node " << u << " label " << y << ": " << actual[u][y] << " vs " << expected[u][y];
+    }
+  }
+}
+
+TEST(IcaSolverTest, OneHotVotesMatchTheReferenceOnAdversarialRows) {
+  // The solver marks the known rows one-hot by value and gives those a
+  // one-add vote. Restored known slots here are one-hot with -0.0 entries,
+  // a 5e-324 short of one-hot, one-hot twice over, soft, or plain one-hot;
+  // some hidden nodes publish nothing, so every link of theirs weighs 0.
+  SocialGraph g = GenerateSyntheticGraph(graph::MitLikeConfig(0.02, 13));
+  Rng rng(4);
+  const auto known = SampleKnownMask(g, 0.7, rng);
+  size_t silent = 0;
+  for (NodeId u = 0; u < g.num_nodes() && silent < 6; ++u) {
+    if (known[u] || g.Degree(u) == 0) continue;
+    for (size_t c = 0; c < g.num_categories(); ++c) g.SetAttribute(u, c, kMissingAttribute);
+    ++silent;
+  }
+  ASSERT_EQ(silent, 6u);
+  NaiveBayesClassifier bootstrap_nb;
+  bootstrap_nb.Train(g, known);
+  std::vector<LabelDistribution> start = BootstrapDistributions(g, known, bootstrap_nb);
+  const size_t labels = static_cast<size_t>(g.num_labels());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    LabelDistribution& row = start[u];
+    const size_t hot = known[u] ? static_cast<size_t>(g.GetLabel(u)) : u % labels;
+    switch (u % 5) {
+      case 0:  // one-hot, the other entries -0.0
+        std::fill(row.begin(), row.end(), -0.0);
+        row[hot] = 1.0;
+        break;
+      case 1:  // near one-hot
+        std::fill(row.begin(), row.end(), 0.0);
+        row[hot] = 1.0 - 0x1p-53;
+        row[(hot + 1) % labels] = 5e-324;
+        break;
+      case 2:  // two 1.0 entries
+        std::fill(row.begin(), row.end(), 0.0);
+        row[hot] = 1.0;
+        row[(hot + 1) % labels] = 1.0;
+        break;
+      case 3:  // soft
+        if (known[u]) std::fill(row.begin(), row.end(), 1.0 / static_cast<double>(labels));
+        break;
+      default:  // as bootstrapped
+        break;
+    }
+  }
+  CollectiveConfig config;
+  config.max_iterations = 4;
+  config.convergence_tol = 0.0;  // run every round
+  NaiveBayesClassifier reference_nb;
+  const CollectiveResult expected = ReferenceIca(g, known, reference_nb, config, &start);
+  ASSERT_EQ(expected.iterations, 4u);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    config.threads = threads;
+    NaiveBayesClassifier nb;
+    IcaSolver solver(g, known, nb, config);
+    ASSERT_TRUE(solver.Restore(IcaCheckpoint{start, 0, false}).ok());
+    while (!solver.Done()) ASSERT_TRUE(solver.Step().ok());
+    const CollectiveResult actual = solver.Finish();
+    EXPECT_EQ(actual.iterations, expected.iterations);
+    ExpectSameBits(actual.distributions, expected.distributions);
+  }
+}
+
+TEST(RelationalTest, LinkOnlyInferenceMatchesPerPassReferenceVotes) {
+  SocialGraph g = GenerateSyntheticGraph(graph::MitLikeConfig(0.02, 13));
+  g.MaskCategory(1);
+  Rng rng(6);
+  const auto known = SampleKnownMask(g, 0.6, rng);
+  for (size_t passes : {size_t{0}, size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(passes);
+    NaiveBayesClassifier nb;
+    nb.Train(g, known);
+    std::vector<LabelDistribution> expected = BootstrapDistributions(g, known, nb);
+    for (size_t pass = 0; pass < passes; ++pass) {
+      std::vector<LabelDistribution> next = expected;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        if (!known[u]) next[u] = ReferenceVote(g, u, expected);
+      }
+      expected = std::move(next);
+    }
+    ExpectSameBits(LinkOnlyInference(g, known, nb, passes), expected);
+  }
 }
 
 TEST(IcaSolverTest, RestoreIntoASteppedSolverMatchesAnUninterruptedRun) {

@@ -406,6 +406,57 @@ TEST(LinkSelectionTest, HeavyNeighbourCancellationIsScoredExactly) {
   }
 }
 
+/// Estimate rows that stress the one-add vote of one-hot rows: one-hot
+/// with -0.0 entries, a 5e-324 short of one-hot, one-hot twice over, and
+/// soft rows, beside hidden nodes that publish nothing (every link of
+/// theirs weighs 0).
+LinkFixture AdversarialRowsFixture() {
+  LinkFixture f = MitFixture(0.02, [](SocialGraph& g) {
+    for (graph::NodeId u = 0; u < g.num_nodes(); u += 23) {
+      for (size_t c = 0; c < g.num_categories(); ++c) {
+        g.SetAttribute(u, c, graph::kMissingAttribute);
+      }
+    }
+  });
+  const size_t labels = static_cast<size_t>(f.g.num_labels());
+  for (graph::NodeId u = 0; u < f.g.num_nodes(); ++u) {
+    classify::LabelDistribution& row = f.estimates[u];
+    const size_t hot = u % labels;
+    switch (u % 5) {
+      case 0:
+        std::fill(row.begin(), row.end(), -0.0);
+        row[hot] = 1.0;
+        break;
+      case 1:
+        std::fill(row.begin(), row.end(), 0.0);
+        row[hot] = 1.0 - 0x1p-53;
+        row[(hot + 1) % labels] = 5e-324;
+        break;
+      case 2:
+        std::fill(row.begin(), row.end(), 0.0);
+        row[hot] = 1.0;
+        row[(hot + 1) % labels] = 1.0;
+        break;
+      default:  // the bootstrap's: one-hot on known nodes, soft on hidden
+        break;
+    }
+  }
+  return f;
+}
+
+TEST(LinkSelectionTest, OneHotEstimateRowsScoreAndRemoveLikeTheReference) {
+  LinkFixture f = AdversarialRowsFixture();
+  ExpectRankingMatchesReference(f);
+  ExpectBoundsBelowReference(f);
+  for (size_t count : {size_t{1}, size_t{50}, size_t{500}}) {
+    SCOPED_TRACE(count);
+    ExpectRemovalMatchesReference(f, count);
+  }
+}
+
+// The walks here reach RemoveIndistinguishableLinks' merge: near-uniform
+// keys sit below the slack, so exact tops land at or above the window's
+// threshold and the outside links join the heap.
 TEST(LinkSelectionTest, NearUniformEstimatesRemoveLikeTheReference) {
   LinkFixture f = NearUniformFixture();
   for (size_t count : {size_t{1}, size_t{50}, size_t{500}}) {
