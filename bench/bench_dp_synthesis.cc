@@ -3,7 +3,7 @@
 // publishing methodology (low-dimensional approximation + noise + sampling).
 // Includes the independent-marginals ablation (structure_fraction = 0).
 //
-//   $ ./bench_dp_synthesis [--snps 80] [--rows 600] [--seed 3]
+//   $ ./bench_dp_synthesis [--snps 80] [--rows 600] [--seed 7]
 #include <string>
 
 #include "bench_util.h"

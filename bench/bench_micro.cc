@@ -2,7 +2,8 @@
 // belief propagation (the chapter-5 "linear complexity" claim), collective
 // inference and its KNN local model, reduct computation, the simplex solver,
 // link scoring and removal, the δ-privacy greedy, SLO evaluation, and the
-// primitives every layer shares (spans, metrics, ParallelFor, the ledger).
+// primitives every layer shares (spans, metrics, ParallelFor, disarmed fault
+// points, the ledger).
 //
 //   $ ./bench_micro [--benchmark_filter=...] [--report_out=F]
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "classify/knn.h"
 #include "classify/naive_bayes.h"
 #include "exec/parallel.h"
+#include "fault/fault.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -368,8 +370,8 @@ void BM_ParallelForEmpty(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForEmpty)->Arg(1)->Arg(4)->UseRealTime();
 
-/// One Histogram::Observe on a shared histogram (its mutex, bucket search and
-/// raw-sample buffer); the 4-thread run measures the mutex under contention.
+/// One Histogram::Observe on a shared histogram (its mutex and bucket
+/// search); the 4-thread run measures the mutex under contention.
 void BM_HistogramObserve(benchmark::State& state) {
   static ppdp::obs::Histogram& histogram =
       ppdp::obs::MetricsRegistry::Global().histogram("bench_micro.observe_seconds");
@@ -387,6 +389,18 @@ void BM_CounterIncrement(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CounterIncrement)->Threads(1)->Threads(4);
+
+/// A PPDP_FAULT_POINT with no plan armed, the state every production run is
+/// in: the call, the point name's std::string (an 11-character name, inside
+/// the small-string buffer) and one relaxed load of the armed flag. The
+/// 4-thread run checks that the disarmed path shares nothing writable.
+void BM_FaultPointDisarmed(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PPDP_FAULT_POINT("micro.point", ppdp::fault::kMaskAll));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FaultPointDisarmed)->Threads(1)->Threads(4);
 
 /// The ε charge every served request makes: validation, the disarmed
 /// `dp.spend` fault point, and the budget check + entry update under the

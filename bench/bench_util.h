@@ -23,7 +23,6 @@
 #include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "obs/report.h"
-#include "obs/sampler.h"
 #include "obs/telemetry_server.h"
 #include "obs/trace.h"
 
@@ -51,9 +50,6 @@ namespace ppdp::bench {
 ///   --http_max_conns N   (default 8)  telemetry server connection cap;
 ///                   connections beyond it get an immediate 503 (counted
 ///                   by telemetry.rejected_connections)
-///   --sample_period_ms N (default 500; 0 disables)  metric time-series
-///                   sampling interval; samples append to
-///                   <out>/<bench>_timeseries.jsonl (ppdp.timeseries.v2)
 ///   --profile_hz N  (default 0 = off)  sampling-profiler rate in samples
 ///                   per second of per-thread CPU time; prime rates (97,
 ///                   211) avoid lock-step with periodic work. Off pays
@@ -150,20 +146,6 @@ struct BenchEnv {
       }
     }
 
-    int sample_period_ms = static_cast<int>(flags.GetInt("sample_period_ms", 500));
-    if (sample_period_ms > 0) {
-      obs::TimeSeriesSampler::Options sampler_options;
-      sampler_options.path = out_dir + "/" + bench_name + "_timeseries.jsonl";
-      sampler_options.period_ms = sample_period_ms;
-      sampler_ = std::make_unique<obs::TimeSeriesSampler>(sampler_options);
-      Status sampler_status = sampler_->Start();
-      if (!sampler_status.ok()) {
-        std::cerr << "warning: time-series sampler not started: " << sampler_status.ToString()
-                  << "\n";
-        sampler_.reset();
-      }
-    }
-
     profile_hz_ = static_cast<int>(flags.GetInt("profile_hz", 0));
     if (profile_hz_ > 0) {
       profile_out_ = flags.GetString("profile_out", out_dir + "/PROFILE_" + ShortName() + ".json");
@@ -181,11 +163,6 @@ struct BenchEnv {
   BenchEnv& operator=(const BenchEnv&) = delete;
 
   ~BenchEnv() {
-    if (sampler_ != nullptr) {
-      sampler_->Stop();  // writes the final sample
-      std::cout << "(timeseries: " << out_dir << "/" << bench_name << "_timeseries.jsonl, "
-                << sampler_->samples_written() << " samples)\n";
-    }
     if (profile_hz_ > 0) EmitProfile();
     EmitPhaseTimings();
     if (!trace_out.empty()) {
@@ -402,7 +379,6 @@ struct BenchEnv {
   obs::ProfiledThreadScope profiled_main_thread_;
   mutable obs::RunReport::ProfileInfo profile_info_;
   std::unique_ptr<obs::TelemetryServer> telemetry_;
-  std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   // Emit/EmitLedger are const (benches hold const refs in helpers); the
   // report bookkeeping they feed is observational state, hence mutable.
   mutable std::vector<std::pair<std::string, std::string>> outputs_;

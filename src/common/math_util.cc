@@ -1,5 +1,6 @@
 #include "common/math_util.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -40,6 +41,14 @@ double Variance(const std::vector<double>& values) {
   double acc = 0.0;
   for (double v : values) acc += (v - mu) * (v - mu);
   return acc / static_cast<double>(values.size());
+}
+
+double QuantileOfSorted(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double position = std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(position);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (position - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
 size_t ArgMax(const std::vector<double>& values) {

@@ -23,6 +23,12 @@ double Mean(const std::vector<double>& values);
 /// Population variance (divides by N). Empty input yields 0.
 double Variance(const std::vector<double>& values);
 
+/// Quantile q (clamped to [0, 1]) of ascending `sorted` values: Hyndman–Fan
+/// type 7, linear interpolation between the closest ranks at position
+/// q * (n - 1). Empty input yields 0; one value (or all-equal values) is
+/// every quantile.
+double QuantileOfSorted(std::span<const double> sorted, double q);
+
 /// Index of the maximum element; ties break toward the lower index.
 /// Requires a non-empty vector.
 size_t ArgMax(const std::vector<double>& values);

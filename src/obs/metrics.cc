@@ -5,136 +5,124 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
 
 namespace ppdp::obs {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  PPDP_CHECK(!bounds_.empty()) << "histogram needs at least one bucket bound";
-  for (size_t i = 1; i < bounds_.size(); ++i) {
-    PPDP_CHECK(bounds_[i] > bounds_[i - 1]) << "bucket bounds must be strictly increasing";
+void BucketAccumulator::Add(const std::vector<double>& bounds, double value) {
+  if (!bounds.empty()) {
+    ++counts[std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin()];
   }
-  counts_.assign(bounds_.size() + 1, 0);
+  if (count == 0 || value < min) min = value;
+  if (count == 0 || value > max) max = value;
+  ++count;
+  sum += value;
 }
 
-void Histogram::Observe(double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t bucket =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin();
-  ++counts_[bucket];
-  sum_ += value;
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  if (samples_.size() < kExactSampleCap) samples_.push_back(value);
-  ++count_;
+void BucketAccumulator::Merge(const BucketAccumulator& other) {
+  if (other.count == 0) return;
+  for (size_t b = 0; b < counts.size(); ++b) counts[b] += other.counts[b];
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  count += other.count;
+  sum += other.sum;
 }
 
-uint64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
+void BucketAccumulator::Reset(size_t num_bounds) {
+  counts.assign(num_bounds == 0 ? 0 : num_bounds + 1, 0);
+  count = 0;
+  sum = 0.0;
+  min = 0.0;
+  max = 0.0;
 }
 
-double Histogram::sum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sum_;
-}
-
-double Histogram::mean() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double Histogram::min() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return min_;
-}
-
-double Histogram::max() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_;
-}
-
-std::vector<uint64_t> Histogram::bucket_counts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
-}
-
-std::vector<uint64_t> Histogram::CumulativeBucketCounts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<uint64_t> cumulative(counts_.size(), 0);
-  uint64_t running = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    running += counts_[i];
-    cumulative[i] = running;
-  }
-  return cumulative;
-}
-
-double Histogram::ApproxQuantile(double q) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return BucketQuantile(bounds_, counts_, count_, min_, max_, q);
-}
-
-double Histogram::QuantileLocked(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (count_ <= samples_.size()) {
-    // Exact: type-7 (linear interpolation between closest ranks) over the
-    // retained raw observations. A single sample or all-equal samples
-    // collapse every quantile to that value.
-    std::vector<double> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
-    double position = q * static_cast<double>(sorted.size() - 1);
-    size_t lo = static_cast<size_t>(position);
-    size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double within = position - static_cast<double>(lo);
-    return sorted[lo] + within * (sorted[hi] - sorted[lo]);
-  }
-  return BucketQuantile(bounds_, counts_, count_, min_, max_, q);
-}
-
-double Histogram::Quantile(double q) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return QuantileLocked(q);
-}
-
-void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  samples_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-double BucketQuantile(const std::vector<double>& bounds, const std::vector<uint64_t>& counts,
-                      uint64_t count, double min, double max, double q) {
+double BucketQuantile(const std::vector<double>& bounds, const BucketAccumulator& buckets,
+                      double q) {
+  const uint64_t count = buckets.count;
+  const double min = buckets.min;
+  const double max = buckets.max;
   if (count == 0) return 0.0;
   if (count == 1) return max;
   const double rank = std::min(std::max(q, 0.0), 1.0) * static_cast<double>(count);
   uint64_t cumulative = 0;
-  for (size_t b = 0; b < counts.size(); ++b) {
-    if (counts[b] == 0) continue;
+  for (size_t b = 0; b < buckets.counts.size(); ++b) {
+    if (buckets.counts[b] == 0) continue;
     const double before = static_cast<double>(cumulative);
-    cumulative += counts[b];
+    cumulative += buckets.counts[b];
     if (static_cast<double>(cumulative) >= rank) {
       double lo = b == 0 ? std::min(min, bounds[0]) : bounds[b - 1];
       double hi = b < bounds.size() ? bounds[b] : max;
       lo = std::max(lo, min);
       hi = std::min(hi, max);
       if (hi <= lo) return std::min(std::max(lo, min), max);
-      const double within = (rank - before) / static_cast<double>(counts[b]);
+      const double within = (rank - before) / static_cast<double>(buckets.counts[b]);
       return lo + within * (hi - lo);
     }
   }
   return max;
+}
+
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)), buckets_(bounds_.size()) {
+  PPDP_CHECK(!bounds_.empty()) << "histogram needs at least one bucket bound";
+  for (size_t i = 1; i < bounds_.size(); ++i) {
+    PPDP_CHECK(bounds_[i] > bounds_[i - 1]) << "bucket bounds must be strictly increasing";
+  }
+}
+
+void Histogram::Observe(double value) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  buckets_.Add(bounds_, value);
+}
+
+uint64_t Histogram::count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buckets_.count;
+}
+
+double Histogram::sum() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buckets_.sum;
+}
+
+double Histogram::mean() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buckets_.count == 0 ? 0.0 : buckets_.sum / static_cast<double>(buckets_.count);
+}
+
+double Histogram::min() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buckets_.min;
+}
+
+double Histogram::max() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buckets_.max;
+}
+
+std::vector<uint64_t> Histogram::bucket_counts() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buckets_.counts;
+}
+
+std::vector<uint64_t> Histogram::CumulativeBucketCounts() const {
+  std::vector<uint64_t> cumulative = bucket_counts();
+  for (size_t i = 1; i < cumulative.size(); ++i) cumulative[i] += cumulative[i - 1];
+  return cumulative;
+}
+
+double Histogram::Quantile(double q) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return BucketQuantile(bounds_, buckets_, q);
+}
+
+void Histogram::Reset() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  buckets_.Reset(bounds_.size());
 }
 
 std::string SanitizeMetricName(std::string_view name) {
@@ -186,27 +174,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name, const std::vector
   return *slot;
 }
 
-Table MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Table table({"metric", "type", "count", "value", "mean", "p50", "p95", "p99", "max"});
-  for (const auto& [name, c] : counters_) {
-    table.AddRow({name, "counter", std::to_string(c->value()), std::to_string(c->value()), "", "",
-                  "", "", ""});
-  }
-  for (const auto& [name, g] : gauges_) {
-    table.AddRow({name, "gauge", "", Table::FormatDouble(g->value(), 6), "", "", "", "", ""});
-  }
-  for (const auto& [name, h] : histograms_) {
-    table.AddRow({name, "histogram", std::to_string(h->count()),
-                  Table::FormatDouble(h->sum(), 6), Table::FormatDouble(h->mean(), 6),
-                  Table::FormatDouble(h->Quantile(0.5), 6),
-                  Table::FormatDouble(h->Quantile(0.95), 6),
-                  Table::FormatDouble(h->Quantile(0.99), 6),
-                  Table::FormatDouble(h->max(), 6)});
-  }
-  return table;
-}
-
 std::vector<MetricsRegistry::HistogramSummary> MetricsRegistry::HistogramSummaries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<HistogramSummary> rows;
@@ -233,27 +200,6 @@ std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterValues() c
   for (const auto& [name, c] : counters_) rows.emplace_back(name, c->value());
   return rows;
 }
-
-std::vector<std::pair<std::string, double>> MetricsRegistry::GaugeValues() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, double>> rows;
-  rows.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) rows.emplace_back(name, g->value());
-  return rows;
-}
-
-namespace {
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-}  // namespace
 
 namespace {
 
@@ -314,57 +260,6 @@ std::string MetricsRegistry::ToPrometheus() const {
     out += prom + "_count " + std::to_string(total) + "\n";
   }
   return out;
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out += ",";
-    first = false;
-  };
-  for (const auto& [name, c] : counters_) {
-    comma();
-    AppendJsonString(out, name);
-    out += ":{\"type\":\"counter\",\"value\":" + std::to_string(c->value()) + "}";
-  }
-  for (const auto& [name, g] : gauges_) {
-    comma();
-    AppendJsonString(out, name);
-    out += ":{\"type\":\"gauge\",\"value\":" + Table::FormatDouble(g->value(), 9) + "}";
-  }
-  for (const auto& [name, h] : histograms_) {
-    comma();
-    AppendJsonString(out, name);
-    out += ":{\"type\":\"histogram\",\"count\":" + std::to_string(h->count()) +
-           ",\"sum\":" + Table::FormatDouble(h->sum(), 9) +
-           ",\"p50\":" + Table::FormatDouble(h->Quantile(0.5), 9) +
-           ",\"p95\":" + Table::FormatDouble(h->Quantile(0.95), 9) +
-           ",\"p99\":" + Table::FormatDouble(h->Quantile(0.99), 9) + ",\"bounds\":[";
-    const auto& bounds = h->bounds();
-    for (size_t i = 0; i < bounds.size(); ++i) {
-      if (i) out += ",";
-      out += Table::FormatDouble(bounds[i], 9);
-    }
-    out += "],\"buckets\":[";
-    auto counts = h->bucket_counts();
-    for (size_t i = 0; i < counts.size(); ++i) {
-      if (i) out += ",";
-      out += std::to_string(counts[i]);
-    }
-    out += "]}";
-  }
-  out += "}";
-  return out;
-}
-
-Status MetricsRegistry::WriteJson(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) return Status::NotFound("cannot open " + path + " for writing");
-  file << ToJson() << "\n";
-  if (!file.good()) return Status::Internal("write to " + path + " failed");
-  return Status::Ok();
 }
 
 void MetricsRegistry::Reset() {

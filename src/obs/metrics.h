@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/table.h"
 
 namespace ppdp::obs {
 
@@ -43,13 +42,42 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket i counts observations <= bounds[i]; one
-/// implicit overflow bucket counts the rest. Tracks count/sum/min/max for
-/// exact means, and keeps the first kExactSampleCap raw observations so the
-/// latency percentiles published in run reports are *exact* for every
-/// realistic bench population (26 benches observe well under the cap) and
-/// only degrade to bucket interpolation beyond it. Thread-safe (mutex;
-/// observations are rare enough that contention is irrelevant here).
+/// Bucketed distribution over fixed bounds: counts[i] counts observations
+/// <= bounds[i] (and above bounds[i - 1]); the final entry is the overflow
+/// bucket. Keeps count/sum/min/max alongside for exact means and observed
+/// extremes; with no bounds it keeps only those (and allocates nothing).
+/// Not synchronized: Histogram and every SlidingWindow ring slot hold one
+/// under their own mutex, and pass in the bounds they own.
+struct BucketAccumulator {
+  explicit BucketAccumulator(size_t num_bounds = 0) { Reset(num_bounds); }
+
+  void Add(const std::vector<double>& bounds, double value);
+  /// Folds `other` (same bounds) into this one.
+  void Merge(const BucketAccumulator& other);
+  /// Empties the accumulator and sizes it for `num_bounds` bounds, reusing
+  /// its storage.
+  void Reset(size_t num_bounds);
+
+  std::vector<uint64_t> counts;
+  uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;  ///< 0 when empty
+  double max = 0.0;  ///< 0 when empty
+};
+
+/// Quantile q (clamped to [0, 1]) of a bucketed population, interpolated
+/// linearly inside the bucket that covers rank q * count. The covering
+/// bucket's edges are first clamped to the observed [min, max], so a
+/// population sitting inside one wide bucket interpolates over where it
+/// actually lies. 0 when empty, max when count == 1. The one quantile
+/// estimator of Histogram and SlidingWindow.
+double BucketQuantile(const std::vector<double>& bounds, const BucketAccumulator& buckets,
+                      double q);
+
+/// Fixed-bucket histogram: a BucketAccumulator under a mutex. Quantiles are
+/// bucket-interpolated (BucketQuantile); callers that need exact
+/// percentiles keep their own samples (see QuantileOfSorted). Thread-safe
+/// (observations are rare enough that contention is irrelevant here).
 class Histogram {
  public:
   /// `bounds` must be strictly increasing and non-empty.
@@ -68,43 +96,18 @@ class Histogram {
   std::vector<uint64_t> bucket_counts() const;
   /// Prometheus-style cumulative counts: entry i is the number of
   /// observations <= bounds()[i]; the final entry is the "+Inf" bucket and
-  /// always equals count(). (bucket_counts() is per-bucket, which is what
-  /// the JSON exports keep emitting; the text exposition needs `le`
-  /// cumulative semantics.)
+  /// always equals count(). (bucket_counts() is per-bucket; the text
+  /// exposition needs `le` cumulative semantics.)
   std::vector<uint64_t> CumulativeBucketCounts() const;
-  /// Bucket-interpolated quantile estimate (BucketQuantile), q in [0, 1].
-  double ApproxQuantile(double q) const;
-  /// Best available quantile: exact (linear interpolation over the retained
-  /// raw samples) while count() <= kExactSampleCap, bucket-interpolated
-  /// after; 0 when empty, the sample itself when count() == 1.
+  /// BucketQuantile over the buckets, q in [0, 1].
   double Quantile(double q) const;
   void Reset();
 
-  /// Raw observations retained for exact quantiles.
-  static constexpr size_t kExactSampleCap = 4096;
-
  private:
-  double QuantileLocked(double q) const;  // requires mutex_ held
-
   std::vector<double> bounds_;
   mutable std::mutex mutex_;
-  std::vector<uint64_t> counts_;  ///< bounds_.size() + 1 entries
-  std::vector<double> samples_;   ///< first kExactSampleCap observations
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  BucketAccumulator buckets_;
 };
-
-/// Quantile q (clamped to [0, 1]) of a bucketed population, interpolated
-/// linearly inside the bucket that covers rank q * count. `counts[i]` counts
-/// observations <= bounds[i] (and above the previous bound); the final entry
-/// is the overflow bucket. The covering bucket's edges are first clamped to
-/// the observed [min, max], so a population sitting inside one wide bucket
-/// interpolates over where it actually lies. 0 when count == 0, max when
-/// count == 1. Histogram and SlidingWindow both estimate through it.
-double BucketQuantile(const std::vector<double>& bounds, const std::vector<uint64_t>& counts,
-                      uint64_t count, double min, double max, double q);
 
 /// Default latency buckets in seconds: 10µs .. 10s, one per decade plus
 /// half-decades — wide enough for both per-iteration and per-phase timings.
@@ -136,10 +139,6 @@ class MetricsRegistry {
   /// name ignore `bounds`.
   Histogram& histogram(const std::string& name, const std::vector<double>& bounds = {});
 
-  /// One row per metric: metric, type, count, value, mean, p50, p95, p99,
-  /// max. Counters/gauges fill count/value only. Rows are name-sorted.
-  Table Snapshot() const;
-
   /// Structured read-outs for RunReport serialization (name-sorted).
   struct HistogramSummary {
     std::string name;
@@ -153,12 +152,6 @@ class MetricsRegistry {
   };
   std::vector<HistogramSummary> HistogramSummaries() const;
   std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
-  std::vector<std::pair<std::string, double>> GaugeValues() const;
-
-  /// Compact JSON object keyed by metric name; histograms include bucket
-  /// bounds and counts.
-  std::string ToJson() const;
-  Status WriteJson(const std::string& path) const;
 
   /// Prometheus text exposition format 0.0.4: every metric gets a
   /// `# HELP`/`# TYPE` pair followed by its samples, with names passed

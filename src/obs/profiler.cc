@@ -137,8 +137,11 @@ size_t CaptureBacktrace(void* ucontext_raw, const ThreadSlot* slot, void** frame
 void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* ucontext_raw) {
   int saved_errno = errno;
   ThreadSlot* slot = t_slot;
-  if (slot != nullptr && g_running.load(std::memory_order_relaxed)) {
-    Sample* buffer = slot->buffer.load(std::memory_order_relaxed);
+  // Acquire pairs with the release stores in Profiler::Start and
+  // RegisterCurrentThread, so the buffer's allocation happens-before the
+  // handler's writes into it.
+  if (slot != nullptr && g_running.load(std::memory_order_acquire)) {
+    Sample* buffer = slot->buffer.load(std::memory_order_acquire);
     if (buffer != nullptr) {
       uint64_t head = slot->head.load(std::memory_order_relaxed);
       if (head >= Profiler::kMaxSamplesPerThread) {

@@ -1,9 +1,9 @@
 #include "obs/report.h"
 
-#include <ctime>
 #include <fstream>
 
 #include "obs/log.h"
+#include "obs/profiler.h"
 #include "obs/recorder.h"
 
 namespace ppdp::obs {
@@ -60,16 +60,6 @@ RunReport::BuildInfo CurrentBuildInfo() {
   return info;
 }
 
-double ProcessCpuSeconds() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-#endif
-  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-}
-
 void CollectGlobalTelemetry(RunReport* report) {
   report->build = CurrentBuildInfo();
   report->phases = TraceRecorder::Global().PhaseStatsSorted();
@@ -82,7 +72,8 @@ void CollectGlobalTelemetry(RunReport* report) {
   report->flight.dumped = recorder.dumped();
 
   report->wall_seconds = MonotonicSeconds();
-  report->cpu_seconds = ProcessCpuSeconds();
+  const ProcessCpu cpu = ReadProcessCpu();
+  report->cpu_seconds = cpu.user_seconds + cpu.system_seconds;
 }
 
 JsonValue RunReport::ToJson() const {

@@ -120,9 +120,6 @@ struct RunReport {
 /// Build metadata from compile-time macros.
 RunReport::BuildInfo CurrentBuildInfo();
 
-/// CPU seconds consumed by the whole process so far.
-double ProcessCpuSeconds();
-
 /// Fills `report`'s telemetry sections from the obs-layer global collectors:
 /// build info, trace phases, metric histograms/counters, flight-recorder
 /// stats, and wall/CPU totals. Flags/seed/outputs/ledgers/fault stay

@@ -21,8 +21,8 @@ bool ValidRuleName(const std::string& name) {
 }
 
 /// Windowed latency histogram bounds: finer than DefaultLatencyBoundsSeconds
-/// in the 1ms..5s band where request SLOs actually live, since windowed
-/// quantiles have no exact-sample fallback to lean on.
+/// in the 1ms..5s band where request SLOs actually live, since a windowed
+/// quantile is only as sharp as its buckets.
 std::vector<double> RequestLatencyBounds() {
   return {0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
           0.25,   0.5,   1.0,    2.5,   5.0,  10.0,  30.0};
@@ -53,13 +53,7 @@ SlidingWindow::Bucket& SlidingWindow::BucketFor(double now) {
   Bucket& bucket = ring_[RingPosition(index, ring_.size())];
   if (bucket.index != index) {
     bucket.index = index;
-    bucket.count = 0;
-    bucket.sum = 0.0;
-    bucket.min = 0.0;
-    bucket.max = 0.0;
-    if (!options_.bounds.empty()) {
-      bucket.bound_counts.assign(options_.bounds.size() + 1, 0);
-    }
+    bucket.stats.Reset(options_.bounds.size());
   }
   return bucket;
 }
@@ -80,7 +74,7 @@ void SlidingWindow::ForEachBucketIn(int64_t first, int64_t current, Visit&& visi
   auto visit_range = [&](size_t begin, size_t end) {  // positions [begin, end)
     for (size_t pos = begin; pos < end; ++pos) {
       const Bucket& bucket = ring_[pos];
-      if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
+      if (bucket.index < first || bucket.index > current || bucket.stats.count == 0) continue;
       visit(bucket);
     }
   };
@@ -102,21 +96,7 @@ void SlidingWindow::ForEachBucketIn(int64_t first, int64_t current, Visit&& visi
 
 void SlidingWindow::Add(double value, double now) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Bucket& bucket = BucketFor(now);
-  if (bucket.count == 0) {
-    bucket.min = value;
-    bucket.max = value;
-  } else {
-    bucket.min = std::min(bucket.min, value);
-    bucket.max = std::max(bucket.max, value);
-  }
-  ++bucket.count;
-  bucket.sum += value;
-  if (!options_.bounds.empty()) {
-    size_t b = 0;
-    while (b < options_.bounds.size() && value > options_.bounds[b]) ++b;
-    ++bucket.bound_counts[b];
-  }
+  BucketFor(now).stats.Add(options_.bounds, value);
 }
 
 SlidingWindow::WindowStats SlidingWindow::StatsOver(double window_seconds, double now) const {
@@ -125,8 +105,8 @@ SlidingWindow::WindowStats SlidingWindow::StatsOver(double window_seconds, doubl
   const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
   WindowStats stats;
   ForEachBucketIn(first, current, [&](const Bucket& bucket) {
-    stats.count += bucket.count;
-    stats.sum += bucket.sum;
+    stats.count += bucket.stats.count;
+    stats.sum += bucket.stats.sum;
   });
   if (stats.count > 0) stats.mean = stats.sum / static_cast<double>(stats.count);
   return stats;
@@ -137,27 +117,18 @@ double SlidingWindow::RateOver(double window_seconds, double now) const {
   return StatsOver(window_seconds, now).sum / window_seconds;
 }
 
-double SlidingWindow::QuantileOver(double window_seconds, double q, double now) const {
+BucketAccumulator SlidingWindow::MergedOver(double window_seconds, double now) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (options_.bounds.empty()) return 0.0;
   const int64_t first = FirstIndex(window_seconds, now);
   const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  std::vector<uint64_t> merged(options_.bounds.size() + 1, 0);
-  uint64_t count = 0;
-  double lo_seen = 0.0;
-  double hi_seen = 0.0;
-  ForEachBucketIn(first, current, [&](const Bucket& bucket) {
-    for (size_t b = 0; b < merged.size(); ++b) merged[b] += bucket.bound_counts[b];
-    if (count == 0) {
-      lo_seen = bucket.min;
-      hi_seen = bucket.max;
-    } else {
-      lo_seen = std::min(lo_seen, bucket.min);
-      hi_seen = std::max(hi_seen, bucket.max);
-    }
-    count += bucket.count;
-  });
-  return BucketQuantile(options_.bounds, merged, count, lo_seen, hi_seen, q);
+  BucketAccumulator merged(options_.bounds.size());
+  ForEachBucketIn(first, current, [&](const Bucket& bucket) { merged.Merge(bucket.stats); });
+  return merged;
+}
+
+double SlidingWindow::QuantileOver(double window_seconds, double q, double now) const {
+  if (options_.bounds.empty()) return 0.0;
+  return BucketQuantile(options_.bounds, MergedOver(window_seconds, now), q);
 }
 
 // ----------------------------------------------------------------- rule model

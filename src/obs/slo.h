@@ -13,6 +13,7 @@
 #include "common/json.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "obs/rotating_log.h"
 
 namespace ppdp::obs {
@@ -33,10 +34,10 @@ using SloClock = std::function<double()>;
 /// [b*bucket_seconds, (b+1)*bucket_seconds); a windowed query merges the
 /// last ceil(window/bucket) buckets, so answers lag true sliding-window
 /// semantics by at most one bucket — the standard multi-bucket
-/// approximation. With `bounds` set, each bucket additionally histograms
-/// its observations so windowed quantiles are available (bucket
-/// interpolation, same scheme as obs::Histogram beyond its exact cap).
-/// Thread-safe; stale buckets are lazily recycled on the next touch.
+/// approximation. Each bucket is an obs::BucketAccumulator over `bounds`,
+/// so a windowed quantile is BucketQuantile over the merged buckets, the
+/// same estimate obs::Histogram gives. Thread-safe; stale buckets are
+/// lazily recycled on the next touch.
 class SlidingWindow {
  public:
   struct Options {
@@ -64,8 +65,12 @@ class SlidingWindow {
   /// called with value 1, ε-per-second when called with ε, ...).
   double RateOver(double window_seconds, double now) const;
 
-  /// Bucket-interpolated quantile over the window; 0 when the window is
-  /// empty or the window was built without bounds.
+  /// Every bucket inside the window merged into one accumulator over
+  /// `bounds` (what QuantileOver estimates from).
+  BucketAccumulator MergedOver(double window_seconds, double now) const;
+
+  /// BucketQuantile over MergedOver; 0 when the window is empty or the
+  /// window was built without bounds.
   double QuantileOver(double window_seconds, double q, double now) const;
 
   double bucket_seconds() const { return options_.bucket_seconds; }
@@ -76,11 +81,7 @@ class SlidingWindow {
  private:
   struct Bucket {
     int64_t index = -1;  ///< absolute bucket index; -1 = never used
-    uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<uint64_t> bound_counts;  ///< bounds.size()+1 when bounds set
+    BucketAccumulator stats;
   };
 
   Bucket& BucketFor(double now);  // requires mutex_ held

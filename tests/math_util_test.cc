@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -55,6 +56,32 @@ TEST(MeanVarianceTest, KnownValues) {
   EXPECT_DOUBLE_EQ(Variance({5.0, 5.0, 5.0}), 0.0);
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(Variance({}), 0.0);
+}
+
+TEST(QuantileOfSortedTest, InterpolatesBetweenClosestRanks) {
+  std::vector<double> values;
+  for (int i = 1; i <= 99; ++i) values.push_back(static_cast<double>(i));
+  // Type 7 over 1..99: the median is exactly 50, p99 interpolates near the top.
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(values, 0.5), 50.0);
+  EXPECT_NEAR(QuantileOfSorted(values, 0.99), 98.02, 1e-9);
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(values, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(values, 1.0), 99.0);
+}
+
+TEST(QuantileOfSortedTest, EmptySingleAndAllEqualInputs) {
+  EXPECT_DOUBLE_EQ(QuantileOfSorted({}, 0.5), 0.0) << "empty input quantiles are 0";
+  const std::vector<double> single = {1.7};
+  const std::vector<double> equal(10, 3.0);
+  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(QuantileOfSorted(single, q), 1.7) << "q=" << q;
+    EXPECT_DOUBLE_EQ(QuantileOfSorted(equal, q), 3.0) << "q=" << q;
+  }
+  // Out-of-range q is clamped, not UB.
+  const std::vector<double> two = {1.0, 2.0};
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(two, -0.5), 1.0);
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(two, 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(equal, -0.5), 3.0);
+  EXPECT_DOUBLE_EQ(QuantileOfSorted(equal, 2.0), 3.0);
 }
 
 TEST(ArgMaxTest, TiesBreakLow) {

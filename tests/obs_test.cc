@@ -129,11 +129,11 @@ TEST_F(ObsTest, HistogramBucketsAndStats) {
   EXPECT_EQ(histogram.bucket_counts(), expected);
 
   // The median falls in the (1, 2] bucket; quantiles must be monotone.
-  double p50 = histogram.ApproxQuantile(0.5);
+  double p50 = histogram.Quantile(0.5);
   EXPECT_GT(p50, 1.0);
   EXPECT_LE(p50, 2.0);
-  EXPECT_LE(histogram.ApproxQuantile(0.25), p50);
-  EXPECT_LE(p50, histogram.ApproxQuantile(0.95));
+  EXPECT_LE(histogram.Quantile(0.25), p50);
+  EXPECT_LE(p50, histogram.Quantile(0.95));
 
   histogram.Reset();
   EXPECT_EQ(histogram.count(), 0u);
@@ -150,23 +150,6 @@ TEST_F(ObsTest, RegistryReturnsStableReferencesAcrossReset) {
   EXPECT_EQ(counter.value(), 0u) << "Reset zeroes but keeps the registration";
   counter.Increment();
   EXPECT_EQ(registry.counter("test.counter").value(), 1u);
-}
-
-TEST_F(ObsTest, RegistrySnapshotListsEveryMetric) {
-  MetricsRegistry registry;
-  registry.counter("a.count").Increment(7);
-  registry.gauge("b.gauge").Set(1.25);
-  registry.histogram("c.hist", {1.0, 10.0}).Observe(0.5);
-
-  Table snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.num_rows(), 3u);
-  EXPECT_EQ(snapshot.row(0)[0], "a.count");
-  EXPECT_EQ(snapshot.row(1)[0], "b.gauge");
-  EXPECT_EQ(snapshot.row(2)[0], "c.hist");
-
-  std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"a.count\""), std::string::npos);
-  EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
 }
 
 /// The global recorder's row for phase `name` (count 0 when none closed).
@@ -386,7 +369,6 @@ TEST_F(ObsTest, HistogramQuantilesOnEmptySingleAndAllEqualSamples) {
   Histogram empty({1.0, 2.0});
   EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 0.0) << "empty histogram quantiles are 0";
   EXPECT_DOUBLE_EQ(empty.Quantile(0.99), 0.0);
-  EXPECT_DOUBLE_EQ(empty.ApproxQuantile(0.5), 0.0);
 
   Histogram single({1.0, 2.0});
   single.Observe(1.7);
@@ -405,40 +387,9 @@ TEST_F(ObsTest, HistogramQuantilesOnEmptySingleAndAllEqualSamples) {
   EXPECT_DOUBLE_EQ(equal.Quantile(2.0), 3.0);
 }
 
-TEST_F(ObsTest, HistogramQuantilesAreExactUnderTheSampleCap) {
-  Histogram histogram({10.0, 100.0});
-  for (int i = 1; i <= 99; ++i) histogram.Observe(static_cast<double>(i));
-  // Type-7 over 1..99: the median is exactly 50, p99 interpolates near the top.
-  EXPECT_DOUBLE_EQ(histogram.Quantile(0.5), 50.0);
-  EXPECT_NEAR(histogram.Quantile(0.99), 98.02, 1e-9);
-  EXPECT_DOUBLE_EQ(histogram.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(histogram.Quantile(1.0), 99.0);
-}
-
-TEST_F(ObsTest, HistogramQuantilesDegradeToBucketsBeyondTheCap) {
-  Histogram histogram({0.5});
-  const size_t n = Histogram::kExactSampleCap + 100;
-  for (size_t i = 0; i < n; ++i) {
-    histogram.Observe(static_cast<double>(i) / static_cast<double>(n - 1));
-  }
-  // Beyond the retention cap the estimate is bucket-interpolated: still
-  // monotone and clamped to the observed extremes.
-  double p50 = histogram.Quantile(0.5);
-  double p95 = histogram.Quantile(0.95);
-  double p99 = histogram.Quantile(0.99);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GE(p50, histogram.min());
-  EXPECT_LE(p99, histogram.max());
-  EXPECT_NEAR(p50, 0.5, 0.05);
-
-  histogram.Reset();
-  EXPECT_DOUBLE_EQ(histogram.Quantile(0.5), 0.0) << "Reset must drop retained samples";
-}
-
 TEST_F(ObsTest, BucketQuantileInterpolatesOverTheObservedRange) {
-  // Beyond the sample cap, inside one wide default bucket (1..3 ms): the
-  // median lies where the observations do, not at their minimum.
+  // Inside one wide default bucket (1..3 ms): the median lies where the
+  // observations do, not at their minimum.
   Histogram histogram(DefaultLatencyBoundsSeconds());
   SlidingWindow window({.bucket_seconds = 10.0, .num_buckets = 1,
                         .bounds = DefaultLatencyBoundsSeconds()});
@@ -450,7 +401,53 @@ TEST_F(ObsTest, BucketQuantileInterpolatesOverTheObservedRange) {
   }
   EXPECT_NEAR(histogram.Quantile(0.5), 2.25e-3, 1e-9);
   EXPECT_DOUBLE_EQ(histogram.Quantile(0.5), window.QuantileOver(10.0, 0.5, 1.0));
-  EXPECT_DOUBLE_EQ(histogram.ApproxQuantile(0.95), window.QuantileOver(10.0, 0.95, 1.0));
+  EXPECT_DOUBLE_EQ(histogram.Quantile(0.95), window.QuantileOver(10.0, 0.95, 1.0));
+
+  // Both keep one BucketAccumulator per bucket, so they agree on bucket
+  // counts and on every quantile for values on every bound (le semantics:
+  // a bound belongs to its own bucket), below the first bound, above the
+  // last, and negative.
+  const std::vector<double> bounds = {-1.0, 0.0, 1.0, 2.5, 10.0};
+  const std::vector<double> values = {-7.5, -3.0, -1.0, -0.5, 0.0, 0.3, 1.0,
+                                      1.7,  2.5,  5.0,  10.0, 11.0, 40.0};
+  Histogram edges(bounds);
+  // A 4 s ring fed for 12 s wraps twice. Only the last lap [8, 12) is
+  // inside the window; the earlier laps carry other values, so a recycled
+  // bucket that leaked into the merge would change the answer.
+  SlidingWindow ring({.bucket_seconds = 1.0, .num_buckets = 4, .bounds = bounds});
+  for (int t = 0; t < 12; ++t) {
+    for (double value : values) {
+      if (t < 8) {
+        ring.Add(3.0 * value + 20.0, t + 0.5);
+        continue;
+      }
+      ring.Add(value, t + 0.5);
+      edges.Observe(value);
+    }
+  }
+  const BucketAccumulator merged = ring.MergedOver(4.0, 11.5);
+  const std::vector<uint64_t> expected = {12, 8, 8, 8, 8, 8};  // 4 seconds of 3,2,2,2,2,2
+  EXPECT_EQ(edges.bucket_counts(), expected);
+  EXPECT_EQ(merged.counts, expected);
+  EXPECT_EQ(merged.count, edges.count());
+  EXPECT_DOUBLE_EQ(merged.sum, edges.sum());
+  EXPECT_EQ(merged.min, edges.min());
+  EXPECT_EQ(merged.max, edges.max());
+  EXPECT_DOUBLE_EQ(edges.Quantile(0.0), -7.5);
+  EXPECT_DOUBLE_EQ(edges.Quantile(1.0), 40.0);
+  double previous = edges.min();
+  for (int i = -10; i <= 30; ++i) {
+    const double q = i / 20.0;  // includes q < 0 and q > 1 (clamped)
+    const double estimate = edges.Quantile(q);
+    EXPECT_EQ(estimate, ring.QuantileOver(4.0, q, 11.5)) << "q=" << q;
+    EXPECT_GE(estimate, previous) << "quantiles must be monotone in q; q=" << q;
+    EXPECT_LE(estimate, edges.max()) << "q=" << q;
+    previous = estimate;
+  }
+
+  edges.Reset();
+  EXPECT_DOUBLE_EQ(edges.Quantile(0.5), 0.0) << "Reset empties the buckets";
+  EXPECT_EQ(edges.bucket_counts(), std::vector<uint64_t>(bounds.size() + 1, 0));
 }
 
 TEST_F(ObsTest, JsonLogRecordIsParseableAndEscaped) {

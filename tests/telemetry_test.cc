@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,14 +29,11 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/sampler.h"
 #include "obs/telemetry_server.h"
 #include "obs/trace.h"
 
 namespace ppdp::obs {
 namespace {
-
-std::string TempPath(const std::string& name) { return ::testing::TempDir() + "/" + name; }
 
 /// Minimal blocking HTTP client against 127.0.0.1:`port`: sends `request`
 /// verbatim, reads until the server closes, and splits status code, raw
@@ -619,91 +615,6 @@ TEST(ThreadPoolStatsTest, GlobalStatsRacesResizeSafely) {
   EXPECT_GE(stats.submitted, stats.executed);
   EXPECT_GT(stats.executed, 0u);
   ASSERT_TRUE(exec::ThreadPool::SetGlobalThreads(0).ok());
-}
-
-TEST(TimeSeriesSamplerTest, WritesSchemaValidJsonl) {
-  const std::string path = TempPath("telemetry_sampler.jsonl");
-  TimeSeriesSampler sampler({.path = path, .period_ms = 5});
-  ASSERT_TRUE(sampler.Start().ok());
-  for (int i = 0; i < 10; ++i) {
-    MetricsRegistry::Global().counter("sampler.test.ticks").Increment();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good());
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  ASSERT_GE(lines.size(), 2u);  // at least the Start and Stop samples
-  EXPECT_EQ(lines.size(), sampler.samples_written());
-
-  double last_t = -1.0;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    auto doc = JsonValue::Parse(lines[i]);
-    ASSERT_TRUE(doc.ok()) << "line " << i << ": " << doc.status().ToString();
-    EXPECT_EQ(doc->GetStringOr("schema", ""), "ppdp.timeseries.v2");
-    EXPECT_EQ(doc->GetNumberOr("sample", -1), static_cast<double>(i));
-    double t = doc->GetNumberOr("t_seconds", -1);
-    EXPECT_GE(t, last_t);
-    last_t = t;
-    ASSERT_TRUE(doc->Has("counters"));
-    ASSERT_TRUE(doc->Has("gauges"));
-    ASSERT_TRUE(doc->Has("histograms"));
-    EXPECT_TRUE(doc->Find("counters")->is_object());
-    // v2 addition: per-sample process memory and CPU.
-    const JsonValue* process = doc->Find("process");
-    ASSERT_NE(process, nullptr);
-    EXPECT_GT(process->GetNumberOr("rss_bytes", 0), 0.0);
-    EXPECT_GT(process->GetNumberOr("peak_rss_bytes", 0), 0.0);
-    EXPECT_GE(process->GetNumberOr("cpu_user_seconds", -1), 0.0);
-    EXPECT_GE(process->GetNumberOr("cpu_system_seconds", -1), 0.0);
-  }
-  // The counter bumped mid-run shows up in the final sample.
-  auto final_doc = JsonValue::Parse(lines.back());
-  ASSERT_TRUE(final_doc.ok());
-  EXPECT_GE(final_doc->Find("counters")->GetNumberOr("sampler.test.ticks", 0), 10.0);
-}
-
-TEST(TimeSeriesSamplerTest, V2IsAdditiveOverV1) {
-  // Compatibility contract for the v1→v2 bump: a reader written against
-  // ppdp.timeseries.v1 consumes only the keys below and ignores the rest.
-  // Every one of them must still be present with its v1 shape.
-  JsonValue doc = TimeSeriesSampler::SampleDocument(7, 1.25);
-  EXPECT_EQ(doc.GetNumberOr("sample", -1), 7.0);
-  EXPECT_EQ(doc.GetNumberOr("t_seconds", -1), 1.25);
-  ASSERT_TRUE(doc.Has("counters"));
-  ASSERT_TRUE(doc.Has("gauges"));
-  ASSERT_TRUE(doc.Has("histograms"));
-  EXPECT_TRUE(doc.Find("counters")->is_object());
-  EXPECT_TRUE(doc.Find("gauges")->is_object());
-  EXPECT_TRUE(doc.Find("histograms")->is_object());
-  // The schema tag itself is the only v1 key whose *value* changed; a v1
-  // reader keying behavior on the "ppdp.timeseries." prefix still matches.
-  EXPECT_EQ(doc.GetStringOr("schema", "").rfind("ppdp.timeseries.", 0), 0u);
-  // And the v2 payload rides alongside without displacing anything.
-  ASSERT_TRUE(doc.Has("process"));
-}
-
-TEST(TimeSeriesSamplerTest, RejectsBadOptionsAndDoubleStart) {
-  EXPECT_FALSE(TimeSeriesSampler({.path = "", .period_ms = 5}).Start().ok());
-  EXPECT_FALSE(
-      TimeSeriesSampler({.path = TempPath("x.jsonl"), .period_ms = 0}).Start().ok());
-  EXPECT_FALSE(TimeSeriesSampler({.path = "/nonexistent-dir/x.jsonl", .period_ms = 5})
-                   .Start()
-                   .ok());
-
-  TimeSeriesSampler sampler({.path = TempPath("telemetry_double.jsonl"), .period_ms = 1000});
-  ASSERT_TRUE(sampler.Start().ok());
-  EXPECT_FALSE(sampler.Start().ok());
-  sampler.Stop();
-  sampler.Stop();  // idempotent
-  // Even an immediate Start/Stop leaves a two-point series.
-  EXPECT_GE(sampler.samples_written(), 2u);
 }
 
 TEST(InstrumentationTest, FaultInjectorFiringsReachTheRegistry) {

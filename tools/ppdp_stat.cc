@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/math_util.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -479,11 +480,7 @@ Result<int> RunAttainment(const std::string& path, const std::vector<JsonValue>&
     if (availability) {
       attained = 1.0 - static_cast<double>(errors_5xx) / static_cast<double>(records.size());
     } else {
-      const double rank = rule.quantile * static_cast<double>(latencies_seconds.size() - 1);
-      const size_t lo = static_cast<size_t>(std::floor(rank));
-      const size_t hi = std::min(lo + 1, latencies_seconds.size() - 1);
-      attained = latencies_seconds[lo] +
-                 (rank - std::floor(rank)) * (latencies_seconds[hi] - latencies_seconds[lo]);
+      attained = QuantileOfSorted(latencies_seconds, rule.quantile);
     }
     const bool met = availability ? attained >= rule.objective : attained <= rule.threshold;
     violated = violated || !met;
