@@ -27,19 +27,15 @@ struct KinPrivacy {
 KinPrivacy TargetPrivacy(const GwasCatalog& catalog, const Pedigree& pedigree,
                          const KinView& view, size_t target) {
   auto result = RunKinInference(catalog, pedigree, view, target);
+  const std::vector<size_t>& snps = catalog.associated_snps();
+  std::vector<std::vector<double>> marginals;
   KinPrivacy out;
-  size_t snp_count = 0;
-  std::vector<bool> seen(catalog.num_snps(), false);
-  for (const auto& a : catalog.associations()) {
-    if (seen[a.snp]) continue;
-    seen[a.snp] = true;
-    out.snp_entropy += EntropyPrivacy(result.snp_marginals[a.snp]);
-    out.truth_confidence += result.snp_marginals[a.snp][static_cast<size_t>(
-        view.members[target].genotypes[a.snp])];
-    ++snp_count;
+  for (size_t s : snps) {
+    marginals.push_back(result.snp_marginals[s]);
+    out.snp_entropy += EntropyPrivacy(result.snp_marginals[s]);
   }
-  out.snp_entropy /= static_cast<double>(snp_count);
-  out.truth_confidence /= static_cast<double>(snp_count);
+  out.snp_entropy /= static_cast<double>(snps.size());
+  out.truth_confidence = TruthConfidence(catalog, view.members[target], marginals);
   return out;
 }
 

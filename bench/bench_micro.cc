@@ -31,6 +31,7 @@
 #include "genomics/genome_data.h"
 #include "genomics/gwas_catalog.h"
 #include "genomics/inference_attack.h"
+#include "genomics/pedigree.h"
 #include "genomics/snp_sanitizer.h"
 #include "graph/graph_generators.h"
 #include "graph/centrality.h"
@@ -271,6 +272,34 @@ void BM_GreedySanitize(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySanitize)->Arg(300)->Arg(2000)->Unit(benchmark::kMillisecond);
 
+/// One kin-protection greedy (the Ch.5 engine's other sanitizer):
+/// bench_kin's three-generation family with every relative publishing, its
+/// seed 5 and cap 0.55, on a catalog of `range(0)` SNPs per trait.
+/// bench_kin's 4 per trait take seconds; 2 keep a run well under one.
+void BM_GreedyKinSanitize(benchmark::State& state) {
+  Rng rng(5);
+  ppdp::genomics::SyntheticCatalogConfig config;
+  config.num_snps = 80;
+  config.snps_per_trait = static_cast<size_t>(state.range(0));
+  auto catalog = GenerateSyntheticCatalog(config, rng);
+  ppdp::genomics::Pedigree pedigree;
+  pedigree.AddFounder();
+  pedigree.AddFounder();
+  pedigree.AddChild(0, 1);
+  pedigree.AddFounder();
+  const size_t target = pedigree.AddChild(2, 3);
+  pedigree.AddChild(2, 3);
+  auto view = MakeKinView(catalog, SampleFamily(catalog, pedigree, rng), {0, 1, 2, 3, 5});
+  ppdp::genomics::KinSanitizeOptions options;
+  options.max_truth_confidence = 0.55;
+  options.max_sanitized = 60;
+  for (auto _ : state) {
+    auto result = GreedyKinSanitize(catalog, pedigree, view, target, options);
+    benchmark::DoNotOptimize(result.confidence_trace);
+  }
+}
+BENCHMARK(BM_GreedyKinSanitize)->Arg(2)->Unit(benchmark::kMillisecond);
+
 /// One SLO evaluation over the default rules after ten minutes of traffic
 /// from 8 tenants that each spend ε every second: what `serve_traced` pays
 /// twice per spending request.
@@ -391,16 +420,19 @@ void BM_CounterIncrement(benchmark::State& state) {
 BENCHMARK(BM_CounterIncrement)->Threads(1)->Threads(4);
 
 /// A PPDP_FAULT_POINT with no plan armed, the state every production run is
-/// in: the call, the point name's std::string (an 11-character name, inside
-/// the small-string buffer) and one relaxed load of the armed flag. The
-/// 4-thread run checks that the disarmed path shares nothing writable.
+/// in: the call and one relaxed load of the armed flag. The argument is the
+/// point name's length: 11 fits a std::string's small buffer, 17 (as in
+/// `ledger.wal.append`) does not, so the two stay equal only while a
+/// disarmed evaluation copies no name. The 4-thread run checks that the
+/// disarmed path shares nothing writable.
 void BM_FaultPointDisarmed(benchmark::State& state) {
+  const char* point = state.range(0) == 11 ? "micro.point" : "micro.point.wider";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PPDP_FAULT_POINT("micro.point", ppdp::fault::kMaskAll));
+    benchmark::DoNotOptimize(PPDP_FAULT_POINT(point, ppdp::fault::kMaskAll));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FaultPointDisarmed)->Threads(1)->Threads(4);
+BENCHMARK(BM_FaultPointDisarmed)->Arg(11)->Arg(17)->Threads(1)->Threads(4);
 
 /// The ε charge every served request makes: validation, the disarmed
 /// `dp.spend` fault point, and the budget check + entry update under the

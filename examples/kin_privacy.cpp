@@ -5,6 +5,7 @@
 //   $ ./kin_privacy [--snps 80] [--seed 9] [--cap 0.55]
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/table.h"
@@ -18,17 +19,9 @@ namespace {
 double TruthConfidence(const GwasCatalog& catalog, const Pedigree& pedigree,
                        const KinView& view, size_t target) {
   auto result = RunKinInference(catalog, pedigree, view, target);
-  double total = 0.0;
-  size_t count = 0;
-  std::vector<bool> seen(catalog.num_snps(), false);
-  for (const auto& a : catalog.associations()) {
-    if (seen[a.snp]) continue;
-    seen[a.snp] = true;
-    total +=
-        result.snp_marginals[a.snp][static_cast<size_t>(view.members[target].genotypes[a.snp])];
-    ++count;
-  }
-  return total / static_cast<double>(count);
+  std::vector<std::vector<double>> marginals;
+  for (size_t s : catalog.associated_snps()) marginals.push_back(result.snp_marginals[s]);
+  return ppdp::genomics::TruthConfidence(catalog, view.members[target], marginals);
 }
 
 }  // namespace

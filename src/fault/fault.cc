@@ -94,8 +94,9 @@ FaultInjector::PointState& FaultInjector::StateFor(const std::string& point) {
   return it->second;
 }
 
-FaultDecision FaultInjector::Evaluate(const std::string& point, FaultMask mask) {
+FaultDecision FaultInjector::Evaluate(std::string_view point_name, FaultMask mask) {
   if (!armed_.load(std::memory_order_relaxed)) return {};
+  const std::string point(point_name);
   static obs::Counter& fired_metric = obs::MetricsRegistry::Global().counter("fault.fired");
   static obs::Counter& eval_metric = obs::MetricsRegistry::Global().counter("fault.evaluations");
   static obs::Counter& drops_metric = obs::MetricsRegistry::Global().counter("fault.drops");

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -109,8 +110,9 @@ class FaultInjector {
 
   /// Evaluates the failure point `point`, honoring only kinds in `mask`.
   /// Registers the point on first evaluation. Returns "no fault" when
-  /// disarmed. Fired decisions increment the "fault.fired" metric.
-  FaultDecision Evaluate(const std::string& point, FaultMask mask);
+  /// disarmed, without copying the name. Fired decisions increment the
+  /// "fault.fired" metric.
+  FaultDecision Evaluate(std::string_view point, FaultMask mask);
 
   /// Every point name evaluated since the last Arm (sorted).
   std::vector<std::string> RegisteredPoints() const;

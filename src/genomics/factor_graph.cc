@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <span>
 
 #include "common/math_util.h"
@@ -88,13 +89,9 @@ FactorGraph::BpResult FactorGraph::RunBeliefPropagation() const {
 FactorGraph::MapResult FactorGraph::RunMaxProduct() const { return RunMaxProduct(BpOptions()); }
 
 FactorGraph::BpResult FactorGraph::RunBeliefPropagation(const BpOptions& options) const {
-  Messages messages = RunMessagePassing(options, /*max_product=*/false);
-  BpResult result;
-  result.iterations = messages.iterations;
-  result.converged = messages.converged;
-  result.marginals.resize(domains_.size());
-  for (size_t v = 0; v < domains_.size(); ++v) result.marginals[v] = Belief(messages, v);
-  return result;
+  std::vector<size_t> all(domains_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  return RunBeliefPropagation(options, all);
 }
 
 FactorGraph::BpResult FactorGraph::RunBeliefPropagation(

@@ -31,6 +31,7 @@ void GwasCatalog::AddAssociation(SnpTraitAssociation association) {
   PPDP_CHECK(association.control_raf > 0.0 && association.control_raf < 1.0);
   PPDP_CHECK(association.odds_ratio > 0.0);
   size_t index = associations_.size();
+  if (by_snp_[association.snp].empty()) associated_snps_.push_back(association.snp);
   by_snp_[association.snp].push_back(index);
   by_trait_[association.trait].push_back(index);
   associations_.push_back(association);

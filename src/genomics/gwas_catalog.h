@@ -66,6 +66,9 @@ class GwasCatalog {
   const std::vector<Trait>& traits() const { return traits_; }
   const std::vector<SnpTraitAssociation>& associations() const { return associations_; }
 
+  /// Each associated SNP once, in first-association order.
+  const std::vector<size_t>& associated_snps() const { return associated_snps_; }
+
   /// Indices into associations() touching the given SNP / trait.
   const std::vector<size_t>& AssociationsOfSnp(size_t snp) const;
   const std::vector<size_t>& AssociationsOfTrait(size_t trait) const;
@@ -78,6 +81,7 @@ class GwasCatalog {
   size_t num_snps_;
   std::vector<Trait> traits_;
   std::vector<SnpTraitAssociation> associations_;
+  std::vector<size_t> associated_snps_;
   std::vector<LdPair> ld_pairs_;
   std::vector<std::vector<size_t>> by_snp_{std::vector<std::vector<size_t>>(num_snps_)};
   std::vector<std::vector<size_t>> by_trait_;

@@ -102,10 +102,7 @@ std::vector<std::vector<double>> ImputeGenotypes(const Individual& person,
   std::vector<size_t> vars = BuildChainGraph(person, chain, graph);
   FactorGraph::BpOptions options;
   options.max_iterations = 2 * chain.num_loci() + 10;  // chains need one sweep per hop
-  FactorGraph::BpResult bp = graph.RunBeliefPropagation(options);
-  std::vector<std::vector<double>> marginals(chain.num_loci());
-  for (size_t i = 0; i < chain.num_loci(); ++i) marginals[i] = bp.marginals[vars[i]];
-  return marginals;
+  return graph.RunBeliefPropagation(options, vars).marginals;
 }
 
 Individual ImputeFill(const Individual& person, const LdChain& chain) {

@@ -17,10 +17,17 @@ const char* AttackMethodName(AttackMethod method) {
   return "?";
 }
 
-void AddIndividualAttackFactors(FactorGraph& graph, const GwasCatalog& catalog,
+void AddIndividualToAttackGraph(FactorGraph& graph, const GwasCatalog& catalog,
+                                const Individual& individual, const std::vector<bool>& snp_known,
+                                const std::vector<bool>& trait_known,
                                 std::vector<size_t>* trait_variable,
                                 std::vector<size_t>* snp_variable) {
   PPDP_CHECK(trait_variable != nullptr && snp_variable != nullptr);
+  PPDP_CHECK(individual.genotypes.size() == catalog.num_snps() &&
+             snp_known.size() == catalog.num_snps() &&
+             individual.traits.size() == catalog.num_traits() &&
+             trait_known.size() == catalog.num_traits())
+      << "individual or its published flags do not match the catalog";
   trait_variable->assign(catalog.num_traits(), std::numeric_limits<size_t>::max());
   snp_variable->assign(catalog.num_snps(), std::numeric_limits<size_t>::max());
 
@@ -70,25 +77,20 @@ void AddIndividualAttackFactors(FactorGraph& graph, const GwasCatalog& catalog,
     }
     graph.AddFactor({(*snp_variable)[ld.a], (*snp_variable)[ld.b]}, std::move(table));
   }
-}
 
-void ClampIndividualEvidence(FactorGraph& graph, const Individual& individual,
-                             const std::vector<bool>& snp_known,
-                             const std::vector<bool>& trait_known,
-                             const std::vector<size_t>& trait_variable,
-                             const std::vector<size_t>& snp_variable) {
-  for (size_t s = 0; s < snp_variable.size(); ++s) {
+  // Evidence: the published genotypes and trait statuses.
+  for (size_t s = 0; s < catalog.num_snps(); ++s) {
     if (!snp_known[s]) continue;
     Genotype g = individual.genotypes[s];
     if (g == kUnknownGenotype) continue;
-    if (snp_variable[s] == std::numeric_limits<size_t>::max()) continue;
-    graph.SetEvidence(snp_variable[s], static_cast<size_t>(g));
+    if ((*snp_variable)[s] == std::numeric_limits<size_t>::max()) continue;
+    graph.SetEvidence((*snp_variable)[s], static_cast<size_t>(g));
   }
-  for (size_t t = 0; t < trait_variable.size(); ++t) {
+  for (size_t t = 0; t < catalog.num_traits(); ++t) {
     if (!trait_known[t]) continue;
     TraitStatus status = individual.traits[t];
     if (status == kUnknownTrait) continue;
-    graph.SetEvidence(trait_variable[t], static_cast<size_t>(status));
+    graph.SetEvidence((*trait_variable)[t], static_cast<size_t>(status));
   }
 }
 
@@ -96,10 +98,24 @@ FactorGraph BuildAttackGraph(const GwasCatalog& catalog, const TargetView& view,
                              std::vector<size_t>* trait_variable,
                              std::vector<size_t>* snp_variable) {
   FactorGraph graph;
-  AddIndividualAttackFactors(graph, catalog, trait_variable, snp_variable);
-  ClampIndividualEvidence(graph, view.individual, view.snp_known, view.trait_known,
-                          *trait_variable, *snp_variable);
+  AddIndividualToAttackGraph(graph, catalog, view.individual, view.snp_known, view.trait_known,
+                             trait_variable, snp_variable);
   return graph;
+}
+
+GenomeAttackResult ReadAttackMarginals(const GwasCatalog& catalog, const FactorGraph::BpResult& bp,
+                                       const std::vector<size_t>& trait_variable,
+                                       const std::vector<size_t>& snp_variable) {
+  GenomeAttackResult result;
+  result.bp_iterations = bp.iterations;
+  result.converged = bp.converged;
+  for (size_t var : trait_variable) result.trait_marginals.push_back(bp.marginals[var]);
+  for (size_t s = 0; s < snp_variable.size(); ++s) {
+    result.snp_marginals.push_back(snp_variable[s] == std::numeric_limits<size_t>::max()
+                                       ? HardyWeinberg(catalog.BackgroundRaf(s))
+                                       : bp.marginals[snp_variable[s]]);
+  }
+  return result;
 }
 
 namespace {
@@ -168,8 +184,6 @@ GenomeAttackResult NaiveBayesInference(const GwasCatalog& catalog, const TargetV
 
 GenomeReconstruction ReconstructGenome(const GwasCatalog& catalog, const TargetView& view,
                                        const FactorGraph::BpOptions& options) {
-  PPDP_CHECK(view.snp_known.size() == catalog.num_snps());
-  PPDP_CHECK(view.trait_known.size() == catalog.num_traits());
   std::vector<size_t> trait_variable, snp_variable;
   FactorGraph graph = BuildAttackGraph(catalog, view, &trait_variable, &snp_variable);
   FactorGraph::MapResult map = graph.RunMaxProduct(options);
@@ -201,24 +215,8 @@ GenomeAttackResult RunGenomeInference(const GwasCatalog& catalog, const TargetVi
 
   std::vector<size_t> trait_variable, snp_variable;
   FactorGraph graph = BuildAttackGraph(catalog, view, &trait_variable, &snp_variable);
-  FactorGraph::BpResult bp = graph.RunBeliefPropagation(options);
-
-  GenomeAttackResult result;
-  result.bp_iterations = bp.iterations;
-  result.converged = bp.converged;
-  result.trait_marginals.resize(catalog.num_traits());
-  for (size_t t = 0; t < catalog.num_traits(); ++t) {
-    result.trait_marginals[t] = bp.marginals[trait_variable[t]];
-  }
-  result.snp_marginals.resize(catalog.num_snps());
-  for (size_t s = 0; s < catalog.num_snps(); ++s) {
-    if (snp_variable[s] == std::numeric_limits<size_t>::max()) {
-      result.snp_marginals[s] = HardyWeinberg(catalog.BackgroundRaf(s));
-    } else {
-      result.snp_marginals[s] = bp.marginals[snp_variable[s]];
-    }
-  }
-  return result;
+  return ReadAttackMarginals(catalog, graph.RunBeliefPropagation(options), trait_variable,
+                             snp_variable);
 }
 
 }  // namespace ppdp::genomics

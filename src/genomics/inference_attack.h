@@ -55,21 +55,22 @@ FactorGraph BuildAttackGraph(const GwasCatalog& catalog, const TargetView& view,
                              std::vector<size_t>* trait_variable,
                              std::vector<size_t>* snp_variable);
 
+/// One individual's marginals from a full-graph solve, by the variable maps;
+/// SNPs without a variable get their background Hardy-Weinberg marginal.
+GenomeAttackResult ReadAttackMarginals(const GwasCatalog& catalog, const FactorGraph::BpResult& bp,
+                                       const std::vector<size_t>& trait_variable,
+                                       const std::vector<size_t>& snp_variable);
+
 /// Adds one individual's chapter-5 variables and factors (trait prevalence
 /// priors, association factors f_ji = P(s|t), LD factors) to `graph`,
-/// filling the variable maps. Building block shared by the single-target
-/// attack and the kin (pedigree) attack.
-void AddIndividualAttackFactors(FactorGraph& graph, const GwasCatalog& catalog,
+/// filling the variable maps, and clamps its published genotypes and trait
+/// statuses as evidence. Dies when the individual or its flags do not match
+/// the catalog. Shared by the single-target and the kin (pedigree) attack.
+void AddIndividualToAttackGraph(FactorGraph& graph, const GwasCatalog& catalog,
+                                const Individual& individual, const std::vector<bool>& snp_known,
+                                const std::vector<bool>& trait_known,
                                 std::vector<size_t>* trait_variable,
                                 std::vector<size_t>* snp_variable);
-
-/// Clamps the published genotypes/trait statuses of one individual as
-/// evidence on the variables in the given maps.
-void ClampIndividualEvidence(FactorGraph& graph, const Individual& individual,
-                             const std::vector<bool>& snp_known,
-                             const std::vector<bool>& trait_known,
-                             const std::vector<size_t>& trait_variable,
-                             const std::vector<size_t>& snp_variable);
 
 }  // namespace ppdp::genomics
 

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "genomics/snp_sanitizer.h"
 
 namespace ppdp::genomics {
 
@@ -122,85 +123,103 @@ KinView MakeKinView(const GwasCatalog& catalog, std::vector<Individual> family,
   return view;
 }
 
-GenomeAttackResult RunKinInference(const GwasCatalog& catalog, const Pedigree& pedigree,
-                                   const KinView& view, size_t target_member,
-                                   const FactorGraph::BpOptions& options) {
-  PPDP_CHECK(view.members.size() == pedigree.num_members());
-  PPDP_CHECK(target_member < pedigree.num_members());
-
-  FactorGraph graph;
-  std::vector<std::vector<size_t>> trait_vars(pedigree.num_members());
-  std::vector<std::vector<size_t>> snp_vars(pedigree.num_members());
-  for (size_t m = 0; m < pedigree.num_members(); ++m) {
-    AddIndividualAttackFactors(graph, catalog, &trait_vars[m], &snp_vars[m]);
-    ClampIndividualEvidence(graph, view.members[m], view.snp_known[m], view.trait_known[m],
-                            trait_vars[m], snp_vars[m]);
+double TruthConfidence(const GwasCatalog& catalog, const Individual& target,
+                       const std::vector<std::vector<double>>& marginals) {
+  const std::vector<size_t>& snps = catalog.associated_snps();
+  PPDP_CHECK(!snps.empty()) << "catalog has no associations";
+  PPDP_CHECK(marginals.size() == snps.size() && target.genotypes.size() == catalog.num_snps());
+  double total = 0.0;
+  for (size_t i = 0; i < snps.size(); ++i) {
+    const Genotype truth = target.genotypes[snps[i]];
+    PPDP_CHECK(truth != kUnknownGenotype) << "target genotype unknown at SNP " << snps[i];
+    total += marginals[i][static_cast<size_t>(truth)];
   }
-
-  // Mendelian factors per (child, modeled SNP locus).
-  const std::vector<double> mendel = MendelianTable();
-  constexpr size_t kNoVar = std::numeric_limits<size_t>::max();
-  for (size_t m = 0; m < pedigree.num_members(); ++m) {
-    if (pedigree.IsFounder(m)) continue;
-    size_t f = pedigree.Father(m);
-    size_t mo = pedigree.Mother(m);
-    for (size_t s = 0; s < catalog.num_snps(); ++s) {
-      if (snp_vars[m][s] == kNoVar || snp_vars[f][s] == kNoVar || snp_vars[mo][s] == kNoVar) {
-        continue;
-      }
-      graph.AddFactor({snp_vars[f][s], snp_vars[mo][s], snp_vars[m][s]}, mendel);
-    }
-  }
-
-  FactorGraph::BpResult bp = graph.RunBeliefPropagation(options);
-
-  GenomeAttackResult result;
-  result.bp_iterations = bp.iterations;
-  result.converged = bp.converged;
-  result.trait_marginals.resize(catalog.num_traits());
-  for (size_t t = 0; t < catalog.num_traits(); ++t) {
-    result.trait_marginals[t] = bp.marginals[trait_vars[target_member][t]];
-  }
-  result.snp_marginals.resize(catalog.num_snps());
-  for (size_t s = 0; s < catalog.num_snps(); ++s) {
-    if (snp_vars[target_member][s] == kNoVar) {
-      result.snp_marginals[s] = HardyWeinberg(catalog.BackgroundRaf(s));
-    } else {
-      result.snp_marginals[s] = bp.marginals[snp_vars[target_member][s]];
-    }
-  }
-  return result;
+  return total / static_cast<double>(snps.size());
 }
 
 namespace {
 
-/// Attacker's mean confidence in the target's true genotypes over the
-/// distinct associated loci.
-double TruthConfidence(const GwasCatalog& catalog, const Pedigree& pedigree,
-                       const KinView& view, size_t target,
-                       const FactorGraph::BpOptions& options) {
-  GenomeAttackResult result = RunKinInference(catalog, pedigree, view, target, options);
-  double total = 0.0;
-  size_t count = 0;
-  std::vector<bool> seen(catalog.num_snps(), false);
-  for (const auto& a : catalog.associations()) {
-    if (seen[a.snp]) continue;
-    seen[a.snp] = true;
-    total += result.snp_marginals[a.snp][static_cast<size_t>(
-        view.members[target].genotypes[a.snp])];
-    ++count;
+constexpr size_t kNoVar = std::numeric_limits<size_t>::max();
+
+/// The joint kin attack graph: each member's attack factors and evidence,
+/// then a Mendelian factor per (child, SNP locus modeled for the child and
+/// both parents). Fills the per-member variable maps.
+FactorGraph BuildKinGraph(const GwasCatalog& catalog, const Pedigree& pedigree,
+                          const KinView& view, std::vector<std::vector<size_t>>* trait_vars,
+                          std::vector<std::vector<size_t>>* snp_vars) {
+  const size_t members = pedigree.num_members();
+  PPDP_CHECK(view.members.size() == members && view.snp_known.size() == members &&
+             view.trait_known.size() == members)
+      << "kin view does not match the pedigree's " << members << " members";
+  FactorGraph graph;
+  trait_vars->resize(members);
+  snp_vars->resize(members);
+  for (size_t m = 0; m < members; ++m) {
+    AddIndividualToAttackGraph(graph, catalog, view.members[m], view.snp_known[m],
+                               view.trait_known[m], &(*trait_vars)[m], &(*snp_vars)[m]);
   }
-  PPDP_CHECK(count > 0) << "catalog has no associations";
-  return total / static_cast<double>(count);
+  const std::vector<double> mendel = MendelianTable();
+  const std::vector<std::vector<size_t>>& vars = *snp_vars;
+  for (size_t m = 0; m < members; ++m) {
+    if (pedigree.IsFounder(m)) continue;
+    const size_t f = pedigree.Father(m);
+    const size_t mo = pedigree.Mother(m);
+    for (size_t s = 0; s < catalog.num_snps(); ++s) {
+      if (vars[m][s] == kNoVar || vars[f][s] == kNoVar || vars[mo][s] == kNoVar) continue;
+      graph.AddFactor({vars[f][s], vars[mo][s], vars[m][s]}, mendel);
+    }
+  }
+  return graph;
 }
 
+/// The kin pick rule: the first candidate that lowers the confidence more
+/// than 1e-12 below the step's best, seeded by the current confidence.
+struct KinRule {
+  double cap;
+  bool Done(double confidence) const { return !(confidence > cap); }
+  bool Prefer(double score, double best, bool) const { return score < best - 1e-12; }
+  bool Accept(double, double) const { return true; }
+  double Trace(double confidence) const { return confidence; }
+};
+
 }  // namespace
+
+GenomeAttackResult RunKinInference(const GwasCatalog& catalog, const Pedigree& pedigree,
+                                   const KinView& view, size_t target_member,
+                                   const FactorGraph::BpOptions& options) {
+  PPDP_CHECK(target_member < pedigree.num_members());
+  std::vector<std::vector<size_t>> trait_vars, snp_vars;
+  const FactorGraph graph = BuildKinGraph(catalog, pedigree, view, &trait_vars, &snp_vars);
+  return ReadAttackMarginals(catalog, graph.RunBeliefPropagation(options),
+                             trait_vars[target_member], snp_vars[target_member]);
+}
 
 KinSanitizeResult GreedyKinSanitize(const GwasCatalog& catalog, const Pedigree& pedigree,
                                     KinView view, size_t target_member,
                                     const KinSanitizeOptions& options,
                                     KinView* sanitized_view) {
   PPDP_CHECK(target_member < pedigree.num_members());
+  PPDP_CHECK(options.max_truth_confidence >= 0.0 && options.max_truth_confidence <= 1.0)
+      << "confidence cap must lie in [0, 1]";
+
+  // Built once, as in GreedySanitize: a candidate unclamps its variable for
+  // one solve of the target's associated SNPs. An entry outside every
+  // association and LD pair has no variable and stays a no-op candidate.
+  std::vector<std::vector<size_t>> trait_vars, snp_vars;
+  FactorGraph graph = BuildKinGraph(catalog, pedigree, view, &trait_vars, &snp_vars);
+  std::vector<size_t> target_variables;
+  for (size_t s : catalog.associated_snps()) target_variables.push_back(snp_vars[target_member][s]);
+  auto evaluate = [&] {
+    return TruthConfidence(catalog, view.members[target_member],
+                           graph.RunBeliefPropagation(options.bp, target_variables).marginals);
+  };
+  auto hide = [&](const KinSanitizedEntry& e) {
+    if (snp_vars[e.member][e.snp] != kNoVar) graph.ClearEvidence(snp_vars[e.member][e.snp]);
+  };
+  auto restore = [&](const KinSanitizedEntry& e) {
+    const size_t var = snp_vars[e.member][e.snp];
+    if (var != kNoVar) graph.SetEvidence(var, view.members[e.member].genotypes[e.snp]);
+  };
 
   // Candidate pool: every published (member, SNP) entry of the relatives.
   std::vector<KinSanitizedEntry> pool;
@@ -214,40 +233,12 @@ KinSanitizeResult GreedyKinSanitize(const GwasCatalog& catalog, const Pedigree& 
   }
 
   KinSanitizeResult result;
-  double current = TruthConfidence(catalog, pedigree, view, target_member, options.bp);
-  result.confidence_trace.push_back(current);
-
-  while (current > options.max_truth_confidence && !pool.empty() &&
-         result.sanitized.size() < options.max_sanitized) {
-    size_t best_index = pool.size();
-    double best_confidence = current;
-    for (size_t i = 0; i < pool.size(); ++i) {
-      view.snp_known[pool[i].member][pool[i].snp] = false;
-      double confidence = TruthConfidence(catalog, pedigree, view, target_member, options.bp);
-      view.snp_known[pool[i].member][pool[i].snp] = true;
-      if (confidence < best_confidence - 1e-12) {
-        best_confidence = confidence;
-        best_index = i;
-      }
-    }
-    if (best_index == pool.size()) break;  // nothing helps anymore
-    KinSanitizedEntry pick = pool[best_index];
-    view.snp_known[pick.member][pick.snp] = false;
-    pool.erase(pool.begin() + static_cast<ptrdiff_t>(best_index));
-    current = best_confidence;
-    result.sanitized.push_back(pick);
-    result.confidence_trace.push_back(current);
-  }
-
-  result.satisfied = current <= options.max_truth_confidence + 1e-12;
-  for (size_t m = 0; m < pedigree.num_members(); ++m) {
-    if (m == target_member) continue;
-    for (size_t s = 0; s < catalog.num_snps(); ++s) {
-      if (view.snp_known[m][s] && view.members[m].genotypes[s] != kUnknownGenotype) {
-        ++result.released;
-      }
-    }
-  }
+  result.released = pool.size();
+  RunGreedy(std::move(pool), options.max_sanitized, evaluate, hide, restore,
+            KinRule{options.max_truth_confidence}, &result.sanitized, &result.confidence_trace);
+  result.satisfied = result.confidence_trace.back() <= options.max_truth_confidence + 1e-12;
+  result.released -= result.sanitized.size();
+  for (const KinSanitizedEntry& e : result.sanitized) view.snp_known[e.member][e.snp] = false;
   if (sanitized_view != nullptr) *sanitized_view = std::move(view);
   return result;
 }

@@ -74,6 +74,12 @@ GenomeAttackResult RunKinInference(const GwasCatalog& catalog, const Pedigree& p
                                    const KinView& view, size_t target_member,
                                    const FactorGraph::BpOptions& options = {});
 
+/// The kin sanitizer's score: the attacker's mean confidence in `target`'s
+/// true genotypes, `marginals[i]` being its marginal of the catalog's
+/// `associated_snps()[i]`. Dies if a true genotype there is unknown.
+double TruthConfidence(const GwasCatalog& catalog, const Individual& target,
+                       const std::vector<std::vector<double>>& marginals);
+
 /// Options of the kin-protection sanitizer.
 struct KinSanitizeOptions {
   double max_truth_confidence = 0.55;  ///< cap on the attacker's mean P(true genotype)

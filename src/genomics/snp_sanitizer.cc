@@ -31,6 +31,23 @@ std::set<size_t> SnpsOfTraits(const GwasCatalog& catalog, const std::set<size_t>
   return snps;
 }
 
+/// GPUT's pick rule: the first maximum of min + 1e-3·mean target entropy
+/// (the worst-protected target first, then the mean), taken only if it
+/// raised the min or the mean.
+struct GputRule {
+  double delta;
+  bool Done(const PrivacyReport& r) const { return !(r.min_entropy < delta); }
+  static double Key(const PrivacyReport& r) { return r.min_entropy + 1e-3 * r.mean_entropy; }
+  bool Prefer(const PrivacyReport& score, const PrivacyReport& best, bool first) const {
+    return Key(score) > (first ? -1.0 : Key(best));
+  }
+  bool Accept(const PrivacyReport& best, const PrivacyReport& current) const {
+    return !(best.min_entropy <= current.min_entropy + 1e-12 &&
+             best.mean_entropy <= current.mean_entropy + 1e-12);
+  }
+  double Trace(const PrivacyReport& r) const { return r.min_entropy; }
+};
+
 }  // namespace
 
 std::vector<size_t> NeighborSnpsOfTrait(const GwasCatalog& catalog, size_t trait) {
@@ -112,40 +129,9 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
   };
 
   GputResult result;
-  PrivacyReport current = evaluate();
-  result.privacy_trace.push_back(current.min_entropy);
-
-  while (current.min_entropy < options.delta && !pool.empty() &&
-         result.sanitized.size() < options.max_sanitized) {
-    size_t best_snp = catalog.num_snps();
-    PrivacyReport best_report;
-    double best_key = -1.0;
-    for (size_t s : pool) {
-      hide(s);
-      PrivacyReport report = evaluate();
-      restore(s);
-      // Lexicographic: raise the worst-protected target first, then mean.
-      double key = report.min_entropy + 1e-3 * report.mean_entropy;
-      if (key > best_key) {
-        best_key = key;
-        best_snp = s;
-        best_report = report;
-      }
-    }
-    if (best_snp == catalog.num_snps()) break;
-    // A vulnerable neighbor SNP must actually help; stop when nothing does.
-    if (best_report.min_entropy <= current.min_entropy + 1e-12 &&
-        best_report.mean_entropy <= current.mean_entropy + 1e-12) {
-      break;
-    }
-    hide(best_snp);
-    pool.erase(best_snp);
-    current = best_report;
-    result.sanitized.push_back(best_snp);
-    result.privacy_trace.push_back(current.min_entropy);
-  }
-
-  result.satisfied = current.min_entropy >= options.delta - 1e-12;
+  RunGreedy(std::vector<size_t>(pool.begin(), pool.end()), options.max_sanitized, evaluate, hide,
+            restore, GputRule{options.delta}, &result.sanitized, &result.privacy_trace);
+  result.satisfied = result.privacy_trace.back() >= options.delta - 1e-12;
   result.released = ReleasedSnpCount(view);
   if (sanitized_view != nullptr) *sanitized_view = std::move(view);
   return result;

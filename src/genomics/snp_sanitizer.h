@@ -20,6 +20,39 @@ std::vector<size_t> NeighborSnpsOfTrait(const GwasCatalog& catalog, size_t trait
 /// itself is excluded.
 std::vector<size_t> NeighborSnpsOfSnp(const GwasCatalog& catalog, size_t snp);
 
+/// The one Ch.5 greedy loop (GreedySanitize, GreedyKinSanitize). Each step
+/// hides, scores and restores every candidate in pool order, keeps the
+/// first that `rule.Prefer`s to the best so far (`first`: none kept yet,
+/// `best` is the current score) and hides it for good if `rule.Accept`s
+/// it. The loop stops at `rule.Done`, an empty pool or `max_picks`; `trace`
+/// gets `rule.Trace` of the first score and of each pick's.
+template <typename Candidate, typename Evaluate, typename Hide, typename Restore, typename Rule>
+void RunGreedy(std::vector<Candidate> pool, size_t max_picks, Evaluate& evaluate, Hide& hide,
+               Restore& restore, const Rule& rule, std::vector<Candidate>* picks,
+               std::vector<double>* trace) {
+  auto current = evaluate();
+  trace->push_back(rule.Trace(current));
+  while (!rule.Done(current) && !pool.empty() && picks->size() < max_picks) {
+    size_t best = pool.size();
+    auto best_score = current;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      hide(pool[i]);
+      const auto score = evaluate();
+      restore(pool[i]);
+      if (rule.Prefer(score, best_score, best == pool.size())) {
+        best = i;
+        best_score = score;
+      }
+    }
+    if (best == pool.size() || !rule.Accept(best_score, current)) break;
+    hide(pool[best]);
+    picks->push_back(pool[best]);
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best));
+    current = best_score;
+    trace->push_back(rule.Trace(current));
+  }
+}
+
 /// Options of the GPUT greedy solver (Definition 5.5.6).
 struct GputOptions {
   double delta = 0.8;                 ///< δ-privacy target on every hidden trait

@@ -653,12 +653,16 @@ Status CpuProfile::WriteFolded(const std::string& path) const {
 }
 
 Result<CpuProfile> CpuProfile::FromJson(const JsonValue& doc) {
-  if (!doc.is_object()) return Status::InvalidArgument("profile must be a JSON object");
-  if (doc.GetStringOr("schema", "") != SchemaTag()) {
-    return Status::InvalidArgument("not a " + std::string(SchemaTag()) +
-                                   " document (schema=\"" + doc.GetStringOr("schema", "") +
-                                   "\")");
-  }
+  PPDP_RETURN_IF_ERROR(CheckDocumentHeader(doc, SchemaTag(),
+                                           {{"name", JsonValue::Kind::kString},
+                                            {"hz", JsonValue::Kind::kNumber},
+                                            {"duration_seconds", JsonValue::Kind::kNumber},
+                                            {"threads_profiled", JsonValue::Kind::kNumber},
+                                            {"samples", JsonValue::Kind::kNumber},
+                                            {"dropped", JsonValue::Kind::kNumber},
+                                            {"build", JsonValue::Kind::kObject},
+                                            {"phases", JsonValue::Kind::kArray},
+                                            {"stacks", JsonValue::Kind::kArray}}));
   CpuProfile profile;
   profile.name = doc.GetStringOr("name", "");
   profile.hz = static_cast<int>(doc.GetNumberOr("hz", 0));
@@ -667,39 +671,33 @@ Result<CpuProfile> CpuProfile::FromJson(const JsonValue& doc) {
   profile.samples = static_cast<uint64_t>(doc.GetNumberOr("samples", 0));
   profile.dropped = static_cast<uint64_t>(doc.GetNumberOr("dropped", 0));
   profile.stacks_truncated = static_cast<uint64_t>(doc.GetNumberOr("stacks_truncated", 0));
-  if (const JsonValue* build = doc.Find("build"); build != nullptr && build->is_object()) {
-    profile.compiler = build->GetStringOr("compiler", "");
-    profile.build_type = build->GetStringOr("build_type", "");
-  }
-  if (const JsonValue* phase_array = doc.Find("phases");
-      phase_array != nullptr && phase_array->is_array()) {
-    for (size_t i = 0; i < phase_array->size(); ++i) {
-      const JsonValue& row = phase_array->at(i);
-      if (!row.is_object()) {
-        return Status::InvalidArgument("phases[" + std::to_string(i) + "] is not an object");
-      }
-      Phase phase;
-      phase.name = row.GetStringOr("name", "");
-      if (phase.name.empty()) {
-        return Status::InvalidArgument("phases[" + std::to_string(i) + "] has no name");
-      }
-      phase.samples = static_cast<uint64_t>(row.GetNumberOr("samples", 0));
-      phase.cpu_seconds = row.GetNumberOr("cpu_seconds", 0.0);
-      phase.alloc_bytes = static_cast<uint64_t>(row.GetNumberOr("alloc_bytes", 0));
-      phase.rss_peak_bytes = static_cast<uint64_t>(row.GetNumberOr("rss_peak_bytes", 0));
-      phase.self_frames = FramesFromJson(row.Find("self_frames"));
-      phase.total_frames = FramesFromJson(row.Find("total_frames"));
-      profile.phases.push_back(std::move(phase));
+  profile.compiler = doc.Find("build")->GetStringOr("compiler", "");
+  profile.build_type = doc.Find("build")->GetStringOr("build_type", "");
+  const JsonValue& phase_array = *doc.Find("phases");
+  for (size_t i = 0; i < phase_array.size(); ++i) {
+    const JsonValue& row = phase_array.at(i);
+    if (!row.is_object() || row.GetStringOr("name", "").empty() || !row.Has("samples") ||
+        !row.Has("self_frames") || !row.Has("total_frames")) {
+      return Status::InvalidArgument("phases[" + std::to_string(i) + "] malformed");
     }
+    Phase phase;
+    phase.name = row.GetStringOr("name", "");
+    phase.samples = static_cast<uint64_t>(row.GetNumberOr("samples", 0));
+    phase.cpu_seconds = row.GetNumberOr("cpu_seconds", 0.0);
+    phase.alloc_bytes = static_cast<uint64_t>(row.GetNumberOr("alloc_bytes", 0));
+    phase.rss_peak_bytes = static_cast<uint64_t>(row.GetNumberOr("rss_peak_bytes", 0));
+    phase.self_frames = FramesFromJson(row.Find("self_frames"));
+    phase.total_frames = FramesFromJson(row.Find("total_frames"));
+    profile.phases.push_back(std::move(phase));
   }
-  if (const JsonValue* stack_array = doc.Find("stacks");
-      stack_array != nullptr && stack_array->is_array()) {
-    for (size_t i = 0; i < stack_array->size(); ++i) {
-      const JsonValue& row = stack_array->at(i);
-      if (!row.is_object()) continue;
-      profile.stacks.push_back({row.GetStringOr("stack", ""),
-                                static_cast<uint64_t>(row.GetNumberOr("count", 0))});
+  const JsonValue& stack_array = *doc.Find("stacks");
+  for (size_t i = 0; i < stack_array.size(); ++i) {
+    const JsonValue& row = stack_array.at(i);
+    if (!row.is_object() || row.GetStringOr("stack", "").empty() || !row.Has("count")) {
+      return Status::InvalidArgument("stacks[" + std::to_string(i) + "] malformed");
     }
+    profile.stacks.push_back({row.GetStringOr("stack", ""),
+                              static_cast<uint64_t>(row.GetNumberOr("count", 0))});
   }
   return profile;
 }
@@ -749,56 +747,6 @@ Table CpuProfile::TopFramesTable(size_t n) const {
                   Table::FormatDouble(share * 100.0, 1) + "%"});
   }
   return table;
-}
-
-Status ValidateProfileJson(const JsonValue& doc) {
-  if (!doc.is_object()) return Status::InvalidArgument("profile is not a JSON object");
-  if (doc.GetStringOr("schema", "") != CpuProfile::SchemaTag()) {
-    return Status::InvalidArgument("schema tag missing or wrong");
-  }
-  if (doc.GetNumberOr("schema_version", 0) < 1) {
-    return Status::InvalidArgument("schema_version missing");
-  }
-  struct Required {
-    const char* key;
-    JsonValue::Kind kind;
-  };
-  const Required required[] = {
-      {"name", JsonValue::Kind::kString},
-      {"hz", JsonValue::Kind::kNumber},
-      {"duration_seconds", JsonValue::Kind::kNumber},
-      {"threads_profiled", JsonValue::Kind::kNumber},
-      {"samples", JsonValue::Kind::kNumber},
-      {"dropped", JsonValue::Kind::kNumber},
-      {"build", JsonValue::Kind::kObject},
-      {"phases", JsonValue::Kind::kArray},
-      {"stacks", JsonValue::Kind::kArray},
-  };
-  for (const Required& r : required) {
-    const JsonValue* value = doc.Find(r.key);
-    if (value == nullptr) {
-      return Status::InvalidArgument(std::string("missing key \"") + r.key + "\"");
-    }
-    if (value->kind() != r.kind) {
-      return Status::InvalidArgument(std::string("key \"") + r.key + "\" has the wrong kind");
-    }
-  }
-  const JsonValue* phase_array = doc.Find("phases");
-  for (size_t i = 0; i < phase_array->size(); ++i) {
-    const JsonValue& row = phase_array->at(i);
-    if (!row.is_object() || row.GetStringOr("name", "").empty() || !row.Has("samples") ||
-        !row.Has("self_frames") || !row.Has("total_frames")) {
-      return Status::InvalidArgument("phases[" + std::to_string(i) + "] malformed");
-    }
-  }
-  const JsonValue* stack_array = doc.Find("stacks");
-  for (size_t i = 0; i < stack_array->size(); ++i) {
-    const JsonValue& row = stack_array->at(i);
-    if (!row.is_object() || row.GetStringOr("stack", "").empty() || !row.Has("count")) {
-      return Status::InvalidArgument("stacks[" + std::to_string(i) + "] malformed");
-    }
-  }
-  return Status::Ok();
 }
 
 ProfileDiff DiffProfiles(const CpuProfile& baseline, const CpuProfile& current,

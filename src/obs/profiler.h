@@ -98,6 +98,9 @@ struct CpuProfile {
   Status WriteJson(const std::string& path) const;
   /// Collapsed folded-stack text, one "stack count" line per unique stack.
   Status WriteFolded(const std::string& path) const;
+  /// The one reader of the schema, and the check `ppdp_stat profile` and CI
+  /// rely on: fails on the first violation of the schema tag and version, a
+  /// required key of the wrong JSON kind, or a malformed phase or stack row.
   static Result<CpuProfile> FromJson(const JsonValue& doc);
   static Result<CpuProfile> Load(const std::string& path);
 
@@ -106,10 +109,6 @@ struct CpuProfile {
   /// frame | phase | self samples | share, flattened top `n` self frames.
   Table TopFramesTable(size_t n = 20) const;
 };
-
-/// Checks the invariants `ppdp_stat profile` and CI rely on: schema tag/version,
-/// required keys with the right kinds, well-formed phase and stack entries.
-Status ValidateProfileJson(const JsonValue& doc);
 
 /// ---- `ppdp_stat profile`: frame-level diff between two profiles ----
 

@@ -224,13 +224,42 @@ Status RunReport::WriteJson(const std::string& path) const {
   return Status::Ok();
 }
 
-Result<RunReport> RunReport::FromJson(const JsonValue& doc) {
-  if (!doc.is_object()) return Status::InvalidArgument("run report must be a JSON object");
-  if (doc.GetStringOr("schema", "") != SchemaTag()) {
-    return Status::InvalidArgument("not a " + std::string(SchemaTag()) +
-                                   " document (schema=\"" + doc.GetStringOr("schema", "") +
-                                   "\")");
+Status CheckDocumentHeader(
+    const JsonValue& doc, const char* schema,
+    std::initializer_list<std::pair<const char*, JsonValue::Kind>> required) {
+  if (!doc.is_object()) {
+    return Status::InvalidArgument(std::string(schema) + " document must be a JSON object");
   }
+  if (doc.GetStringOr("schema", "") != schema) {
+    return Status::InvalidArgument("not a " + std::string(schema) + " document (schema=\"" +
+                                   doc.GetStringOr("schema", "") + "\")");
+  }
+  if (doc.GetNumberOr("schema_version", 0) < 1) {
+    return Status::InvalidArgument("schema_version missing");
+  }
+  for (const auto& [key, kind] : required) {
+    const JsonValue* value = doc.Find(key);
+    if (value == nullptr) {
+      return Status::InvalidArgument(std::string("missing key \"") + key + "\"");
+    }
+    if (value->kind() != kind) {
+      return Status::InvalidArgument(std::string("key \"") + key + "\" has the wrong kind");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<RunReport> RunReport::FromJson(const JsonValue& doc) {
+  PPDP_RETURN_IF_ERROR(CheckDocumentHeader(
+      doc, SchemaTag(),
+      {{"name", JsonValue::Kind::kString},     {"binary", JsonValue::Kind::kString},
+       {"flags", JsonValue::Kind::kObject},    {"seed", JsonValue::Kind::kNumber},
+       {"threads", JsonValue::Kind::kNumber},  {"scale", JsonValue::Kind::kNumber},
+       {"build", JsonValue::Kind::kObject},    {"fault", JsonValue::Kind::kObject},
+       {"phases", JsonValue::Kind::kArray},    {"histograms", JsonValue::Kind::kArray},
+       {"counters", JsonValue::Kind::kObject}, {"ledgers", JsonValue::Kind::kArray},
+       {"outputs", JsonValue::Kind::kArray},   {"wall_seconds", JsonValue::Kind::kNumber},
+       {"cpu_seconds", JsonValue::Kind::kNumber}, {"flight", JsonValue::Kind::kObject}}));
   RunReport report;
   report.name = doc.GetStringOr("name", "");
   report.binary = doc.GetStringOr("binary", "");
@@ -240,83 +269,85 @@ Result<RunReport> RunReport::FromJson(const JsonValue& doc) {
   report.wall_seconds = doc.GetNumberOr("wall_seconds", 0.0);
   report.cpu_seconds = doc.GetNumberOr("cpu_seconds", 0.0);
 
-  if (const JsonValue* flags = doc.Find("flags"); flags && flags->is_object()) {
-    for (const auto& [key, value] : flags->members()) {
-      if (value.is_string()) report.flags[key] = value.as_string();
+  for (const auto& [key, value] : doc.Find("flags")->members()) {
+    if (value.is_string()) report.flags[key] = value.as_string();
+  }
+  const JsonValue& build = *doc.Find("build");
+  report.build.compiler = build.GetStringOr("compiler", "");
+  report.build.build_type = build.GetStringOr("build_type", "");
+  report.build.platform = build.GetStringOr("platform", "");
+  report.build.cxx_standard = static_cast<long>(build.GetNumberOr("cxx_standard", 0));
+  const JsonValue& fault = *doc.Find("fault");
+  if (!fault.Has("armed") || !fault.Has("rate")) {
+    return Status::InvalidArgument("fault section malformed");
+  }
+  report.fault.armed = fault.GetBoolOr("armed", false);
+  report.fault.seed = static_cast<uint64_t>(fault.GetNumberOr("seed", 0));
+  report.fault.rate = fault.GetNumberOr("rate", 0.0);
+  if (const JsonValue* rates = fault.Find("point_rates"); rates && rates->is_object()) {
+    for (const auto& [point, rate] : rates->members()) {
+      if (rate.is_number()) report.fault.point_rates[point] = rate.as_number();
     }
   }
-  if (const JsonValue* build = doc.Find("build"); build && build->is_object()) {
-    report.build.compiler = build->GetStringOr("compiler", "");
-    report.build.build_type = build->GetStringOr("build_type", "");
-    report.build.platform = build->GetStringOr("platform", "");
-    report.build.cxx_standard = static_cast<long>(build->GetNumberOr("cxx_standard", 0));
-  }
-  if (const JsonValue* fault = doc.Find("fault"); fault && fault->is_object()) {
-    report.fault.armed = fault->GetBoolOr("armed", false);
-    report.fault.seed = static_cast<uint64_t>(fault->GetNumberOr("seed", 0));
-    report.fault.rate = fault->GetNumberOr("rate", 0.0);
-    if (const JsonValue* rates = fault->Find("point_rates"); rates && rates->is_object()) {
-      for (const auto& [point, rate] : rates->members()) {
-        if (rate.is_number()) report.fault.point_rates[point] = rate.as_number();
-      }
+  const JsonValue& phases = *doc.Find("phases");
+  for (size_t i = 0; i < phases.size(); ++i) {
+    const JsonValue& row = phases.at(i);
+    if (!row.is_object() || row.GetStringOr("name", "").empty() ||
+        !row.Has("wall_ms_total") || !row.Has("cpu_ms_total") || !row.Has("count")) {
+      return Status::InvalidArgument("phases[" + std::to_string(i) + "] malformed");
     }
+    TraceRecorder::PhaseStats p;
+    p.name = row.GetStringOr("name", "");
+    p.count = static_cast<uint64_t>(row.GetNumberOr("count", 0));
+    p.wall_ms_total = row.GetNumberOr("wall_ms_total", 0.0);
+    p.wall_ms_mean = row.GetNumberOr("wall_ms_mean", 0.0);
+    p.wall_ms_min = row.GetNumberOr("wall_ms_min", 0.0);
+    p.wall_ms_max = row.GetNumberOr("wall_ms_max", 0.0);
+    p.cpu_ms_total = row.GetNumberOr("cpu_ms_total", 0.0);
+    p.alloc_bytes_total = static_cast<uint64_t>(row.GetNumberOr("alloc_bytes_total", 0));
+    p.rss_peak_bytes = static_cast<uint64_t>(row.GetNumberOr("rss_peak_bytes", 0));
+    report.phases.push_back(std::move(p));
   }
-  if (const JsonValue* phases = doc.Find("phases"); phases && phases->is_array()) {
-    for (size_t i = 0; i < phases->size(); ++i) {
-      const JsonValue& row = phases->at(i);
-      if (!row.is_object()) {
-        return Status::InvalidArgument("phases[" + std::to_string(i) + "] is not an object");
-      }
-      TraceRecorder::PhaseStats p;
-      p.name = row.GetStringOr("name", "");
-      if (p.name.empty()) {
-        return Status::InvalidArgument("phases[" + std::to_string(i) + "] has no name");
-      }
-      p.count = static_cast<uint64_t>(row.GetNumberOr("count", 0));
-      p.wall_ms_total = row.GetNumberOr("wall_ms_total", 0.0);
-      p.wall_ms_mean = row.GetNumberOr("wall_ms_mean", 0.0);
-      p.wall_ms_min = row.GetNumberOr("wall_ms_min", 0.0);
-      p.wall_ms_max = row.GetNumberOr("wall_ms_max", 0.0);
-      p.cpu_ms_total = row.GetNumberOr("cpu_ms_total", 0.0);
-      p.alloc_bytes_total = static_cast<uint64_t>(row.GetNumberOr("alloc_bytes_total", 0));
-      p.rss_peak_bytes = static_cast<uint64_t>(row.GetNumberOr("rss_peak_bytes", 0));
-      report.phases.push_back(std::move(p));
-    }
+  const JsonValue& histos = *doc.Find("histograms");
+  for (size_t i = 0; i < histos.size(); ++i) {
+    const JsonValue& row = histos.at(i);
+    if (!row.is_object()) continue;
+    MetricsRegistry::HistogramSummary h;
+    h.name = row.GetStringOr("name", "");
+    h.count = static_cast<uint64_t>(row.GetNumberOr("count", 0));
+    h.mean = row.GetNumberOr("mean", 0.0);
+    h.min = row.GetNumberOr("min", 0.0);
+    h.max = row.GetNumberOr("max", 0.0);
+    h.p50 = row.GetNumberOr("p50", 0.0);
+    h.p95 = row.GetNumberOr("p95", 0.0);
+    h.p99 = row.GetNumberOr("p99", 0.0);
+    report.histograms.push_back(std::move(h));
   }
-  if (const JsonValue* histos = doc.Find("histograms"); histos && histos->is_array()) {
-    for (size_t i = 0; i < histos->size(); ++i) {
-      const JsonValue& row = histos->at(i);
-      if (!row.is_object()) continue;
-      MetricsRegistry::HistogramSummary h;
-      h.name = row.GetStringOr("name", "");
-      h.count = static_cast<uint64_t>(row.GetNumberOr("count", 0));
-      h.mean = row.GetNumberOr("mean", 0.0);
-      h.min = row.GetNumberOr("min", 0.0);
-      h.max = row.GetNumberOr("max", 0.0);
-      h.p50 = row.GetNumberOr("p50", 0.0);
-      h.p95 = row.GetNumberOr("p95", 0.0);
-      h.p99 = row.GetNumberOr("p99", 0.0);
-      report.histograms.push_back(std::move(h));
+  const JsonValue& outputs = *doc.Find("outputs");
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    const JsonValue& row = outputs.at(i);
+    if (!row.is_object() || row.GetStringOr("path", "").empty() ||
+        row.GetStringOr("fnv1a", "").size() != 16) {
+      return Status::InvalidArgument("outputs[" + std::to_string(i) + "] malformed");
     }
-  }
-  if (const JsonValue* outputs = doc.Find("outputs"); outputs && outputs->is_array()) {
-    for (size_t i = 0; i < outputs->size(); ++i) {
-      const JsonValue& row = outputs->at(i);
-      if (!row.is_object()) continue;
-      OutputDigest out;
-      out.name = row.GetStringOr("name", "");
-      out.path = row.GetStringOr("path", "");
-      out.bytes = static_cast<uint64_t>(row.GetNumberOr("bytes", 0));
-      out.fnv1a = row.GetStringOr("fnv1a", "");
-      report.outputs.push_back(std::move(out));
-    }
+    OutputDigest out;
+    out.name = row.GetStringOr("name", "");
+    out.path = row.GetStringOr("path", "");
+    out.bytes = static_cast<uint64_t>(row.GetNumberOr("bytes", 0));
+    out.fnv1a = row.GetStringOr("fnv1a", "");
+    report.outputs.push_back(std::move(out));
   }
   // Optional since v10 writers only (serving benches with SLO rules);
-  // older reports simply have none.
-  if (const JsonValue* slos = doc.Find("slos"); slos && slos->is_array()) {
+  // older reports simply have none. Present rows must be complete.
+  if (const JsonValue* slos = doc.Find("slos"); slos != nullptr) {
+    if (!slos->is_array()) return Status::InvalidArgument("key \"slos\" has the wrong kind");
     for (size_t i = 0; i < slos->size(); ++i) {
       const JsonValue& row = slos->at(i);
-      if (!row.is_object()) continue;
+      if (!row.is_object() || row.GetStringOr("rule", "").empty() ||
+          row.GetStringOr("signal", "").empty() || !row.Has("objective") ||
+          !row.Has("attained") || !row.Has("met")) {
+        return Status::InvalidArgument("slos[" + std::to_string(i) + "] malformed");
+      }
       SloAttainment slo;
       slo.rule = row.GetStringOr("rule", "");
       slo.signal = row.GetStringOr("signal", "");
@@ -346,71 +377,6 @@ Result<RunReport> RunReport::Load(const std::string& path) {
   Result<RunReport> report = FromJson(*doc);
   if (!report.ok()) return report.status().Annotate(path);
   return report;
-}
-
-Status ValidateReportJson(const JsonValue& doc) {
-  if (!doc.is_object()) return Status::InvalidArgument("report is not a JSON object");
-  if (doc.GetStringOr("schema", "") != RunReport::SchemaTag()) {
-    return Status::InvalidArgument("schema tag missing or wrong");
-  }
-  if (doc.GetNumberOr("schema_version", 0) < 1) {
-    return Status::InvalidArgument("schema_version missing");
-  }
-  struct Required {
-    const char* key;
-    JsonValue::Kind kind;
-  };
-  const Required required[] = {
-      {"name", JsonValue::Kind::kString},     {"binary", JsonValue::Kind::kString},
-      {"flags", JsonValue::Kind::kObject},    {"seed", JsonValue::Kind::kNumber},
-      {"threads", JsonValue::Kind::kNumber},  {"scale", JsonValue::Kind::kNumber},
-      {"build", JsonValue::Kind::kObject},    {"fault", JsonValue::Kind::kObject},
-      {"phases", JsonValue::Kind::kArray},    {"histograms", JsonValue::Kind::kArray},
-      {"counters", JsonValue::Kind::kObject}, {"ledgers", JsonValue::Kind::kArray},
-      {"outputs", JsonValue::Kind::kArray},   {"wall_seconds", JsonValue::Kind::kNumber},
-      {"cpu_seconds", JsonValue::Kind::kNumber}, {"flight", JsonValue::Kind::kObject},
-  };
-  for (const Required& r : required) {
-    const JsonValue* v = doc.Find(r.key);
-    if (!v) return Status::InvalidArgument(std::string("missing key \"") + r.key + "\"");
-    if (v->kind() != r.kind) {
-      return Status::InvalidArgument(std::string("key \"") + r.key + "\" has the wrong kind");
-    }
-  }
-  const JsonValue* phases = doc.Find("phases");
-  for (size_t i = 0; i < phases->size(); ++i) {
-    const JsonValue& row = phases->at(i);
-    if (!row.is_object() || row.GetStringOr("name", "").empty() ||
-        !row.Has("wall_ms_total") || !row.Has("cpu_ms_total") || !row.Has("count")) {
-      return Status::InvalidArgument("phases[" + std::to_string(i) + "] malformed");
-    }
-  }
-  const JsonValue* outputs = doc.Find("outputs");
-  for (size_t i = 0; i < outputs->size(); ++i) {
-    const JsonValue& row = outputs->at(i);
-    if (!row.is_object() || row.GetStringOr("path", "").empty() ||
-        row.GetStringOr("fnv1a", "").size() != 16) {
-      return Status::InvalidArgument("outputs[" + std::to_string(i) + "] malformed");
-    }
-  }
-  const JsonValue* fault = doc.Find("fault");
-  if (!fault->Has("armed") || !fault->Has("rate")) {
-    return Status::InvalidArgument("fault section malformed");
-  }
-  // "slos" is optional (v10+ serving benches); when present each row must
-  // be a complete attainment record.
-  if (const JsonValue* slos = doc.Find("slos"); slos != nullptr) {
-    if (!slos->is_array()) return Status::InvalidArgument("key \"slos\" has the wrong kind");
-    for (size_t i = 0; i < slos->size(); ++i) {
-      const JsonValue& row = slos->at(i);
-      if (!row.is_object() || row.GetStringOr("rule", "").empty() ||
-          row.GetStringOr("signal", "").empty() || !row.Has("objective") ||
-          !row.Has("attained") || !row.Has("met")) {
-        return Status::InvalidArgument("slos[" + std::to_string(i) + "] malformed");
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 bool Regressed(double baseline, double current, double threshold, double floor) {

@@ -2,6 +2,7 @@
 #define PPDP_OBS_REPORT_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -111,11 +112,20 @@ struct RunReport {
 
   JsonValue ToJson() const;
   Status WriteJson(const std::string& path) const;
-  /// Tolerant reader: unknown keys are ignored, so newer writers stay
-  /// diffable against older baselines. Fails on a wrong schema tag.
+  /// The one reader of the schema, and the check CI and `ppdp_stat` rely
+  /// on: fails on the first violation of the schema tag and version, a
+  /// required top-level key of the wrong JSON kind, or a malformed phase,
+  /// output, fault or SLO entry. Unknown keys are ignored, so newer writers
+  /// stay diffable against older baselines.
   static Result<RunReport> FromJson(const JsonValue& doc);
   static Result<RunReport> Load(const std::string& path);
 };
+
+/// The header check of both `ppdp.*` document readers (RunReport::FromJson,
+/// CpuProfile::FromJson): an object tagged `schema`, `schema_version` >= 1,
+/// and each `required` key of its JSON kind. Returns the first violation.
+Status CheckDocumentHeader(const JsonValue& doc, const char* schema,
+                           std::initializer_list<std::pair<const char*, JsonValue::Kind>> required);
 
 /// Build metadata from compile-time macros.
 RunReport::BuildInfo CurrentBuildInfo();
@@ -126,11 +136,6 @@ RunReport::BuildInfo CurrentBuildInfo();
 /// untouched — the bench harness owns those (fault lives in ppdp_fault,
 /// which links against this library, so the dependency cannot point back).
 void CollectGlobalTelemetry(RunReport* report);
-
-/// Checks the invariants CI and report_test rely on: schema tag + version,
-/// the required top-level keys with the right JSON kinds, and well-formed
-/// phase/output entries. Returns the first violation.
-Status ValidateReportJson(const JsonValue& doc);
 
 /// ---- `ppdp_stat report`: phase-by-phase perf diff with a noise threshold ----
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "genomics/privacy_metrics.h"
 
@@ -210,6 +214,206 @@ TEST(KinSanitizeTest, MaxSanitizedCapRespected) {
   KinSanitizeResult result = GreedyKinSanitize(catalog, pedigree, view, 2, options);
   EXPECT_LE(result.sanitized.size(), 3u);
   EXPECT_FALSE(result.satisfied);
+}
+
+/// The kin greedy as it was before the pedigree graph was built once per
+/// call: every candidate rebuilds the graph and re-solves every marginal.
+double ReferenceTruthConfidence(const GwasCatalog& catalog, const Pedigree& pedigree,
+                                const KinView& view, size_t target,
+                                const FactorGraph::BpOptions& options) {
+  GenomeAttackResult result = RunKinInference(catalog, pedigree, view, target, options);
+  double total = 0.0;
+  size_t count = 0;
+  std::vector<bool> seen(catalog.num_snps(), false);
+  for (const auto& a : catalog.associations()) {
+    if (seen[a.snp]) continue;
+    seen[a.snp] = true;
+    total += result.snp_marginals[a.snp][static_cast<size_t>(
+        view.members[target].genotypes[a.snp])];
+    ++count;
+  }
+  return total / static_cast<double>(count);
+}
+
+KinSanitizeResult ReferenceGreedyKinSanitize(const GwasCatalog& catalog,
+                                             const Pedigree& pedigree, KinView view,
+                                             size_t target_member,
+                                             const KinSanitizeOptions& options,
+                                             KinView* sanitized_view) {
+  std::vector<KinSanitizedEntry> pool;
+  for (size_t m = 0; m < pedigree.num_members(); ++m) {
+    if (m == target_member) continue;
+    for (size_t s = 0; s < catalog.num_snps(); ++s) {
+      if (view.snp_known[m][s] && view.members[m].genotypes[s] != kUnknownGenotype) {
+        pool.push_back({m, s});
+      }
+    }
+  }
+  KinSanitizeResult result;
+  double current = ReferenceTruthConfidence(catalog, pedigree, view, target_member, options.bp);
+  result.confidence_trace.push_back(current);
+  while (current > options.max_truth_confidence && !pool.empty() &&
+         result.sanitized.size() < options.max_sanitized) {
+    size_t best_index = pool.size();
+    double best_confidence = current;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      view.snp_known[pool[i].member][pool[i].snp] = false;
+      double confidence =
+          ReferenceTruthConfidence(catalog, pedigree, view, target_member, options.bp);
+      view.snp_known[pool[i].member][pool[i].snp] = true;
+      if (confidence < best_confidence - 1e-12) {
+        best_confidence = confidence;
+        best_index = i;
+      }
+    }
+    if (best_index == pool.size()) break;
+    KinSanitizedEntry pick = pool[best_index];
+    view.snp_known[pick.member][pick.snp] = false;
+    pool.erase(pool.begin() + static_cast<ptrdiff_t>(best_index));
+    current = best_confidence;
+    result.sanitized.push_back(pick);
+    result.confidence_trace.push_back(current);
+  }
+  result.satisfied = current <= options.max_truth_confidence + 1e-12;
+  for (size_t m = 0; m < pedigree.num_members(); ++m) {
+    if (m == target_member) continue;
+    for (size_t s = 0; s < catalog.num_snps(); ++s) {
+      if (view.snp_known[m][s] && view.members[m].genotypes[s] != kUnknownGenotype) {
+        ++result.released;
+      }
+    }
+  }
+  *sanitized_view = std::move(view);
+  return result;
+}
+
+std::vector<std::pair<size_t, size_t>> Entries(const KinSanitizeResult& result) {
+  std::vector<std::pair<size_t, size_t>> entries;
+  for (const KinSanitizedEntry& e : result.sanitized) entries.emplace_back(e.member, e.snp);
+  return entries;
+}
+
+TEST(KinSanitizeTest, GraphReuseMatchesPerCandidateRebuildExactly) {
+  // Three generations as in bench_kin: grandparents (0, 1) -> parent (2);
+  // spouse (3); parent couple -> target (4) and sibling (5).
+  Pedigree three_generations;
+  three_generations.AddFounder();
+  three_generations.AddFounder();
+  three_generations.AddChild(0, 1);
+  three_generations.AddFounder();
+  three_generations.AddChild(2, 3);
+  three_generations.AddChild(2, 3);
+  struct Family {
+    Pedigree pedigree;
+    size_t target;
+    std::vector<size_t> publishers[2];  ///< per catalog
+  };
+  const Family families[] = {
+      {Pedigree::NuclearFamily(2), 2, {{0}, {3}}},
+      {three_generations, 4, {{2}, {0, 5}}},
+  };
+  size_t picks = 0;
+  for (uint64_t seed : {1, 2}) {
+    Rng rng(seed);
+    SyntheticCatalogConfig config;
+    config.num_snps = 10;
+    config.snps_per_trait = 2;
+    config.include_amd = false;
+    GwasCatalog catalog = GenerateSyntheticCatalog(config, rng);  // associates loci 0..7
+    if (seed == 2) {
+      // LD pairs between random associated loci, and one that gives the
+      // unassociated locus 8 a variable; locus 9 stays outside every pair.
+      catalog.AddLdPair({8, rng.Uniform(8), 0.7});
+      for (int i = 0; i < 4; ++i) {
+        const size_t a = rng.Uniform(8);
+        size_t b = rng.Uniform(8);
+        if (b == a) b = (a + 1) % 8;
+        catalog.AddLdPair({a, b, 0.3 + 0.6 * rng.UniformReal()});
+      }
+    }
+    for (const Family& family : families) {
+      const std::vector<Individual> members = SampleFamily(catalog, family.pedigree, rng);
+      const std::vector<size_t>& publishers = family.publishers[seed - 1];
+      KinView view = MakeKinView(catalog, members, publishers);
+      if (family.target == 2) {
+        // Locus 9 has no association and no LD pair, so no variable: a
+        // published entry there is a candidate that changes nothing.
+        view.snp_known[publishers[0]][9] = true;
+      }
+      for (double cap : {0.0, 0.55, 0.65}) {
+        for (size_t max_sanitized : {size_t{0}, size_t{1}, size_t{3}, SIZE_MAX}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " members " << members.size() << " cap " << cap
+                       << " max_sanitized " << max_sanitized);
+          KinSanitizeOptions options;
+          options.max_truth_confidence = cap;
+          options.max_sanitized = max_sanitized;
+          KinView want_view, got_view;
+          const KinSanitizeResult want = ReferenceGreedyKinSanitize(
+              catalog, family.pedigree, view, family.target, options, &want_view);
+          const KinSanitizeResult got = GreedyKinSanitize(catalog, family.pedigree, view,
+                                                          family.target, options, &got_view);
+          EXPECT_EQ(Entries(got), Entries(want));
+          EXPECT_EQ(got.confidence_trace, want.confidence_trace);
+          EXPECT_EQ(got.satisfied, want.satisfied);
+          EXPECT_EQ(got.released, want.released);
+          EXPECT_EQ(got_view.snp_known, want_view.snp_known);
+          EXPECT_EQ(got_view.trait_known, want_view.trait_known);
+          ASSERT_EQ(got_view.members.size(), want_view.members.size());
+          for (size_t m = 0; m < got_view.members.size(); ++m) {
+            EXPECT_EQ(got_view.members[m].genotypes, want_view.members[m].genotypes);
+            EXPECT_EQ(got_view.members[m].traits, want_view.members[m].traits);
+          }
+          picks += got.sanitized.size();
+        }
+      }
+    }
+  }
+  // The sweep must exercise real multi-step greedy runs.
+  EXPECT_GT(picks, 50u);
+}
+
+TEST(KinSanitizeDeathTest, BadViewsAndCapsRejected) {
+  GwasCatalog catalog = SmallCatalog();
+  Pedigree pedigree = Pedigree::NuclearFamily(1);
+  Rng rng(9);
+  const KinView view = MakeKinView(catalog, SampleFamily(catalog, pedigree, rng), {0, 1});
+  const KinSanitizeOptions options;
+  auto sanitize = [&](const KinView& v, const KinSanitizeOptions& o) {
+    (void)GreedyKinSanitize(catalog, pedigree, v, 2, o);
+  };
+
+  KinView short_family = view;
+  short_family.members.pop_back();
+  EXPECT_DEATH(sanitize(short_family, options), "does not match the pedigree");
+  EXPECT_DEATH((void)RunKinInference(catalog, pedigree, short_family, 2), "match the pedigree");
+  KinView short_flags = view;
+  short_flags.snp_known.pop_back();
+  EXPECT_DEATH(sanitize(short_flags, options), "does not match the pedigree");
+  short_flags = view;
+  short_flags.trait_known.pop_back();
+  EXPECT_DEATH(sanitize(short_flags, options), "does not match the pedigree");
+
+  KinView narrow = view;
+  narrow.snp_known[1].pop_back();
+  EXPECT_DEATH(sanitize(narrow, options), "do not match the catalog");
+  narrow = view;
+  narrow.trait_known[0].push_back(false);
+  EXPECT_DEATH(sanitize(narrow, options), "do not match the catalog");
+  narrow = view;
+  narrow.members[2].genotypes.pop_back();
+  EXPECT_DEATH(sanitize(narrow, options), "do not match the catalog");
+  EXPECT_DEATH((void)RunKinInference(catalog, pedigree, narrow, 2), "do not match the catalog");
+
+  KinView unknown_truth = view;
+  unknown_truth.members[2].genotypes[catalog.associated_snps()[0]] = kUnknownGenotype;
+  EXPECT_DEATH(sanitize(unknown_truth, options), "target genotype unknown");
+
+  for (double cap : {std::nan(""), -0.1, 1.5}) {
+    KinSanitizeOptions bad;
+    bad.max_truth_confidence = cap;
+    EXPECT_DEATH(sanitize(view, bad), "confidence cap") << cap;
+  }
 }
 
 // --- Linkage disequilibrium -------------------------------------------------

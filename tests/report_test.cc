@@ -85,8 +85,8 @@ RunReport MakeReport() {
 
 TEST(RunReportTest, EmittedJsonPassesSchemaValidation) {
   JsonValue doc = MakeReport().ToJson();
-  Status valid = ValidateReportJson(doc);
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  Result<RunReport> valid = RunReport::FromJson(doc);
+  EXPECT_TRUE(valid.ok()) << valid.status().ToString();
 }
 
 TEST(RunReportTest, WriteLoadRoundTripPreservesEverythingBenchstatReads) {
@@ -129,7 +129,7 @@ TEST(RunReportTest, ValidationCatchesMissingAndMalformedSections) {
   JsonValue doc = MakeReport().ToJson();
   JsonValue no_phases = JsonValue::Parse(doc.Dump()).value();
   no_phases.Set("phases", JsonValue::Number(3));
-  EXPECT_FALSE(ValidateReportJson(no_phases).ok()) << "wrong kind for phases must fail";
+  EXPECT_FALSE(RunReport::FromJson(no_phases).ok()) << "wrong kind for phases must fail";
 
   JsonValue bad_digest = JsonValue::Parse(doc.Dump()).value();
   JsonValue outputs = JsonValue::Array();
@@ -139,9 +139,9 @@ TEST(RunReportTest, ValidationCatchesMissingAndMalformedSections) {
   row.Set("fnv1a", JsonValue::String("short"));
   outputs.Append(std::move(row));
   bad_digest.Set("outputs", std::move(outputs));
-  EXPECT_FALSE(ValidateReportJson(bad_digest).ok()) << "non-16-hex digest must fail";
+  EXPECT_FALSE(RunReport::FromJson(bad_digest).ok()) << "non-16-hex digest must fail";
 
-  EXPECT_FALSE(ValidateReportJson(JsonValue::Number(1)).ok());
+  EXPECT_FALSE(RunReport::FromJson(JsonValue::Number(1)).ok());
 }
 
 TEST(RunReportTest, CollectGlobalTelemetryPicksUpSpansAndHistograms) {
@@ -294,7 +294,7 @@ TEST(RunReportTest, PhaseMemoryAndProfileLinkSurviveTheRoundTrip) {
   EXPECT_EQ(loaded->profile.samples, 4242u);
   EXPECT_EQ(loaded->profile.dropped, 3u);
   // Emitted JSON still passes the schema gate with the new sections.
-  EXPECT_TRUE(ValidateReportJson(report.ToJson()).ok());
+  EXPECT_TRUE(RunReport::FromJson(report.ToJson()).ok());
 }
 
 TEST(RunReportTest, ProfileSectionIsOmittedWhenProfilingWasOff) {

@@ -415,8 +415,8 @@ TEST(TelemetryServerTest, ProfilezCapturesSchemaValidProfile) {
   EXPECT_EQ(content_type, "application/json");
   auto doc = JsonValue::Parse(body);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  Status valid = ValidateProfileJson(*doc);
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  Result<CpuProfile> valid = CpuProfile::FromJson(*doc);
+  EXPECT_TRUE(valid.ok()) << valid.status().ToString();
   EXPECT_EQ(doc->GetStringOr("schema", ""), "ppdp.profile.v1");
   EXPECT_GT(doc->GetNumberOr("samples", 0), 0.0) << body;
   // The one-shot capture must leave the global profiler stopped and clean.

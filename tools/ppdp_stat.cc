@@ -138,19 +138,7 @@ bool ParseArgs(int argc, char** argv, int first, const std::vector<FlagSpec>& sp
   return true;
 }
 
-// ---- One load -> schema-validate -> parse path, one JSONL reader ----
-
-/// Loads the JSON document at `path`, checks it with `validate`, and parses
-/// it with `parse`; errors name the file.
-template <typename T>
-Result<T> LoadDocument(const std::string& path, Status (*validate)(const JsonValue&),
-                       Result<T> (*parse)(const JsonValue&)) {
-  PPDP_ASSIGN_OR_RETURN(const JsonValue doc, JsonValue::Load(path));
-  PPDP_RETURN_IF_ERROR(validate(doc).Annotate(path));
-  Result<T> parsed = parse(doc);
-  if (!parsed.ok()) return parsed.status().Annotate(path);
-  return parsed;
-}
+// ---- One JSONL reader ----
 
 /// Reads every non-empty line of `path` as one JSON document.
 Result<std::vector<JsonValue>> ReadJsonl(const std::string& path) {
@@ -193,12 +181,8 @@ void PrintBuildsDiffer(const std::string& base_type, const std::string& base_com
 // ---- report ----
 
 Result<int> RunReportCommand(const Args& args) {
-  PPDP_ASSIGN_OR_RETURN(const obs::RunReport baseline,
-                        LoadDocument(args.files[0], obs::ValidateReportJson,
-                                     obs::RunReport::FromJson));
-  PPDP_ASSIGN_OR_RETURN(const obs::RunReport current,
-                        LoadDocument(args.files[1], obs::ValidateReportJson,
-                                     obs::RunReport::FromJson));
+  PPDP_ASSIGN_OR_RETURN(const obs::RunReport baseline, obs::RunReport::Load(args.files[0]));
+  PPDP_ASSIGN_OR_RETURN(const obs::RunReport current, obs::RunReport::Load(args.files[1]));
   if (args.Bool("validate_only")) {
     std::cout << "ppdp_benchstat: both reports schema-valid (" << baseline.name << ", "
               << current.name << ")\n";
@@ -251,8 +235,7 @@ Result<int> RunReportCommand(const Args& args) {
 Result<int> RunProfileCommand(const Args& args) {
   std::vector<obs::CpuProfile> profiles;
   for (const std::string& path : args.files) {
-    PPDP_ASSIGN_OR_RETURN(obs::CpuProfile loaded,
-                          LoadDocument(path, obs::ValidateProfileJson, obs::CpuProfile::FromJson));
+    PPDP_ASSIGN_OR_RETURN(obs::CpuProfile loaded, obs::CpuProfile::Load(path));
     profiles.push_back(std::move(loaded));
   }
   const obs::CpuProfile& profile = profiles[0];
