@@ -13,7 +13,7 @@
 #include "dp/aggregation.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"rows"});
   ppdp::Flags flags(argc, argv);
   size_t rows = static_cast<size_t>(flags.GetInt("rows", 20000));
 

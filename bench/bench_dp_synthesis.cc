@@ -13,7 +13,7 @@
 #include "genomics/gwas_catalog.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"snps", "rows"});
   ppdp::Flags flags(argc, argv);
   size_t num_snps = static_cast<size_t>(flags.GetInt("snps", 80));
   size_t rows = static_cast<size_t>(flags.GetInt("rows", 600));

@@ -12,7 +12,7 @@
 #include "tradeoff/collective_strategy.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"delta", "epsilon"});
   ppdp::Flags flags(argc, argv);
 
   ppdp::graph::SocialGraph g =

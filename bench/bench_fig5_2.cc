@@ -15,7 +15,7 @@
 #include "genomics/snp_sanitizer.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"snps", "max_sanitized"});
   ppdp::Flags flags(argc, argv);
   size_t num_snps = static_cast<size_t>(flags.GetInt("snps", 400));
   size_t max_sanitized = static_cast<size_t>(flags.GetInt("max_sanitized", 8));

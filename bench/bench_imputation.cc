@@ -38,7 +38,7 @@ CaseControlPanel ChainPanel(size_t rows, size_t loci, double correlation, double
 }  // namespace
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"loci", "rows"});
   ppdp::Flags flags(argc, argv);
   size_t rows = static_cast<size_t>(flags.GetInt("rows", 150));
   size_t loci = static_cast<size_t>(flags.GetInt("loci", 30));

@@ -18,7 +18,8 @@
 #include "iot/collection.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0,
+                            {"rows", "fault_seed", "fault_rate"});
   ppdp::Flags flags(argc, argv);
   size_t rows = static_cast<size_t>(flags.GetInt("rows", 8000));
 

@@ -42,7 +42,7 @@ KinPrivacy TargetPrivacy(const GwasCatalog& catalog, const Pedigree& pedigree,
 }  // namespace
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"snps"});
   ppdp::Flags flags(argc, argv);
   ppdp::Rng rng(env.seed);
   SyntheticCatalogConfig config;

@@ -63,7 +63,10 @@ struct ClientStats {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/0.25);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/0.25,
+                            {"clients", "requests", "publish_pct", "min_qps", "deadline_ms",
+                             "access_log", "genome_snps", "tenant_budget", "max_pending",
+                             "slo_config"});
   ppdp::Flags flags(argc, argv);
   const int clients = static_cast<int>(flags.GetInt("clients", 8));
   const uint64_t total_requests = static_cast<uint64_t>(flags.GetInt("requests", 2048));

@@ -24,7 +24,7 @@ std::pair<size_t, size_t> ReductSizes(const ppdp::graph::SocialGraph& g,
 }  // namespace
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"mit_scale"});
   ppdp::Flags flags(argc, argv);
   double mit_scale = flags.GetDouble("mit_scale", 0.25);
 

@@ -81,7 +81,7 @@ MethodResults RunDataset(const SocialGraph& original, const std::vector<bool>& k
 }  // namespace
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"mit_scale"});
   ppdp::Flags flags(argc, argv);
   double mit_scale = flags.GetDouble("mit_scale", 0.25);
 

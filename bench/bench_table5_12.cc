@@ -12,7 +12,7 @@
 #include "genomics/snp.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/1.0, {"raf", "oratio"});
   ppdp::Flags flags(argc, argv);
   double fo = flags.GetDouble("raf", 0.25);
   double oratio = flags.GetDouble("oratio", 2.0);

@@ -1,9 +1,13 @@
 #ifndef PPDP_BENCH_BENCH_UTIL_H_
 #define PPDP_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -59,6 +63,9 @@ namespace ppdp::bench {
 ///                   collapsed folded stacks land next to it with a
 ///                   .folded suffix
 ///
+/// A bench passes the names of the flags it reads itself. Any other flag is
+/// a usage error: the constructor names it and exits 2 before any work.
+///
 /// On destruction (end of main) the harness emits the per-phase wall-time
 /// table of every TraceSpan closed — printed and written to
 /// <out>/<bench>_phases.csv — then, with --trace_out, the Chrome trace, and
@@ -73,9 +80,21 @@ struct BenchEnv {
   std::string trace_out;
   int threads = 0;
 
-  BenchEnv(int argc, char** argv, double default_scale) {
+  BenchEnv(int argc, char** argv, double default_scale,
+           std::initializer_list<std::string_view> bench_flags = {}) {
+    if (argc > 0) {
+      bench_name = std::filesystem::path(argv[0]).filename().string();
+    }
     Flags flags(argc, argv);
     flag_values_ = flags.values();
+    for (const auto& [name, value] : flag_values_) {
+      if (std::find(std::begin(kCommonFlags), std::end(kCommonFlags), name) ==
+              std::end(kCommonFlags) &&
+          std::find(bench_flags.begin(), bench_flags.end(), name) == bench_flags.end()) {
+        std::cerr << bench_name << ": unknown flag --" << name << "\n";
+        std::exit(2);
+      }
+    }
     seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
     scale = flags.GetDouble("scale", default_scale);
     out_dir = flags.GetString("out", "bench_out");
@@ -91,9 +110,6 @@ struct BenchEnv {
     if (!obs::InitLoggingFromFlags(flags)) {
       std::cerr << "warning: unknown --log_level '" << flags.GetString("log_level", "")
                 << "' ignored (want debug|info|warn|error|off)\n";
-    }
-    if (argc > 0) {
-      bench_name = std::filesystem::path(argv[0]).filename().string();
     }
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
@@ -341,6 +357,13 @@ struct BenchEnv {
   }
 
  private:
+  /// The flags every bench reads through BenchEnv (log_json through
+  /// obs::InitLoggingFromFlags).
+  static constexpr std::string_view kCommonFlags[] = {
+      "seed",         "scale",        "out",          "log_level",       "log_json",
+      "trace_out",    "threads",      "report_out",   "flight_capacity", "flight_level",
+      "flight_dump",  "telemetry_port", "http_max_conns", "profile_hz",  "profile_out"};
+
   /// Prints `table` under a heading and writes it to <out>/<name>.csv.
   /// Returns the CSV's path, or "" when the write failed.
   std::string PrintAndWrite(const Table& table, const std::string& name,

@@ -11,7 +11,7 @@
 #include "graph/graph_generators.h"
 
 int main(int argc, char** argv) {
-  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/0.5);
+  ppdp::bench::BenchEnv env(argc, argv, /*default_scale=*/0.5, {"repeats"});
   ppdp::Flags flags(argc, argv);
   size_t repeats = static_cast<size_t>(flags.GetInt("repeats", 5));
 

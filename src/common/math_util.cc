@@ -64,21 +64,6 @@ void NormalizeInPlace(std::vector<double>& values) {
   NormalizeInPlace(std::span<double>(values));
 }
 
-void NormalizeInPlace(std::span<double> values) {
-  PPDP_CHECK(!values.empty()) << "normalizing empty vector";
-  double total = 0.0;
-  for (double v : values) {
-    PPDP_CHECK(v >= 0.0) << "negative entry " << v;
-    total += v;
-  }
-  if (total <= 0.0) {
-    double uniform = 1.0 / static_cast<double>(values.size());
-    for (double& v : values) v = uniform;
-    return;
-  }
-  for (double& v : values) v /= total;
-}
-
 std::vector<double> Normalized(std::vector<double> values) {
   NormalizeInPlace(values);
   return values;
@@ -86,13 +71,6 @@ std::vector<double> Normalized(std::vector<double> values) {
 
 double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
   return L1Distance(std::span<const double>(a), std::span<const double>(b));
-}
-
-double L1Distance(std::span<const double> a, std::span<const double> b) {
-  PPDP_CHECK(a.size() == b.size());
-  double d = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) d += std::fabs(a[i] - b[i]);
-  return d;
 }
 
 bool NearlyEqual(double a, double b, double tol) { return std::fabs(a - b) <= tol; }

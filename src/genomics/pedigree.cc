@@ -1,7 +1,5 @@
 #include "genomics/pedigree.h"
 
-#include <limits>
-
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "genomics/snp_sanitizer.h"
@@ -139,8 +137,6 @@ double TruthConfidence(const GwasCatalog& catalog, const Individual& target,
 
 namespace {
 
-constexpr size_t kNoVar = std::numeric_limits<size_t>::max();
-
 /// The joint kin attack graph: each member's attack factors and evidence,
 /// then a Mendelian factor per (child, SNP locus modeled for the child and
 /// both parents). Fills the per-member variable maps.
@@ -165,7 +161,10 @@ FactorGraph BuildKinGraph(const GwasCatalog& catalog, const Pedigree& pedigree,
     const size_t f = pedigree.Father(m);
     const size_t mo = pedigree.Mother(m);
     for (size_t s = 0; s < catalog.num_snps(); ++s) {
-      if (vars[m][s] == kNoVar || vars[f][s] == kNoVar || vars[mo][s] == kNoVar) continue;
+      if (vars[m][s] == kNoVariable || vars[f][s] == kNoVariable ||
+          vars[mo][s] == kNoVariable) {
+        continue;
+      }
       graph.AddFactor({vars[f][s], vars[mo][s], vars[m][s]}, mendel);
     }
   }
@@ -202,24 +201,13 @@ KinSanitizeResult GreedyKinSanitize(const GwasCatalog& catalog, const Pedigree& 
   PPDP_CHECK(options.max_truth_confidence >= 0.0 && options.max_truth_confidence <= 1.0)
       << "confidence cap must lie in [0, 1]";
 
-  // Built once, as in GreedySanitize: a candidate unclamps its variable for
-  // one solve of the target's associated SNPs. An entry outside every
-  // association and LD pair has no variable and stays a no-op candidate.
+  // Built once, as in GreedySanitize; only the target's associated SNPs are
+  // read. An entry outside every association and LD pair has no variable
+  // and stays a candidate that changes nothing.
   std::vector<std::vector<size_t>> trait_vars, snp_vars;
   FactorGraph graph = BuildKinGraph(catalog, pedigree, view, &trait_vars, &snp_vars);
   std::vector<size_t> target_variables;
   for (size_t s : catalog.associated_snps()) target_variables.push_back(snp_vars[target_member][s]);
-  auto evaluate = [&] {
-    return TruthConfidence(catalog, view.members[target_member],
-                           graph.RunBeliefPropagation(options.bp, target_variables).marginals);
-  };
-  auto hide = [&](const KinSanitizedEntry& e) {
-    if (snp_vars[e.member][e.snp] != kNoVar) graph.ClearEvidence(snp_vars[e.member][e.snp]);
-  };
-  auto restore = [&](const KinSanitizedEntry& e) {
-    const size_t var = snp_vars[e.member][e.snp];
-    if (var != kNoVar) graph.SetEvidence(var, view.members[e.member].genotypes[e.snp]);
-  };
 
   // Candidate pool: every published (member, SNP) entry of the relatives.
   std::vector<KinSanitizedEntry> pool;
@@ -234,8 +222,13 @@ KinSanitizeResult GreedyKinSanitize(const GwasCatalog& catalog, const Pedigree& 
 
   KinSanitizeResult result;
   result.released = pool.size();
-  RunGreedy(std::move(pool), options.max_sanitized, evaluate, hide, restore,
-            KinRule{options.max_truth_confidence}, &result.sanitized, &result.confidence_trace);
+  RunBpGreedy(
+      &graph, options.bp, std::move(target_variables), std::move(pool), options.max_sanitized,
+      [&](const KinSanitizedEntry& e) { return snp_vars[e.member][e.snp]; },
+      [&](const std::vector<std::vector<double>>& marginals) {
+        return TruthConfidence(catalog, view.members[target_member], marginals);
+      },
+      KinRule{options.max_truth_confidence}, &result.sanitized, &result.confidence_trace);
   result.satisfied = result.confidence_trace.back() <= options.max_truth_confidence + 1e-12;
   result.released -= result.sanitized.size();
   for (const KinSanitizedEntry& e : result.sanitized) view.snp_known[e.member][e.snp] = false;

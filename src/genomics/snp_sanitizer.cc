@@ -96,41 +96,36 @@ GputResult GreedySanitize(const GwasCatalog& catalog, TargetView view,
     }
   }
 
-  // The BP attack builds its graph once. A candidate unclamps its SNP for one
-  // solve; accepting a pick unclamps it for good. The evidence then always
-  // equals that of a graph rebuilt from the current view, and the factor
-  // order and flooding schedule are the rebuilt graph's, so every marginal
-  // is bit-identical to a fresh RunGenomeInference. Only the targets'
-  // marginals are read.
-  const bool bp = options.method == AttackMethod::kBeliefPropagation;
-  std::vector<size_t> trait_variable, snp_variable, target_variables;
-  FactorGraph graph;
-  if (bp) {
-    graph = BuildAttackGraph(catalog, view, &trait_variable, &snp_variable);
+  // The BP attack builds its graph once, and only the targets' marginals are
+  // read. Naive Bayes re-runs the attack on the view per candidate.
+  GputResult result;
+  std::vector<size_t> candidates(pool.begin(), pool.end());
+  const GputRule rule{options.delta};
+  if (options.method == AttackMethod::kBeliefPropagation) {
+    std::vector<size_t> trait_variable, snp_variable, target_variables;
+    FactorGraph graph = BuildAttackGraph(catalog, view, &trait_variable, &snp_variable);
     for (size_t t : target_traits) target_variables.push_back(trait_variable[t]);
-    // Pool SNPs come from associations, so each has a variable.
+    // Pool SNPs come from associations, so each has a clamped variable.
     for (size_t s : pool) PPDP_CHECK(graph.HasEvidence(snp_variable[s]));
-  }
-  auto evaluate = [&] {
-    if (!bp) {
+    RunBpGreedy(&graph, options.bp, std::move(target_variables), std::move(candidates),
+                options.max_sanitized, [&](size_t s) { return snp_variable[s]; },
+                SummarizeTargetPrivacy, rule, &result.sanitized, &result.privacy_trace);
+  } else {
+    auto evaluate = [&] {
       return EvaluateTraitPrivacy(RunGenomeInference(catalog, view, options.method, options.bp),
                                   target_traits);
-    }
-    return SummarizeTargetPrivacy(
-        graph.RunBeliefPropagation(options.bp, target_variables).marginals);
-  };
-  auto hide = [&](size_t s) {
-    view.snp_known[s] = false;
-    if (bp) graph.ClearEvidence(snp_variable[s]);
-  };
-  auto restore = [&](size_t s) {
-    view.snp_known[s] = true;
-    if (bp) graph.SetEvidence(snp_variable[s], static_cast<size_t>(view.individual.genotypes[s]));
-  };
-
-  GputResult result;
-  RunGreedy(std::vector<size_t>(pool.begin(), pool.end()), options.max_sanitized, evaluate, hide,
-            restore, GputRule{options.delta}, &result.sanitized, &result.privacy_trace);
+    };
+    auto trial = [&](size_t s) {
+      view.snp_known[s] = false;
+      const PrivacyReport report = evaluate();
+      view.snp_known[s] = true;
+      return report;
+    };
+    auto pick = [&](size_t s) { view.snp_known[s] = false; };
+    RunGreedy(std::move(candidates), options.max_sanitized, evaluate(), trial, pick, rule,
+              &result.sanitized, &result.privacy_trace);
+  }
+  for (size_t s : result.sanitized) view.snp_known[s] = false;
   result.satisfied = result.privacy_trace.back() >= options.delta - 1e-12;
   result.released = ReleasedSnpCount(view);
   if (sanitized_view != nullptr) *sanitized_view = std::move(view);

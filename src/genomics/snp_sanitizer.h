@@ -2,6 +2,7 @@
 #define PPDP_GENOMICS_SNP_SANITIZER_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "genomics/genome_data.h"
@@ -20,37 +21,64 @@ std::vector<size_t> NeighborSnpsOfTrait(const GwasCatalog& catalog, size_t trait
 /// itself is excluded.
 std::vector<size_t> NeighborSnpsOfSnp(const GwasCatalog& catalog, size_t snp);
 
-/// The one Ch.5 greedy loop (GreedySanitize, GreedyKinSanitize). Each step
-/// hides, scores and restores every candidate in pool order, keeps the
+/// The one Ch.5 greedy loop (GreedySanitize, GreedyKinSanitize). From the
+/// score `start`, each step scores every candidate in pool order with
+/// `trial(candidate)` (the score with that candidate hidden), keeps the
 /// first that `rule.Prefer`s to the best so far (`first`: none kept yet,
-/// `best` is the current score) and hides it for good if `rule.Accept`s
-/// it. The loop stops at `rule.Done`, an empty pool or `max_picks`; `trace`
-/// gets `rule.Trace` of the first score and of each pick's.
-template <typename Candidate, typename Evaluate, typename Hide, typename Restore, typename Rule>
-void RunGreedy(std::vector<Candidate> pool, size_t max_picks, Evaluate& evaluate, Hide& hide,
-               Restore& restore, const Rule& rule, std::vector<Candidate>* picks,
+/// `best` is the current score) and, if `rule.Accept`s it, hides it for
+/// good with `pick(candidate)`. The loop stops at `rule.Done`, an empty
+/// pool or `max_picks`; `trace` gets `rule.Trace` of the start score and of
+/// each pick's.
+template <typename Candidate, typename Score, typename Trial, typename Pick, typename Rule>
+void RunGreedy(std::vector<Candidate> pool, size_t max_picks, Score start, Trial& trial,
+               Pick& pick, const Rule& rule, std::vector<Candidate>* picks,
                std::vector<double>* trace) {
-  auto current = evaluate();
+  Score current = start;
   trace->push_back(rule.Trace(current));
   while (!rule.Done(current) && !pool.empty() && picks->size() < max_picks) {
     size_t best = pool.size();
-    auto best_score = current;
+    Score best_score = current;
     for (size_t i = 0; i < pool.size(); ++i) {
-      hide(pool[i]);
-      const auto score = evaluate();
-      restore(pool[i]);
+      const Score score = trial(pool[i]);
       if (rule.Prefer(score, best_score, best == pool.size())) {
         best = i;
         best_score = score;
       }
     }
     if (best == pool.size() || !rule.Accept(best_score, current)) break;
-    hide(pool[best]);
+    pick(pool[best]);
     picks->push_back(pool[best]);
     pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best));
     current = best_score;
     trace->push_back(rule.Trace(current));
   }
+}
+
+/// A greedy candidate's variable when hiding it changes no evidence.
+inline constexpr size_t kNoVariable = static_cast<size_t>(-1);
+
+/// RunGreedy with the BP attack on `graph`, built once for the call. A
+/// candidate unclamps its variable (`variable_of(candidate)`: clamped, or
+/// kNoVariable) for one IncrementalBp solve of the `read` variables, and
+/// `score` maps their marginals to the rule's score; a pick unclamps it for
+/// good. Every marginal is bit-identical to a whole-graph solve of a graph
+/// rebuilt from the current evidence.
+template <typename Candidate, typename VariableOf, typename ScoreOf, typename Rule>
+void RunBpGreedy(FactorGraph* graph, const FactorGraph::BpOptions& options,
+                 std::vector<size_t> read, std::vector<Candidate> pool, size_t max_picks,
+                 const VariableOf& variable_of, const ScoreOf& score, const Rule& rule,
+                 std::vector<Candidate>* picks, std::vector<double>* trace) {
+  IncrementalBp bp(graph, options, std::move(read));
+  const auto start = score(bp.current().marginals);
+  auto trial = [&](const Candidate& c) {
+    const size_t v = variable_of(c);
+    return v == kNoVariable ? score(bp.current().marginals) : score(bp.SolveFreed(v).marginals);
+  };
+  auto pick = [&](const Candidate& c) {
+    const size_t v = variable_of(c);
+    if (v != kNoVariable) bp.Free(v);
+  };
+  RunGreedy(std::move(pool), max_picks, start, trial, pick, rule, picks, trace);
 }
 
 /// Options of the GPUT greedy solver (Definition 5.5.6).

@@ -16,6 +16,7 @@
 #include "genomics/genome_io.h"
 #include "genomics/gwas_catalog.h"
 #include "genomics/inference_attack.h"
+#include "genomics/pedigree.h"
 #include "genomics/privacy_metrics.h"
 #include "genomics/snp.h"
 #include "genomics/snp_sanitizer.h"
@@ -858,6 +859,150 @@ TEST(FactorGraphTest, FlatKernelMatchesReferenceKernelBitForBit) {
   }
   // The iteration cap must actually stop some runs short.
   EXPECT_GT(unconverged, 0u);
+}
+
+// -------------------------------------------- incremental BP exactness
+
+/// Random graph that evidence splits into several components: 5-16
+/// variables of domain 2-3, about half clamped, plus one clamped variable
+/// with no factor; unary, pairwise and ternary factors (Mendelian tables on
+/// three 3-state variables), loopy more often than not.
+PlainGraph RandomComponentGraph(Rng& rng) {
+  PlainGraph g;
+  const size_t num_variables = 5 + rng.Uniform(12);
+  for (size_t v = 0; v < num_variables; ++v) {
+    g.domains.push_back(2 + rng.Uniform(2));
+    g.evidence.push_back(rng.Bernoulli(0.5) ? static_cast<int64_t>(rng.Uniform(g.domains[v]))
+                                            : -1);
+  }
+  g.factors_of_variable.resize(num_variables + 1);
+  const size_t num_factors = num_variables / 2 + rng.Uniform(num_variables);
+  for (size_t f = 0; f < num_factors; ++f) {
+    const size_t arity = 1 + rng.Uniform(3);
+    std::vector<size_t> order(num_variables);
+    for (size_t v = 0; v < num_variables; ++v) order[v] = v;
+    rng.Shuffle(order);
+    PlainGraph::Factor factor;
+    factor.variables.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(arity));
+    size_t entries = 1;
+    for (size_t v : factor.variables) entries *= g.domains[v];
+    if (entries == 27 && rng.Bernoulli(0.5)) {
+      factor.table = MendelianTable();
+    } else {
+      for (size_t i = 0; i < entries; ++i) {
+        factor.table.push_back(rng.Bernoulli(0.1) ? 0.0 : 0.05 + rng.UniformReal());
+      }
+    }
+    for (size_t v : factor.variables) g.factors_of_variable[v].push_back(g.factors.size());
+    g.factors.push_back(std::move(factor));
+  }
+  g.domains.push_back(3);
+  g.evidence.push_back(1);
+  return g;
+}
+
+/// Whether `a` and `b` share a component: joined by factors through
+/// unclamped variables, or the same variable.
+bool SameComponent(const PlainGraph& g, size_t a, size_t b) {
+  std::vector<bool> seen(g.domains.size(), false);
+  std::vector<size_t> stack = {a};
+  seen[a] = true;
+  while (!stack.empty()) {
+    const size_t v = stack.back();
+    stack.pop_back();
+    if (v == b) return true;
+    if (v != a && g.evidence[v] >= 0) continue;
+    for (size_t f : g.factors_of_variable[v]) {
+      for (size_t u : g.factors[f].variables) {
+        if (!seen[u] && g.evidence[u] < 0) {
+          seen[u] = true;
+          stack.push_back(u);
+        }
+      }
+    }
+  }
+  return false;
+}
+
+void ExpectSameResult(const FactorGraph::BpResult& got, const FactorGraph::BpResult& want) {
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  ExpectSameBits(got.marginals, want.marginals);
+}
+
+TEST(IncrementalBpTest, MatchesWholeGraphSolvesBitForBit) {
+  Rng rng(2025);
+  size_t candidates = 0, outside = 0, factorless = 0, unconverged = 0, late = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const PlainGraph start = RandomComponentGraph(rng);
+    // Every variable with an odd id and the factorless one are read.
+    std::vector<size_t> read;
+    for (size_t v = 1; v < start.domains.size(); v += 2) read.push_back(v);
+    if (read.back() != start.domains.size() - 1) read.push_back(start.domains.size() - 1);
+    for (double damping : {0.0, 0.3}) {
+      for (size_t max_iterations : {size_t{50}, size_t{3}}) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " damping " << damping
+                                          << " max_iterations " << max_iterations);
+        FactorGraph::BpOptions options;
+        options.damping = damping;
+        options.max_iterations = max_iterations;
+        PlainGraph plain = start;
+        FactorGraph graph = plain.Build();
+        IncrementalBp bp(&graph, options, read);
+        ExpectSameResult(bp.current(), plain.Build().RunBeliefPropagation(options, read));
+        // Score every candidate, pick one at random, and go on until two
+        // picks are made or nothing is clamped.
+        for (int step = 0; step < 3; ++step) {
+          std::vector<size_t> clamped;
+          for (size_t v = 0; v < plain.domains.size(); ++v) {
+            if (plain.evidence[v] >= 0) clamped.push_back(v);
+          }
+          if (clamped.empty()) break;
+          for (size_t v : clamped) {
+            SCOPED_TRACE(::testing::Message() << "step " << step << " freeing " << v);
+            PlainGraph freed = plain;
+            freed.evidence[v] = -1;
+            const FactorGraph::BpResult want = freed.Build().RunBeliefPropagation(options, read);
+            ExpectSameResult(bp.SolveFreed(v), want);
+            ++candidates;
+            if (!want.converged) ++unconverged;
+            if (step > 0) ++late;
+            if (freed.factors_of_variable[v].empty()) ++factorless;
+            for (size_t r : read) {
+              if (freed.evidence[r] < 0 && !freed.factors_of_variable[r].empty() &&
+                  !SameComponent(freed, v, r)) {
+                ++outside;
+                break;
+              }
+            }
+          }
+          if (step == 2) break;
+          const size_t pick = clamped[rng.Uniform(clamped.size())];
+          bp.Free(pick);
+          plain.evidence[pick] = -1;
+          ExpectSameResult(bp.current(), plain.Build().RunBeliefPropagation(options, read));
+        }
+      }
+    }
+  }
+  // Each case the component solve handles apart must actually occur.
+  EXPECT_GT(candidates, 3000u);
+  EXPECT_GT(outside, 1000u);
+  EXPECT_GT(factorless, 500u);
+  EXPECT_GT(unconverged, 500u);
+  EXPECT_GT(late, 1500u);
+}
+
+TEST(IncrementalBpDeathTest, FreeingAnUnclampedVariableDies) {
+  FactorGraph graph;
+  const size_t a = graph.AddVariable(2);
+  const size_t b = graph.AddVariable(2);
+  graph.AddFactor({a, b}, {1.0, 2.0, 3.0, 4.0});
+  graph.SetEvidence(a, 1);
+  IncrementalBp bp(&graph, {}, {b});
+  EXPECT_DEATH(bp.SolveFreed(b), "not clamped");
+  bp.Free(a);
+  EXPECT_DEATH(bp.Free(a), "not clamped");
 }
 
 // ------------------------------------------------- greedy GPUT equivalence

@@ -3,8 +3,7 @@
 // plus the usual introspection endpoints on 127.0.0.1.
 //
 //   ppdp_serve --port 8080 --tenant_budget 4.0
-//   curl -s -XPOST localhost:8080/v1/publish \
-//     -d '{"tenant":"acme","kind":"social","epsilon":0.5}'
+//   curl -s -XPOST localhost:8080/v1/publish -d '{"tenant":"acme","kind":"social","epsilon":0.5}'
 //
 // Flags (all optional):
 //   --port N              bind port; 0 = ephemeral, printed at startup (0)
