@@ -448,9 +448,9 @@ void BM_LedgerSpend(benchmark::State& state) {
 BENCHMARK(BM_LedgerSpend)->Threads(1)->Threads(4);
 
 /// One loopback `GET /healthz` round trip through a TelemetryServer:
-/// connect, the accept loop's hand-off, a handler thread's read, dispatch
-/// and write, and the close — the HTTP layer every served request pays.
-/// With 8 client threads the handlers and the accept loop run contended.
+/// connect, the accept that wakes a server thread, its read, dispatch and
+/// write, and the close — the HTTP layer every served request pays. With 8
+/// client threads the server threads run contended.
 void BM_HttpRoundTrip(benchmark::State& state) {
   static ppdp::obs::TelemetryServer* server = nullptr;
   if (state.thread_index() == 0) {

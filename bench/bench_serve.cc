@@ -22,9 +22,11 @@
 // Every request carries a client-generated W3C traceparent header; the
 // server must echo a response traceparent with the same trace id (echo
 // mismatches fail the run). --access_log PATH additionally makes the
-// in-process daemon write its ppdp.access.v1 JSONL log, which the bench
-// reads back at the end into a server-side per-stage latency table
-// (serve_stage_breakdown) — the same numbers `ppdp_stat access` aggregates.
+// in-process daemon write its ppdp.access.v1 JSONL log (PATH and PATH.1 are
+// emptied first), which the bench reads back at the end into a server-side
+// per-stage latency table (serve_stage_breakdown) — the same numbers
+// `ppdp_stat access` aggregates. The run fails unless the log holds exactly
+// one ppdp.access.v1 record per request sent.
 //
 // The in-process daemon always runs its SLO engine (--slo_config loads a
 // ppdp.slo.v1 rule file; defaults otherwise). After the load completes the
@@ -33,6 +35,7 @@
 // them informationally and never gates on them.
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
@@ -88,6 +91,11 @@ int main(int argc, char** argv) {
   options.max_tenants = static_cast<size_t>(clients) + 4;
   options.max_pending = static_cast<int>(flags.GetInt("max_pending", clients * 8));
   options.access_log = access_log;
+  if (!access_log.empty()) {
+    // The daemon appends; start from an empty log so it holds this run only.
+    std::ofstream(access_log, std::ios::trunc);
+    std::remove((access_log + ".1").c_str());
+  }
   options.slo_config = flags.GetString("slo_config", "");
 
   auto app = ppdp::serve::ServeApp::Create(options);
@@ -249,30 +257,34 @@ int main(int argc, char** argv) {
   // Server-side view: fold the access log's per-stage micros into the same
   // breakdown `ppdp_stat access` prints, so a bench run shows where request
   // time went without a second tool invocation.
+  uint64_t log_records = 0;
+  uint64_t logged = 0;
   if (!access_log.empty()) {
     struct StageAgg {
       uint64_t count = 0;
       double total_micros = 0.0;
     };
     std::map<std::string, StageAgg> stage_stats;
-    uint64_t logged = 0;
-    std::ifstream log_file(access_log);
     std::string line;
-    while (std::getline(log_file, line)) {
-      if (line.empty()) continue;
-      auto doc = ppdp::JsonValue::Parse(line);
-      if (!doc.ok() || doc->GetStringOr("schema", "") != "ppdp.access.v1") continue;
-      ++logged;
-      StageAgg& whole = stage_stats["total"];
-      ++whole.count;
-      whole.total_micros += doc->GetNumberOr("total_micros", 0.0);
-      const ppdp::JsonValue* stages = doc->Find("stages");
-      if (stages == nullptr || !stages->is_object()) continue;
-      for (const auto& [stage, micros] : stages->members()) {
-        if (!micros.is_number()) continue;
-        StageAgg& agg = stage_stats[stage];
-        ++agg.count;
-        agg.total_micros += micros.as_number();
+    for (const std::string& path : {access_log + ".1", access_log}) {
+      std::ifstream log_file(path);
+      while (std::getline(log_file, line)) {
+        if (line.empty()) continue;
+        ++log_records;
+        auto doc = ppdp::JsonValue::Parse(line);
+        if (!doc.ok() || doc->GetStringOr("schema", "") != "ppdp.access.v1") continue;
+        ++logged;
+        StageAgg& whole = stage_stats["total"];
+        ++whole.count;
+        whole.total_micros += doc->GetNumberOr("total_micros", 0.0);
+        const ppdp::JsonValue* stages = doc->Find("stages");
+        if (stages == nullptr || !stages->is_object()) continue;
+        for (const auto& [stage, micros] : stages->members()) {
+          if (!micros.is_number()) continue;
+          StageAgg& agg = stage_stats[stage];
+          ++agg.count;
+          agg.total_micros += micros.as_number();
+        }
       }
     }
     ppdp::Table stage_table({"stage", "count", "mean ms"});
@@ -285,6 +297,11 @@ int main(int argc, char** argv) {
              "server-side per-stage latency (" + std::to_string(logged) + " logged requests)");
   }
 
+  if (!access_log.empty() && (log_records != logged || logged != total_requests)) {
+    std::cerr << "bench_serve: access log holds " << logged << " ppdp.access.v1 records ("
+              << log_records << " lines) for " << total_requests << " requests\n";
+    return 1;
+  }
   if (total.trace_mismatch > 0) {
     std::cerr << "bench_serve: " << total.trace_mismatch
               << " responses missing the echoed traceparent\n";

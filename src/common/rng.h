@@ -50,11 +50,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Returns a normal deviate with the given mean and stddev.
-  double Gaussian(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
   /// Samples an index from an (unnormalized) non-negative weight vector.
   /// Requires at least one strictly positive weight.
   size_t Categorical(const std::vector<double>& weights);

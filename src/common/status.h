@@ -50,9 +50,6 @@ class Status {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status Internal(std::string msg) { return Status(StatusCode::kInternal, std::move(msg)); }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }

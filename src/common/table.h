@@ -25,7 +25,6 @@ class Table {
   void AddNumericRow(const std::vector<double>& cells, int precision = 4);
 
   size_t num_rows() const { return rows_.size(); }
-  size_t num_columns() const { return columns_.size(); }
   const std::vector<std::string>& columns() const { return columns_; }
   const std::vector<std::string>& row(size_t i) const { return rows_.at(i); }
 

@@ -142,12 +142,6 @@ void RegisterStatuszSection(const std::string& key, std::function<JsonValue()> p
   sections.providers[key] = std::move(provider);
 }
 
-void ClearStatuszSections() {
-  StatuszSections& sections = StatuszSections::Global();
-  std::lock_guard<std::mutex> lock(sections.mutex);
-  sections.providers.clear();
-}
-
 bool TelemetryDegraded() {
   MetricsRegistry& registry = MetricsRegistry::Global();
   if (registry.counter("channel.gave_up").value() > 0) return true;
@@ -296,7 +290,11 @@ Status TelemetryServer::Start() {
   start_seconds_ = MonotonicSeconds();
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    idle_threads_ = 1;
+    threads_.emplace_back([this] { ConnectionLoop(); });
+  }
   PPDP_LOG(INFO) << "telemetry server listening" << Field("port", port());
   return Status::Ok();
 }
@@ -304,55 +302,53 @@ Status TelemetryServer::Start() {
 void TelemetryServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Unblock the accept loop: shutting the listening socket down fails its
-  // blocked (or racing) accept immediately instead of handing us one last
-  // connection, and the loop then sees stopping_.
+  // Shutting the listening socket down fails every blocked (or racing)
+  // accept at once instead of handing out one last connection. Then kick
+  // every in-flight connection out of its blocking read and wait for the
+  // threads to exit — no thread outlives Stop. An in-flight connection
+  // keeps its write side, so a response already dispatched (a request the
+  // serve layer drained) still reaches its client within the write
+  // deadline. stopping_ was set before this lock was taken, so a thread
+  // that takes it later spawns nothing and closes what it accepted.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  std::vector<std::thread> threads;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (int fd : serving_) ::shutdown(fd, SHUT_RD);
+    threads.swap(threads_);
+  }
+  for (std::thread& thread : threads) thread.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Kick every in-flight and queued connection out of its blocking read,
-  // then wait for the handlers to drain the queue and exit — no thread
-  // outlives Stop. An in-flight connection keeps its write side, so a
-  // response already dispatched (a request the serve layer drained) still
-  // reaches its client within the write deadline. stopping_ was set
-  // before this lock was taken, so no handler can check it and then miss
-  // the notify.
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (int fd : serving_) ::shutdown(fd, SHUT_RD);
-    for (int fd : queued_) ::shutdown(fd, SHUT_RDWR);
-    handlers.swap(handlers_);
-  }
-  connections_cv_.notify_all();
-  for (std::thread& handler : handlers) handler.join();
   PPDP_LOG(INFO) << "telemetry server stopped";
 }
 
-void TelemetryServer::AcceptLoop() {
+void TelemetryServer::ConnectionLoop() {
   static Counter& rejected =
       MetricsRegistry::Global().counter("telemetry.rejected_connections");
-  while (!stopping_.load(std::memory_order_acquire)) {
+  while (true) {
     // Blocks until a connection arrives; Stop's shutdown of the listening
     // socket fails it at once.
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;  // EINTR, a client that gave up, or Stop: re-check
-
-    bool over_cap;
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    bool over_cap = false;
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        if (fd >= 0) ::close(fd);  // accepted as Stop began: left unserved
+        return;
+      }
+      if (fd < 0) continue;  // EINTR or a client that gave up
       // The cap counts connections accepted and not yet answered.
-      over_cap = queued_.size() + serving_.size() >= static_cast<size_t>(options_.max_connections);
+      over_cap = serving_.size() >= static_cast<size_t>(options_.max_connections);
       if (!over_cap) {
-        queued_.push_back(fd);
-        // Spawn on demand: a new handler only when the idle ones cannot
-        // cover the queue, and never more than max_connections.
-        if (idle_handlers_ < queued_.size() &&
-            handlers_.size() < static_cast<size_t>(options_.max_connections)) {
-          handlers_.emplace_back([this] { HandlerLoop(); });
+        serving_.push_back(fd);
+        // Leave a thread in accept(): spawn one only when no other is idle,
+        // so there are never more than max_connections + 1.
+        if (--idle_threads_ == 0) {
+          idle_threads_ = 1;
+          threads_.emplace_back([this] { ConnectionLoop(); });
         }
       }
     }
@@ -373,32 +369,14 @@ void TelemetryServer::AcceptLoop() {
         drained += static_cast<size_t>(n);
       }
       ::close(fd);
-    } else {
-      connections_cv_.notify_one();
-    }
-  }
-}
-
-void TelemetryServer::HandlerLoop() {
-  while (true) {
-    int fd;
-    {
-      std::unique_lock<std::mutex> lock(connections_mutex_);
-      ++idle_handlers_;
-      connections_cv_.wait(lock, [this] {
-        return !queued_.empty() || stopping_.load(std::memory_order_acquire);
-      });
-      --idle_handlers_;
-      if (queued_.empty()) return;  // stopping, and nothing left to drain
-      fd = queued_.front();
-      queued_.pop_front();
-      serving_.push_back(fd);
+      continue;
     }
     HandleConnection(fd);
     {
       // Answered: un-listing frees the connection's slot.
       std::lock_guard<std::mutex> lock(connections_mutex_);
       serving_.erase(std::find(serving_.begin(), serving_.end(), fd));
+      ++idle_threads_;
     }
     // Only after un-listing: the client sees EOF once the socket is shut
     // down, so its next connection always finds the slot free, and Stop

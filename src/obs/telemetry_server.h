@@ -2,9 +2,7 @@
 #define PPDP_OBS_TELEMETRY_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,10 +21,8 @@ namespace ppdp::obs {
 /// pool registers itself here, the serve layer adds its queue state) — obs
 /// serves them without linking against their libraries. Re-registering a
 /// key replaces the provider. Providers are called on a telemetry
-/// handler thread and must be thread-safe.
+/// connection thread and must be thread-safe.
 void RegisterStatuszSection(const std::string& key, std::function<JsonValue()> provider);
-/// Removes every registered section (tests).
-void ClearStatuszSections();
 
 /// Process-health verdict backing /healthz: degraded when the chaos /
 /// budget machinery has already recorded user-visible damage — readings
@@ -34,10 +30,11 @@ void ClearStatuszSections();
 /// or privacy-ledger spend rejections.
 bool TelemetryDegraded();
 
-/// A small, dependency-free routed HTTP/1.1 server: blocking sockets served
-/// by handler threads that are spawned on demand and reused (bounded;
-/// excess connections are answered 503 immediately), loopback only, clean
-/// shutdown that unblocks in-flight reads. Endpoints are a routing table —
+/// A small, dependency-free routed HTTP/1.1 server: blocking sockets, each
+/// served by the thread that accepted it (threads are spawned on demand,
+/// so one is always left in accept(), and reused; bounded, with excess
+/// connections answered 503 immediately), loopback only, clean shutdown
+/// that unblocks in-flight reads. Endpoints are a routing table —
 /// RegisterHandler binds a (method, path prefix) to an HttpHandler, and the
 /// introspection endpoints below are pre-registered through the same
 /// table, so a layer above (the serve daemon) can add POST APIs or override
@@ -69,11 +66,12 @@ class TelemetryServer {
     /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read the
     /// result from port() after Start).
     int port = 0;
-    /// Connections accepted but not yet answered, and the most handler
-    /// threads ever spawned; a connection arriving while this many are
-    /// unanswered gets an immediate 503 (counted by
+    /// Connections accepted but not yet answered. A connection arriving
+    /// while this many are unanswered gets an immediate 503 (counted by
     /// telemetry.rejected_connections) so a scrape storm cannot pile up
-    /// work. Flag: --http_max_conns.
+    /// work. The server runs at most max_connections + 1 threads: one per
+    /// connection being served, and one left in accept() to refuse the
+    /// rest. Flag: --http_max_conns.
     int max_connections = 8;
     /// Overall per-connection read deadline (request line + headers +
     /// body). Poll-based: a slow-loris client trickling one byte per
@@ -109,19 +107,19 @@ class TelemetryServer {
   /// prefix wins; among routes with that prefix the method must match or
   /// the request is answered 405. Re-registering the same (method, prefix)
   /// replaces the handler — how the serve layer overrides /healthz.
-  /// Handlers run on handler threads and must be thread-safe; may be
+  /// Handlers run on connection threads and must be thread-safe; may be
   /// called before or after Start.
   void RegisterHandler(const std::string& method, const std::string& path_prefix,
                        HttpHandler handler);
 
-  /// Binds, listens, and starts the accept thread. Fails (kUnavailable /
+  /// Binds, listens, and starts the first connection thread. Fails (kUnavailable /
   /// kInvalidArgument) without leaking a socket when the port cannot be
   /// bound. Calling Start twice is an error.
   Status Start();
 
-  /// Clean shutdown: stops accepting, unblocks every in-flight and queued
-  /// connection (their sockets are shut down; a response already being
-  /// written still completes within the write deadline), joins all
+  /// Clean shutdown: stops accepting (every thread blocked in accept()
+  /// wakes), unblocks every in-flight connection's read (a response already
+  /// being written still completes within the write deadline), joins all
   /// threads. Idempotent.
   void Stop();
 
@@ -154,9 +152,8 @@ class TelemetryServer {
 
   void RegisterBuiltinRoutes();
   void HandleProfilez(const HttpRequest& request, HttpResponse* response) const;
-  void AcceptLoop();
-  /// A handler thread: serves queued connections until Stop.
-  void HandlerLoop();
+  /// A connection thread: accepts a connection and serves it, until Stop.
+  void ConnectionLoop();
   /// Reads one request from `fd`, dispatches it and writes the response.
   void HandleConnection(int fd);
 
@@ -168,17 +165,14 @@ class TelemetryServer {
   double start_seconds_ = 0.0;  ///< MonotonicSeconds at Start
   mutable std::mutex routes_mutex_;
   std::vector<Route> routes_;
-  std::mutex connections_mutex_;  ///< guards the handler state below
-  std::condition_variable connections_cv_;
-  size_t idle_handlers_ = 0;
-  /// Accepted and not yet answered, the two together fill the
-  /// max_connections slots: fds no handler has taken yet, and fds a handler
-  /// is serving (Stop shuts both down).
-  std::deque<int> queued_;
+  std::mutex connections_mutex_;  ///< guards the connection state below
+  /// Threads not serving a connection: in accept(), or on their way to it.
+  size_t idle_threads_ = 0;
+  /// Accepted and not yet answered: they fill the max_connections slots
+  /// (Stop shuts their read sides down).
   std::vector<int> serving_;
   // Threads last: they use every member above.
-  std::vector<std::thread> handlers_;
-  std::thread accept_thread_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace ppdp::obs

@@ -25,17 +25,6 @@ Partition IndiscernibilityClasses(const InformationSystem& is,
   return partition;
 }
 
-Partition DecisionClasses(const InformationSystem& is) {
-  std::map<Label, std::vector<size_t>> groups;
-  for (size_t obj = 0; obj < is.num_objects(); ++obj) groups[is.Decision(obj)].push_back(obj);
-  Partition partition;
-  partition.reserve(groups.size());
-  for (auto& [unused_label, members] : groups) partition.push_back(std::move(members));
-  std::sort(partition.begin(), partition.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
-  return partition;
-}
-
 std::vector<bool> LowerApproximation(const InformationSystem& is,
                                      const std::vector<size_t>& categories,
                                      const std::vector<bool>& target) {

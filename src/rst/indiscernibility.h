@@ -18,9 +18,6 @@ using Partition = std::vector<std::vector<size_t>>;
 Partition IndiscernibilityClasses(const InformationSystem& is,
                                   const std::vector<size_t>& categories);
 
-/// Equivalence classes of the decision attribute ([u]_D).
-Partition DecisionClasses(const InformationSystem& is);
-
 /// H'-lower approximation of the object subset `target` (given as a
 /// membership mask): objects whose whole equivalence class lies inside
 /// `target` (Definition 3.3.3). Returned as a membership mask.

@@ -280,7 +280,7 @@ JsonValue RequestTracker::ToJson(const std::string& tenant, double min_ms) const
 Status RequestObserver::Configure(const RequestObsOptions& options) {
   options_ = options;
   if (!options.access_log.empty()) {
-    const double max_mb = options.access_log_max_mb > 0 ? options.access_log_max_mb : 64.0;
+    const double max_mb = options.access_log_max_mb > 0 ? options.access_log_max_mb : 256.0;
     PPDP_RETURN_IF_ERROR(
         log_.Open(options.access_log, static_cast<uint64_t>(max_mb * 1024.0 * 1024.0)));
   }

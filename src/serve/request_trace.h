@@ -189,7 +189,7 @@ class AccessLog {
 /// Observability knobs the ppdp_serve flags map onto.
 struct RequestObsOptions {
   std::string access_log;          ///< empty = no access log
-  double access_log_max_mb = 64.0; ///< rotation threshold
+  double access_log_max_mb = 256.0; ///< rotation threshold
   double slow_request_ms = 0.0;    ///< > 0 captures slow requests in FlightRecorder
 };
 

@@ -76,14 +76,6 @@ obs::PrivacyLedger* TenantRegistry::FindTenant(const std::string& tenant) const 
   return it == ledgers_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> TenantRegistry::TenantNames() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(ledgers_.size());
-  for (const auto& [name, unused_ledger] : ledgers_) names.push_back(name);
-  return names;
-}
-
 size_t TenantRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ledgers_.size();

@@ -67,7 +67,6 @@ class TenantRegistry {
   /// once, before the first request.
   Status AttachWal(obs::LedgerWal* wal);
 
-  std::vector<std::string> TenantNames() const;
   size_t size() const;
   double budget_per_tenant() const { return options_.budget_per_tenant; }
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,12 +32,18 @@ std::string TempPath(const std::string& name) { return ::testing::TempDir() + "/
 
 /// Burns roughly `cpu_seconds` of CPU time on the calling thread — the
 /// profiler samples per second of *CPU* time, so sleeps would yield nothing.
+/// Each outer iteration locks a mutex: under TSan an asynchronous signal is
+/// held until the thread enters an intercepted call, and at most one is
+/// held per signal number, so a burn made only of arithmetic and getrusage
+/// would fold all its SIGPROFs into one.
 uint64_t BurnCpu(double cpu_seconds) {
   ProcessCpu start = ReadProcessCpu();
+  std::mutex delivery_point;
   volatile uint64_t sink = 1;
   while (ReadProcessCpu().user_seconds + ReadProcessCpu().system_seconds -
              start.user_seconds - start.system_seconds <
          cpu_seconds) {
+    std::lock_guard<std::mutex> lock(delivery_point);
     for (int i = 0; i < 100000; ++i) sink = sink * 2862933555777941757ULL + 3037000493ULL;
   }
   return sink;

@@ -1,8 +1,9 @@
 // Live-telemetry suite: Prometheus exposition + strict validator, the
-// embedded introspection server (over both HandlePath and real sockets),
-// the time-series sampler, and the cross-layer instrumentation feeding
-// them. The concurrency tests double as TSan regressions: scrapes race
-// real publisher runs, and ThreadPool::GlobalStats races SetGlobalThreads.
+// embedded introspection server (over both HandlePath and real sockets,
+// its connection cap and its shutdown), and the cross-layer
+// instrumentation feeding them. The concurrency tests double as TSan
+// regressions: scrapes race real publisher runs, and
+// ThreadPool::GlobalStats races SetGlobalThreads.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -468,7 +470,7 @@ TEST(TelemetryServerTest, ConnectionLimitAnswers503) {
   const char partial[] = "GET /metrics HTT";
   ASSERT_GT(::send(hog, partial, sizeof(partial) - 1, MSG_NOSIGNAL), 0);
 
-  // Give the accept loop a moment to hand the hog to a handler thread,
+  // Give a server thread a moment to accept the hog and start reading it,
   // then further connections must fast-fail.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   int status = 0;
@@ -543,6 +545,121 @@ TEST(TelemetryServerTest, StopUnblocksInFlightConnections) {
   double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   EXPECT_LT(seconds, 5.0) << "Stop must not wait out the read timeout";
   ::close(fd);
+}
+
+/// A handler that blocks until Release() (at most 10 s, so a failed
+/// assertion cannot hang the suite): each held request pins the connection
+/// thread serving it. Declare it before the server, which must stop first.
+struct HeldRequests {
+  HttpHandler Handler() {
+    return [this](const HttpRequest&, HttpResponse* response) {
+      entered.fetch_add(1, std::memory_order_acq_rel);
+      released.wait_for(std::chrono::seconds(10));
+      response->Text(200, "released\n");
+    };
+  }
+  /// True once `n` requests are inside the handler (waits up to 5 s).
+  bool AwaitEntered(int n) const {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (entered.load(std::memory_order_acquire) < n) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+  void Release() { release.set_value(); }
+
+  std::atomic<int> entered{0};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+};
+
+TEST(TelemetryServerTest, HeldConnectionsFillTheCapAndFreeItOnAnswer) {
+  TelemetryServer::Options options;
+  options.max_connections = 2;
+  HeldRequests held;
+  TelemetryServer server(std::move(options));
+  server.RegisterHandler("GET", "/hold", held.Handler());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::thread> clients;
+  std::atomic<int> answered{0};
+  for (int i = 0; i < 2; ++i) {
+    clients.emplace_back([&] {
+      int status = 0;
+      std::string body;
+      if (HttpGet(server.port(), "/hold", &status, &body) && status == 200) {
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  ASSERT_TRUE(held.AwaitEntered(2));
+
+  // Both slots are held: the thread left in accept() refuses the third
+  // connection with the whole 503 envelope and a clean EOF.
+  int status = 0;
+  int recv_errno = 0;
+  std::string body;
+  ASSERT_TRUE(RawHttp(server.port(), "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", &status,
+                      &body, nullptr, &recv_errno));
+  EXPECT_EQ(recv_errno, 0) << std::strerror(recv_errno);
+  EXPECT_EQ(status, 503);
+  auto doc = JsonValue::Parse(body);
+  ASSERT_TRUE(doc.ok()) << body;
+  EXPECT_EQ(doc->GetStringOr("schema", ""), "ppdp.serve.error.v1");
+
+  held.Release();
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(answered.load(), 2);
+  // The held connections were un-listed before their clients saw EOF.
+  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  server.Stop();
+}
+
+TEST(TelemetryServerTest, SequentialRequestsUnderACapOfOneNeverMeetA503) {
+  TelemetryServer::Options options;
+  options.max_connections = 1;
+  TelemetryServer server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+  // A closed-loop client: each connection's slot is free before the client
+  // reads its EOF, so the next connection never finds the cap full.
+  for (int i = 0; i < 500; ++i) {
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body)) << "request " << i;
+    ASSERT_EQ(status, 200) << "request " << i << ": " << body;
+  }
+  server.Stop();
+}
+
+TEST(TelemetryServerTest, StopWakesEveryThreadIdleInAccept) {
+  HeldRequests held;
+  TelemetryServer server({});  // max_connections = 8
+  server.RegisterHandler("GET", "/hold", held.Handler());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Eight concurrent requests spawn a thread each, plus the one left in
+  // accept(); once answered, all nine are idle in accept().
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.emplace_back([&] {
+      int status = 0;
+      std::string body;
+      EXPECT_TRUE(HttpGet(server.port(), "/hold", &status, &body));
+      EXPECT_EQ(status, 200);
+    });
+  }
+  ASSERT_TRUE(held.AwaitEntered(8));
+  held.Release();
+  for (std::thread& client : clients) client.join();
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.Stop();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  EXPECT_LT(seconds, 1.0);
+  EXPECT_FALSE(server.running());
 }
 
 TEST(TelemetryServerTest, ConcurrentScrapesDuringParallelPublisherRun) {

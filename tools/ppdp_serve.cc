@@ -25,7 +25,7 @@
 //                         requests get 504 (30)
 //   --access_log PATH     JSONL access log (ppdp.access.v1, one object per
 //                         request, per-stage micros); off when empty
-//   --access_log_max_mb X access-log size rotation threshold (64)
+//   --access_log_max_mb X access-log size rotation threshold (256)
 //   --slow_request_ms X   capture requests at/above this wall time in the
 //                         FlightRecorder ring; 0 = off (0)
 //   --slo_config PATH     ppdp.slo.v1 alert-rule config; empty = built-in
