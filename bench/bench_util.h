@@ -1,7 +1,6 @@
 #ifndef PPDP_BENCH_BENCH_UTIL_H_
 #define PPDP_BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -86,15 +85,10 @@ struct BenchEnv {
       bench_name = std::filesystem::path(argv[0]).filename().string();
     }
     Flags flags(argc, argv);
+    std::vector<std::string_view> known(std::begin(kCommonFlags), std::end(kCommonFlags));
+    known.insert(known.end(), bench_flags.begin(), bench_flags.end());
+    flags.RejectUnknown(bench_name, known);
     flag_values_ = flags.values();
-    for (const auto& [name, value] : flag_values_) {
-      if (std::find(std::begin(kCommonFlags), std::end(kCommonFlags), name) ==
-              std::end(kCommonFlags) &&
-          std::find(bench_flags.begin(), bench_flags.end(), name) == bench_flags.end()) {
-        std::cerr << bench_name << ": unknown flag --" << name << "\n";
-        std::exit(2);
-      }
-    }
     seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
     scale = flags.GetDouble("scale", default_scale);
     out_dir = flags.GetString("out", "bench_out");

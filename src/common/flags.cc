@@ -1,7 +1,8 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <string_view>
+#include <iostream>
 
 namespace ppdp {
 
@@ -22,6 +23,16 @@ Flags::Flags(int argc, char** argv) {
       ++i;
     } else {
       values_[std::string(arg)] = "true";
+    }
+  }
+}
+
+void Flags::RejectUnknown(std::string_view program,
+                          std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::cerr << program << ": unknown flag --" << name << "\n";
+      std::exit(2);
     }
   }
 }

@@ -3,13 +3,16 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace ppdp {
 
 /// Minimal "--key=value" / "--key value" command-line parser used by the
-/// benchmark and example binaries (the library itself never parses argv).
-/// Unknown flags are kept and can be listed; a bare "--help" sets help().
+/// benchmark, tool and example binaries (the library itself never parses
+/// argv). Every flag is kept; RejectUnknown refuses names a binary does not
+/// read. A bare "--help" sets help().
 class Flags {
  public:
   /// Parses argv. Arguments not starting with "--" are ignored.
@@ -22,6 +25,12 @@ class Flags {
   bool GetBool(const std::string& name, bool fallback) const;
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
+
+  /// A misspelled flag is a usage error, never a silent default: when a
+  /// parsed flag is none of `known`, prints "<program>: unknown flag
+  /// --<name>" to stderr and exits 2.
+  void RejectUnknown(std::string_view program, std::span<const std::string_view> known) const;
+
   bool help() const { return help_; }
 
   /// Every parsed --key=value pair, name-sorted. Run reports persist this

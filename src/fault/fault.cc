@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -46,15 +47,6 @@ Status FaultPlan::Validate() const {
   return Status::Ok();
 }
 
-uint64_t PointHash(const std::string& point) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64-bit offset basis
-  for (unsigned char c : point) {
-    h ^= c;
-    h *= 0x100000001B3ULL;  // FNV prime
-  }
-  return h;
-}
-
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* injector = new FaultInjector();
   return *injector;
@@ -88,7 +80,8 @@ FaultInjector::PointState& FaultInjector::StateFor(const std::string& point) {
     // Per-point stream: pure function of (plan seed, point name), so the
     // stream a point sees does not depend on which other points exist or
     // when they were first hit.
-    it = points_.emplace(point, PointState(Rng(plan_.seed).Split(PointHash(point)))).first;
+    const uint64_t stream = Fnv1a64(point.data(), point.size());
+    it = points_.emplace(point, PointState(Rng(plan_.seed).Split(stream))).first;
     it->second.fired_counter = &obs::MetricsRegistry::Global().counter("fault.fired." + point);
   }
   return it->second;

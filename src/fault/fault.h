@@ -171,9 +171,6 @@ class ScopedFaultPlan {
 /// fault suites without touching their code.
 FaultPlan PlanFromEnv(uint64_t default_seed, double default_rate);
 
-/// Stable FNV-1a 64-bit hash of a point name (exposed for tests).
-uint64_t PointHash(const std::string& point);
-
 }  // namespace ppdp::fault
 
 /// Evaluates the named failure point against the global injector.

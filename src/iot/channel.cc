@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -12,13 +13,6 @@
 namespace ppdp::iot {
 
 namespace {
-
-void HashMix(uint64_t& h, uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xFFu;
-    h *= 0x100000001B3ULL;
-  }
-}
 
 /// Frame magic: version-tagged so a future layout can bump the last byte.
 constexpr char kEnvelopeMagic[8] = {'P', 'P', 'D', 'P', 'i', 'o', 't', '1'};
@@ -41,16 +35,19 @@ uint64_t GetWord(std::string_view bytes, size_t offset) {
 }  // namespace
 
 uint64_t EnvelopeChecksum(const Envelope& envelope) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  HashMix(h, envelope.device);
-  HashMix(h, envelope.seq);
-  HashMix(h, static_cast<uint64_t>(envelope.reading.sensor));
-  HashMix(h, static_cast<uint64_t>(envelope.reading.value));
   uint64_t epsilon_bits = 0;
   static_assert(sizeof(envelope.reading.epsilon) == sizeof(epsilon_bits));
   std::memcpy(&epsilon_bits, &envelope.reading.epsilon, sizeof(epsilon_bits));
-  HashMix(h, epsilon_bits);
-  return h;
+  // FNV-1a over the five payload words in their little-endian wire order,
+  // so the checksum does not depend on the host's byte order.
+  const uint64_t words[] = {envelope.device, envelope.seq,
+                            static_cast<uint64_t>(envelope.reading.sensor),
+                            static_cast<uint64_t>(envelope.reading.value), epsilon_bits};
+  unsigned char bytes[sizeof(words)];
+  for (size_t i = 0; i < sizeof(bytes); ++i) {
+    bytes[i] = static_cast<unsigned char>(words[i / 8] >> (8 * (i % 8)));
+  }
+  return Fnv1a64(bytes, sizeof(bytes));
 }
 
 std::string EncodeEnvelope(const Envelope& envelope) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -351,7 +352,6 @@ JsonValue AlertTransition::ToJson() const {
 SloEngine::SloEngine(Options options)
     : options_(std::move(options)),
       clock_(options_.clock ? options_.clock : SloClock(&MonotonicSeconds)),
-      requests_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}),
       server_errors_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}),
       latency_(SlidingWindow::Options{options_.bucket_seconds, 3660, RequestLatencyBounds()}),
       queue_depth_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}) {}
@@ -389,7 +389,6 @@ Result<std::unique_ptr<SloEngine>> SloEngine::Create(Options options) {
 
 void SloEngine::RecordRequest(int status, double latency_seconds) {
   const double now = clock_();
-  requests_.Add(1.0, now);
   if (status >= 500) server_errors_.Add(1.0, now);
   latency_.Add(latency_seconds, now);
 }
@@ -421,12 +420,14 @@ SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const std:
   reading.inputs = JsonValue::Object();
   switch (rule.signal) {
     case AlertRule::Signal::kAvailability: {
-      const SlidingWindow::WindowStats all = requests_.StatsOver(window_seconds, now);
+      const SlidingWindow::WindowStats all = latency_.StatsOver(window_seconds, now);
       const SlidingWindow::WindowStats bad = server_errors_.StatsOver(window_seconds, now);
       reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(all.count)));
       reading.inputs.Set("errors_5xx", JsonValue::Number(static_cast<double>(bad.count)));
-      if (all.count < rule.min_count) return reading;
+      reading.events = all.count;
       const double error_ratio = static_cast<double>(bad.count) / static_cast<double>(all.count);
+      reading.attained = all.count == 0 ? 1.0 : 1.0 - error_ratio;
+      if (all.count < rule.min_count) return reading;
       const double budget = 1.0 - rule.objective;  // objective < 1 enforced at parse
       reading.evaluable = true;
       reading.burn = error_ratio / budget;
@@ -437,8 +438,10 @@ SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const std:
     case AlertRule::Signal::kLatency: {
       const SlidingWindow::WindowStats all = latency_.StatsOver(window_seconds, now);
       reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(all.count)));
-      if (all.count < rule.min_count) return reading;
+      reading.events = all.count;
       const double quantile = latency_.QuantileOver(window_seconds, rule.quantile, now);
+      reading.attained = quantile;
+      if (all.count < rule.min_count) return reading;
       reading.evaluable = true;
       reading.burn = rule.threshold > 0 ? quantile / rule.threshold : 0.0;
       reading.breach = quantile > rule.threshold;
@@ -448,6 +451,8 @@ SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const std:
     case AlertRule::Signal::kQueue: {
       const SlidingWindow::WindowStats all = queue_depth_.StatsOver(window_seconds, now);
       reading.inputs.Set("samples", JsonValue::Number(static_cast<double>(all.count)));
+      reading.events = all.count;
+      reading.attained = all.mean;
       if (all.count < rule.min_count) return reading;
       reading.evaluable = true;
       reading.burn = rule.threshold > 0 ? all.mean / rule.threshold : 0.0;
@@ -456,20 +461,23 @@ SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const std:
       return reading;
     }
     case AlertRule::Signal::kLedgerBurn: {
-      // Caller holds mutex_ (Evaluate): tenants_ access is safe, and the
-      // tenant's own window takes only its internal lock.
+      // Caller holds mutex_ (Evaluate, Attainment): tenants_ access is
+      // safe, and the tenant's own window takes only its internal lock.
+      reading.attained = std::numeric_limits<double>::infinity();
       auto it = tenants_.find(tenant);
       if (it == tenants_.end()) return reading;
       const TenantBurn& burn = it->second;
       const SlidingWindow::WindowStats spend = burn.spend->StatsOver(window_seconds, now);
       reading.inputs.Set("spends", JsonValue::Number(static_cast<double>(spend.count)));
       reading.inputs.Set("remaining_epsilon", JsonValue::Number(burn.remaining));
-      if (spend.count < rule.min_count) return reading;
+      reading.events = spend.count;
       const double rate = spend.sum / window_seconds;  // ε per second
+      const double tte = burn.remaining / rate;        // projected seconds to exhaustion
+      if (rate > 0) reading.attained = tte;
+      if (spend.count < rule.min_count) return reading;
       reading.inputs.Set("spend_rate", JsonValue::Number(rate));
       if (!(rate > 0)) return reading;
       reading.evaluable = true;
-      const double tte = burn.remaining / rate;  // projected seconds to exhaustion
       reading.burn = tte > 0 ? rule.horizon_seconds / tte : rule.horizon_seconds * 1e6;
       reading.breach = tte <= rule.horizon_seconds;
       reading.inputs.Set("time_to_exhaustion_s", JsonValue::Number(tte));
@@ -693,63 +701,39 @@ std::vector<SloAttainment> SloEngine::Attainment() const {
     SloAttainment row;
     row.rule = rule.name;
     row.signal = SignalName(rule.signal);
+    if (rule.signal == AlertRule::Signal::kLedgerBurn) {
+      // Report the worst tenant: smallest projected time-to-exhaustion.
+      double worst_tte = std::numeric_limits<double>::infinity();
+      for (const auto& [tenant, burn] : tenants_) {
+        const SignalReading reading = ReadSignal(rule, tenant, rule.slow_window_seconds, now);
+        row.events += reading.events;
+        if (reading.attained < worst_tte) {
+          worst_tte = reading.attained;
+          row.tenant = tenant;
+        }
+      }
+      // No spend observed means nothing is burning: report the horizon
+      // itself, which meets the bound exactly.
+      row.attained = std::isinf(worst_tte) ? rule.horizon_seconds : worst_tte;
+    } else {
+      const SignalReading reading = ReadSignal(rule, "", rule.slow_window_seconds, now);
+      row.events = reading.events;
+      row.attained = reading.attained;
+    }
     switch (rule.signal) {
-      case AlertRule::Signal::kAvailability: {
-        const SlidingWindow::WindowStats all =
-            requests_.StatsOver(rule.slow_window_seconds, now);
-        const SlidingWindow::WindowStats bad =
-            server_errors_.StatsOver(rule.slow_window_seconds, now);
+      case AlertRule::Signal::kAvailability:
         row.objective = rule.objective;
-        row.events = all.count;
-        row.attained = all.count == 0 ? 1.0
-                                      : 1.0 - static_cast<double>(bad.count) /
-                                                  static_cast<double>(all.count);
         row.met = row.attained >= rule.objective;
         break;
-      }
-      case AlertRule::Signal::kLatency: {
-        const SlidingWindow::WindowStats all = latency_.StatsOver(rule.slow_window_seconds, now);
+      case AlertRule::Signal::kLatency:
+      case AlertRule::Signal::kQueue:
         row.objective = rule.threshold;
-        row.events = all.count;
-        row.attained = latency_.QuantileOver(rule.slow_window_seconds, rule.quantile, now);
         row.met = row.attained <= rule.threshold;
         break;
-      }
-      case AlertRule::Signal::kQueue: {
-        const SlidingWindow::WindowStats all =
-            queue_depth_.StatsOver(rule.slow_window_seconds, now);
-        row.objective = rule.threshold;
-        row.events = all.count;
-        row.attained = all.mean;
-        row.met = row.attained <= rule.threshold;
-        break;
-      }
-      case AlertRule::Signal::kLedgerBurn: {
-        // Report the worst tenant: smallest projected time-to-exhaustion.
+      case AlertRule::Signal::kLedgerBurn:
         row.objective = rule.horizon_seconds;
-        double worst_tte = -1.0;
-        uint64_t events = 0;
-        std::string worst_tenant;
-        for (const auto& [tenant, burn] : tenants_) {
-          const SlidingWindow::WindowStats spend =
-              burn.spend->StatsOver(rule.slow_window_seconds, now);
-          events += spend.count;
-          if (spend.count == 0 || !(spend.sum > 0)) continue;
-          const double rate = spend.sum / rule.slow_window_seconds;
-          const double tte = burn.remaining / rate;
-          if (worst_tte < 0 || tte < worst_tte) {
-            worst_tte = tte;
-            worst_tenant = tenant;
-          }
-        }
-        row.events = events;
-        row.tenant = worst_tenant;
-        // No spend observed => nothing burning; report the horizon itself
-        // as "met exactly at the bound is fine".
-        row.attained = worst_tte < 0 ? rule.horizon_seconds : worst_tte;
         row.met = row.attained >= rule.horizon_seconds;
         break;
-      }
     }
     rows.push_back(std::move(row));
   }

@@ -264,6 +264,12 @@ class SloEngine {
     bool breach = false;
     double burn = 0.0;      ///< signal-specific burn/severity measure
     JsonValue inputs;       ///< windowed numbers for /alertz
+    uint64_t events = 0;    ///< observations in the window
+    /// The signal in its rule's unit, read whatever min_count says (the
+    /// /sloz attained value): non-5xx ratio (1 when empty), quantile
+    /// seconds, mean depth ratio, or projected seconds to ε exhaustion
+    /// (infinite while nothing is spent).
+    double attained = 0.0;
   };
   SignalReading ReadSignal(const AlertRule& rule, const std::string& tenant,
                            double window_seconds, double now) const;
@@ -297,9 +303,9 @@ class SloEngine {
   SloClock clock_;
 
   // Ingestion windows (each is internally locked).
-  SlidingWindow requests_;       ///< all finished requests, value = 1
   SlidingWindow server_errors_;  ///< 5xx requests, value = 1
-  SlidingWindow latency_;        ///< request seconds (with bounds)
+  /// Request seconds (with bounds); its count is every finished request.
+  SlidingWindow latency_;
   SlidingWindow queue_depth_;    ///< admission depth ratio samples
 
   mutable std::mutex mutex_;  ///< instances + tenants + eval bookkeeping

@@ -9,6 +9,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "common/hash.h"
 #include "fault/fault.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -23,15 +24,6 @@ constexpr uint8_t kRecordAbort = 2;
 /// Records are a few hundred bytes at most (tenant/label/mechanism are
 /// length-capped upstream); anything claiming more is corruption, not data.
 constexpr uint32_t kMaxPayloadBytes = 4096;
-
-uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 void PutU32(std::string* out, uint32_t v) {
   char bytes[4];

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/slo.h"
+#include "serve/tenants.h"
 
 namespace ppdp::serve {
 
@@ -53,21 +54,6 @@ std::string HexWord(uint64_t word) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(word));
   return std::string(buffer);
-}
-
-/// Per-tenant metric names are only minted for strings that already satisfy
-/// the TenantRegistry grammar — the registry bounds how many such tenants
-/// can exist (max_tenants), which bounds the metric cardinality. Anything
-/// else (pre-validation garbage from a rejected request) must not create a
-/// metric family.
-bool SafeTenantForMetrics(const std::string& tenant) {
-  if (tenant.empty() || tenant.size() > 64) return false;
-  for (char c : tenant) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
 }
 
 const std::vector<double>& TenantLatencyBoundsMs() {
@@ -217,12 +203,57 @@ double StageTimer::Stop() {
   return micros;
 }
 
-void RequestTracker::Begin(RequestContext* context) {
+Status RequestObserver::Configure(const std::string& access_log, double access_log_max_mb,
+                                  double slow_request_ms) {
+  slow_request_ms_ = slow_request_ms;
+  if (access_log.empty()) return Status::Ok();
+  const double max_mb = access_log_max_mb > 0 ? access_log_max_mb : 256.0;
+  return log_.Open(access_log, static_cast<uint64_t>(max_mb * 1024.0 * 1024.0));
+}
+
+void RequestObserver::Begin(RequestContext* context) {
   std::lock_guard<std::mutex> lock(mutex_);
   inflight_.push_back(context);
 }
 
-void RequestTracker::Complete(RequestContext* context) {
+void RequestObserver::Complete(RequestContext* context) {
+  RequestRecord& record = context->record;
+  record.total_micros = (obs::MonotonicSeconds() - context->start_seconds) * 1e6;
+
+  if (log_.enabled()) {
+    if (Status appended = log_.Append(record.ToJson().Dump()); !appended.ok()) {
+      PPDP_LOG(WARN) << "access log append failed" << obs::Field("status", appended.ToString());
+    }
+  }
+
+  const double total_ms = record.total_micros / 1e3;
+  const bool slow = slow_request_ms_ > 0.0 && total_ms >= slow_request_ms_;
+  const bool failed = record.status < 200 || record.status >= 300;
+  if (slow || failed) {
+    obs::FlightEvent event;
+    event.elapsed_seconds = obs::MonotonicSeconds();
+    event.category = "request";
+    event.severity = failed ? "ERROR" : "WARN";
+    event.label = record.endpoint;
+    event.message = record.ToJson().Dump();
+    obs::FlightRecorder::Global().Record(std::move(event));
+  }
+
+  // Names in request bodies are attacker-controlled: only a registered
+  // tenant gets a metric family, so the registry's cap bounds them.
+  if (tenants_->FindTenant(record.tenant) != nullptr) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    const std::string prefix = "serve.tenant." + record.tenant;
+    registry.counter(prefix + ".requests").Increment();
+    if (record.status >= 400) registry.counter(prefix + ".rejected").Increment();
+    registry.histogram(prefix + ".latency_ms", TenantLatencyBoundsMs()).Observe(total_ms);
+  }
+
+  if (slo_ != nullptr) {
+    slo_->RecordRequest(record.status, record.total_micros / 1e6);
+    slo_->EvaluateIfDue();
+  }
+
   std::lock_guard<std::mutex> lock(mutex_);
   for (size_t i = 0; i < inflight_.size(); ++i) {
     if (inflight_[i] == context) {
@@ -231,22 +262,22 @@ void RequestTracker::Complete(RequestContext* context) {
       break;
     }
   }
-  completed_.push_back(context->record);
+  completed_.push_back(record);
   ++completed_total_;
   while (completed_.size() > kCompletedRing) completed_.pop_front();
 }
 
-size_t RequestTracker::inflight() const {
+size_t RequestObserver::inflight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return inflight_.size();
 }
 
-uint64_t RequestTracker::completed_total() const {
+uint64_t RequestObserver::completed_total() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return completed_total_;
 }
 
-JsonValue RequestTracker::ToJson(const std::string& tenant, double min_ms) const {
+JsonValue RequestObserver::RequestzDocument(const std::string& tenant, double min_ms) const {
   const double now = obs::MonotonicSeconds();
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.requestz.v1"));
@@ -275,57 +306,6 @@ JsonValue RequestTracker::ToJson(const std::string& tenant, double min_ms) const
   doc.Set("inflight", std::move(live));
   doc.Set("completed", std::move(done));
   return doc;
-}
-
-Status RequestObserver::Configure(const RequestObsOptions& options) {
-  options_ = options;
-  if (!options.access_log.empty()) {
-    const double max_mb = options.access_log_max_mb > 0 ? options.access_log_max_mb : 256.0;
-    PPDP_RETURN_IF_ERROR(
-        log_.Open(options.access_log, static_cast<uint64_t>(max_mb * 1024.0 * 1024.0)));
-  }
-  return Status::Ok();
-}
-
-void RequestObserver::Begin(RequestContext* context) { tracker_.Begin(context); }
-
-void RequestObserver::Complete(RequestContext* context) {
-  RequestRecord& record = context->record;
-  record.total_micros = (obs::MonotonicSeconds() - context->start_seconds) * 1e6;
-
-  if (log_.enabled()) {
-    if (Status appended = log_.Append(record); !appended.ok()) {
-      PPDP_LOG(WARN) << "access log append failed" << obs::Field("status", appended.ToString());
-    }
-  }
-
-  const double total_ms = record.total_micros / 1e3;
-  const bool slow = options_.slow_request_ms > 0.0 && total_ms >= options_.slow_request_ms;
-  const bool failed = record.status < 200 || record.status >= 300;
-  if (slow || failed) {
-    obs::FlightEvent event;
-    event.elapsed_seconds = obs::MonotonicSeconds();
-    event.category = "request";
-    event.severity = failed ? "ERROR" : "WARN";
-    event.label = record.endpoint;
-    event.message = record.ToJson().Dump();
-    obs::FlightRecorder::Global().Record(std::move(event));
-  }
-
-  if (SafeTenantForMetrics(record.tenant)) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const std::string prefix = "serve.tenant." + record.tenant;
-    registry.counter(prefix + ".requests").Increment();
-    if (record.status >= 400) registry.counter(prefix + ".rejected").Increment();
-    registry.histogram(prefix + ".latency_ms", TenantLatencyBoundsMs()).Observe(total_ms);
-  }
-
-  if (slo_ != nullptr) {
-    slo_->RecordRequest(record.status, record.total_micros / 1e6);
-    slo_->EvaluateIfDue();
-  }
-
-  tracker_.Complete(context);
 }
 
 }  // namespace ppdp::serve

@@ -23,6 +23,8 @@ class SloEngine;
 
 namespace ppdp::serve {
 
+class TenantRegistry;
+
 /// ---- W3C traceparent (version 00) ----
 ///
 /// `traceparent: 00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>`
@@ -131,16 +133,41 @@ class StageTimer {
   obs::TraceSpan span_;
 };
 
-/// Tracks in-flight requests (for /requestz's live view) and a fixed ring
-/// of the last kCompletedRing completed records. Lock-light: registration
-/// and completion are one short mutex hold each; the live view reads each
-/// context's atomic current_stage without stopping the request.
-class RequestTracker {
+/// The one owner of a finished request's exports: the in-flight list and
+/// the ring of the last kCompletedRing records behind /requestz, the JSONL
+/// access log (one ppdp.access.v1 object per line, rotated like the SLO
+/// alert log), FlightRecorder capture of slow and non-2xx requests,
+/// per-tenant metrics and the SLO feed. Begin and Complete's bookkeeping
+/// are one short mutex hold each; the live view reads each context's
+/// atomic current_stage without stopping the request. Every other export
+/// is gated on its flag, so the no-flags configuration costs next to
+/// nothing.
+class RequestObserver {
  public:
   static constexpr size_t kCompletedRing = 256;
 
+  /// Per-tenant serve.tenant.<t>.* metrics are minted only for tenants
+  /// `tenants` has registered, so its max_tenants cap bounds their series.
+  explicit RequestObserver(const TenantRegistry* tenants) : tenants_(tenants) {}
+  RequestObserver(const RequestObserver&) = delete;
+  RequestObserver& operator=(const RequestObserver&) = delete;
+
+  /// Opens the access log at `access_log` (empty = none), rotating once a
+  /// file passes `access_log_max_mb`, and captures requests of at least
+  /// `slow_request_ms` (0 = off) in the FlightRecorder.
+  Status Configure(const std::string& access_log, double access_log_max_mb,
+                   double slow_request_ms);
+
+  /// Attaches the app's SLO engine: every completed request is then fed
+  /// into its sliding windows and triggers a (throttled) rule evaluation.
+  /// Must be called before serving starts; nullptr detaches.
+  void AttachSloEngine(obs::SloEngine* engine) { slo_ = engine; }
+
+  /// Lists `context` as in flight until Complete.
   void Begin(RequestContext* context);
-  /// Unregisters `context` and copies its finished record into the ring.
+  /// Finalizes the record (total micros), then exports it: access log line,
+  /// FlightRecorder capture for slow / non-2xx requests, per-tenant
+  /// metrics, SLO windows, and the completed ring, which also unlists it.
   void Complete(RequestContext* context);
 
   size_t inflight() const;
@@ -150,113 +177,18 @@ class RequestTracker {
   /// their current stage, then completed records newest-first. `tenant`
   /// non-empty keeps only that tenant; `min_ms` > 0 keeps only completed
   /// requests at least that slow.
-  JsonValue ToJson(const std::string& tenant, double min_ms) const;
+  JsonValue RequestzDocument(const std::string& tenant, double min_ms) const;
 
  private:
+  const TenantRegistry* tenants_;
+  double slow_request_ms_ = 0.0;
+  obs::RotatingJsonlLog log_;
+  obs::SloEngine* slo_ = nullptr;
+
   mutable std::mutex mutex_;
   std::vector<RequestContext*> inflight_;
   std::deque<RequestRecord> completed_;
   uint64_t completed_total_ = 0;
-};
-
-/// Size-rotated JSONL access log: one ppdp.access.v1 object per line. A
-/// thin typed veneer over obs::RotatingJsonlLog (which the SLO alert log
-/// shares), so both logs rotate, flush, and bound their disk footprint
-/// (~2x max_bytes, one `<path>.1` generation) identically.
-class AccessLog {
- public:
-  AccessLog() = default;
-  AccessLog(const AccessLog&) = delete;
-  AccessLog& operator=(const AccessLog&) = delete;
-
-  /// Opens (appending) `path`; rotation triggers once the current file
-  /// exceeds `max_bytes`.
-  Status Open(const std::string& path, uint64_t max_bytes) {
-    return log_.Open(path, max_bytes);
-  }
-  bool enabled() const { return log_.enabled(); }
-  Status Append(const RequestRecord& record) { return log_.Append(record.ToJson().Dump()); }
-  void Close() { log_.Close(); }
-
-  /// Underlying sink counters (tests, statusz).
-  uint64_t lines_written() const { return log_.lines_written(); }
-  uint64_t rotations() const { return log_.rotations(); }
-
- private:
-  obs::RotatingJsonlLog log_;
-};
-
-/// Observability knobs the ppdp_serve flags map onto.
-struct RequestObsOptions {
-  std::string access_log;          ///< empty = no access log
-  double access_log_max_mb = 256.0; ///< rotation threshold
-  double slow_request_ms = 0.0;    ///< > 0 captures slow requests in FlightRecorder
-};
-
-/// The per-app bundle the serving handlers talk to: tracker + access log +
-/// slow/non-2xx FlightRecorder capture + per-tenant metrics. Everything
-/// beyond the tracker's one mutex push is gated on its flag, keeping the
-/// no-flags configuration at effectively zero overhead.
-class RequestObserver {
- public:
-  Status Configure(const RequestObsOptions& options);
-
-  /// Attaches the app's SLO engine: every completed request is then fed
-  /// into its sliding windows and triggers a (throttled) rule evaluation.
-  /// Must be called before serving starts; nullptr detaches.
-  void AttachSloEngine(obs::SloEngine* engine) { slo_ = engine; }
-
-  void Begin(RequestContext* context);
-  /// Finalizes the record (total micros), then exports: access log line,
-  /// completed-ring entry, FlightRecorder capture for slow / non-2xx
-  /// requests, per-tenant serve.tenant.<t>.* metrics, SLO windows.
-  void Complete(RequestContext* context);
-
-  RequestTracker& tracker() { return tracker_; }
-  const RequestObsOptions& options() const { return options_; }
-  const AccessLog& access_log() const { return log_; }
-
- private:
-  RequestObsOptions options_;
-  RequestTracker tracker_;
-  AccessLog log_;
-  obs::SloEngine* slo_ = nullptr;
-};
-
-/// RAII begin/complete pair for a handler scope: completes the request on
-/// every exit path, after the handler has stamped status/bytes_out.
-class ScopedRequest {
- public:
-  ScopedRequest(RequestObserver* observer, RequestContext* context)
-      : observer_(observer), context_(context) {
-    observer_->Begin(context_);
-  }
-  ScopedRequest(const ScopedRequest&) = delete;
-  ScopedRequest& operator=(const ScopedRequest&) = delete;
-  ~ScopedRequest() { observer_->Complete(context_); }
-
- private:
-  RequestObserver* observer_;
-  RequestContext* context_;
-};
-
-/// Stamps the response's final status and body size into the record at
-/// scope exit. Construct *after* the ScopedRequest so it runs first: every
-/// return path then logs the status it actually answered with.
-class ResponseStamp {
- public:
-  ResponseStamp(RequestContext* context, const obs::HttpResponse* response)
-      : context_(context), response_(response) {}
-  ResponseStamp(const ResponseStamp&) = delete;
-  ResponseStamp& operator=(const ResponseStamp&) = delete;
-  ~ResponseStamp() {
-    context_->record.status = response_->status();
-    context_->record.bytes_out = response_->body().size();
-  }
-
- private:
-  RequestContext* context_;
-  const obs::HttpResponse* response_;
 };
 
 }  // namespace ppdp::serve

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "dp/aggregation.h"
 #include "exec/thread_pool.h"
@@ -102,20 +103,6 @@ std::string CanonicalConfigKey(core::PublisherKind kind, const core::PublishConf
   return doc.Dump();
 }
 
-/// RAII in-flight marker backing the drain loop in Stop().
-class InflightScope {
- public:
-  explicit InflightScope(std::atomic<size_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_acq_rel);
-  }
-  ~InflightScope() { counter_->fetch_sub(1, std::memory_order_acq_rel); }
-  InflightScope(const InflightScope&) = delete;
-  InflightScope& operator=(const InflightScope&) = delete;
-
- private:
-  std::atomic<size_t>* counter_;
-};
-
 obs::Histogram& RequestHistogram() {
   static obs::Histogram& histogram = obs::MetricsRegistry::Global().histogram(
       "serve.request.seconds",
@@ -123,18 +110,6 @@ obs::Histogram& RequestHistogram() {
        2.5});
   return histogram;
 }
-
-/// FNV-1a 64 over raw bytes — the corpus digests in the startup summary use
-/// the same scheme as the WAL records and run-report file digests.
-uint64_t DigestBytes(uint64_t h, const void* data, size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 
 /// The client's optional "deadline_ms" as an absolute MonotonicSeconds
 /// timestamp, capped by the server-side maximum. 0 = no deadline declared.
@@ -234,12 +209,12 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
   genomics::GwasCatalog catalog = genomics::GenerateSyntheticCatalog(catalog_config, genome_rng);
   // Digest the association table before the catalog is moved into the
   // publisher: it pins the genome corpus for the startup summary.
-  uint64_t genome_digest = kFnvBasis;
+  uint64_t genome_digest = kFnv1aBasis;
   for (const genomics::SnpTraitAssociation& assoc : catalog.associations()) {
-    genome_digest = DigestBytes(genome_digest, &assoc.snp, sizeof(assoc.snp));
-    genome_digest = DigestBytes(genome_digest, &assoc.trait, sizeof(assoc.trait));
-    genome_digest = DigestBytes(genome_digest, &assoc.control_raf, sizeof(assoc.control_raf));
-    genome_digest = DigestBytes(genome_digest, &assoc.odds_ratio, sizeof(assoc.odds_ratio));
+    genome_digest = Fnv1a64(&assoc.snp, sizeof(assoc.snp), genome_digest);
+    genome_digest = Fnv1a64(&assoc.trait, sizeof(assoc.trait), genome_digest);
+    genome_digest = Fnv1a64(&assoc.control_raf, sizeof(assoc.control_raf), genome_digest);
+    genome_digest = Fnv1a64(&assoc.odds_ratio, sizeof(assoc.odds_ratio), genome_digest);
   }
   genomics::Individual person = genomics::SampleIndividual(catalog, genome_rng);
   genomics::TargetView view = genomics::MakeTargetView(catalog, person, {});
@@ -252,8 +227,7 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
                  << obs::Field("genome_snps", options.genome_snps);
 
   // The degree sequence pins the graph corpus.
-  uint64_t graph_digest = kFnvBasis;
-  for (int64_t degree : degrees) graph_digest = DigestBytes(graph_digest, &degree, sizeof(degree));
+  const uint64_t graph_digest = Fnv1a64(degrees.data(), degrees.size() * sizeof(int64_t));
 
   std::unique_ptr<ServeApp> app(new ServeApp(options, std::move(degrees), max_degree + 1,
                                              std::move(social), std::move(tradeoff),
@@ -269,11 +243,8 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
     PPDP_RETURN_IF_ERROR(app->tenants_.AttachWal(app->wal_.get()));
   }
 
-  RequestObsOptions obs_options;
-  obs_options.access_log = options.access_log;
-  obs_options.access_log_max_mb = options.access_log_max_mb;
-  obs_options.slow_request_ms = options.slow_request_ms;
-  PPDP_RETURN_IF_ERROR(app->observer_.Configure(obs_options));
+  PPDP_RETURN_IF_ERROR(app->observer_.Configure(options.access_log, options.access_log_max_mb,
+                                                 options.slow_request_ms));
 
   // The SLO engine is always on: custom rules from --slo_config, the
   // built-in defaults otherwise. Every completed request feeds it via the
@@ -297,13 +268,13 @@ void ServeApp::Stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
   draining_.store(true, std::memory_order_release);
   // Drain: requests already past the draining check finish normally (their
-  // sockets stay open); new arrivals are answered 503 by the handlers.
+  // sockets stay open); new arrivals are answered 503 by ServeRequest.
   const double deadline = obs::MonotonicSeconds() + options_.drain_timeout_seconds;
-  while (inflight_.load(std::memory_order_acquire) > 0 && obs::MonotonicSeconds() < deadline) {
+  while (inflight() > 0 && obs::MonotonicSeconds() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  if (inflight_.load(std::memory_order_acquire) > 0) {
-    PPDP_LOG(WARN) << "serve drain timeout" << obs::Field("inflight", inflight_.load());
+  if (const size_t left = inflight(); left > 0) {
+    PPDP_LOG(WARN) << "serve drain timeout" << obs::Field("inflight", left);
   }
   server_->Stop();
   // Flush the kBatch WAL tail so a clean shutdown loses nothing; best
@@ -320,30 +291,18 @@ core::Publisher* ServeApp::PublisherFor(core::PublisherKind kind) const {
   return nullptr;
 }
 
-Result<core::PublishOutput> ServeApp::RunPublish(
-    std::function<Result<core::PublishOutput>()> task) {
-  // Inline on the connection thread: the publisher's internal ParallelFor
-  // treats the caller as one execution thread and enlists pool workers as
-  // helpers, which is only safe when the caller is not itself a pool
-  // worker. Submitting the publish to the pool and blocking on a future
-  // deadlocks once every worker is parked in that wait (the helpers they
-  // enqueued can never start).
-  return task();
-}
-
 void ServeApp::RegisterRoutes() {
-  server_->RegisterHandler("POST", "/v1/publish",
-                           [this](const obs::HttpRequest& request, obs::HttpResponse* response) {
-                             HandlePublish(request, response);
-                           });
-  server_->RegisterHandler("POST", "/v1/audit",
-                           [this](const obs::HttpRequest& request, obs::HttpResponse* response) {
-                             HandleAudit(request, response);
-                           });
-  server_->RegisterHandler("POST", "/v1/dp/aggregate",
-                           [this](const obs::HttpRequest& request, obs::HttpResponse* response) {
-                             HandleAggregate(request, response);
-                           });
+  auto traced = [this](std::string path, std::string counter, Handler handler) {
+    server_->RegisterHandler(
+        "POST", path,
+        [this, path, counter, handler](const obs::HttpRequest& request,
+                                       obs::HttpResponse* response) {
+          ServeRequest(path, counter, handler, request, response);
+        });
+  };
+  traced("/v1/publish", "serve.publish.requests", &ServeApp::HandlePublish);
+  traced("/v1/audit", "serve.audit.requests", &ServeApp::HandleAudit);
+  traced("/v1/dp/aggregate", "serve.aggregate.requests", &ServeApp::HandleAggregate);
   server_->RegisterHandler("GET", "/requestz",
                            [this](const obs::HttpRequest& request, obs::HttpResponse* response) {
                              HandleRequestz(request, response);
@@ -470,10 +429,11 @@ void ServeApp::ObserveQueueDepth() {
                          static_cast<double>(max_pending));
 }
 
-obs::PrivacyLedger* ServeApp::AdmitAndCharge(RequestContext* context, const std::string& tenant,
-                                             double deadline, std::string_view label,
-                                             std::string_view mechanism, double epsilon,
-                                             AdmissionSlot* slot, obs::HttpResponse* response) {
+obs::PrivacyLedger* ServeApp::AdmitAndCharge(RequestContext* context, double deadline,
+                                             std::string_view label, std::string_view mechanism,
+                                             double epsilon, AdmissionSlot* slot,
+                                             obs::HttpResponse* response) {
+  const std::string& tenant = context->record.tenant;
   static obs::Counter& budget_rejected =
       obs::MetricsRegistry::Global().counter("serve.budget.rejected");
   // Admission before spending: a request refused for queue pressure must
@@ -541,63 +501,67 @@ obs::PrivacyLedger* ServeApp::AdmitAndCharge(RequestContext* context, const std:
   return *ledger;
 }
 
-void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  static obs::Counter& requests =
-      obs::MetricsRegistry::Global().counter("serve.publish.requests");
-  static obs::Counter& runs = obs::MetricsRegistry::Global().counter("serve.publish.runs");
-  static obs::Counter& fanout =
-      obs::MetricsRegistry::Global().counter("serve.coalesced.fanout");
-  requests.Increment();
-  RequestContext context("/v1/publish", request);
+void ServeApp::ServeRequest(const std::string& endpoint, const std::string& counter,
+                            Handler handler, const obs::HttpRequest& request,
+                            obs::HttpResponse* response) {
+  // Looked up per request, so an endpoint's counter appears in /metrics
+  // only once the endpoint has been called.
+  obs::MetricsRegistry::Global().counter(counter).Increment();
+  RequestContext context(endpoint, request);
   response->SetHeader("traceparent", context.ResponseTraceparent());
-  ScopedRequest scoped(&observer_, &context);
-  ResponseStamp stamp(&context, response);
-  const double started = context.start_seconds;
+  // Listed before the draining check, so Stop's drain sees every request
+  // that got past it.
+  observer_.Begin(&context);
   if (draining()) {
     JsonError(response, 503, "draining");
-    return;
-  }
-  InflightScope inflight(&inflight_);
-
-  std::string tenant, kind_name;
-  double epsilon = 0.5, deadline = 0.0;
-  Result<core::PublisherKind> kind = core::PublisherKind::kSocial;
-  Result<core::PublishConfig> config = core::PublishConfig{};
-  {
-    StageTimer parse_stage(&context, "serve.parse");
+  } else {
+    StageTimer parse(&context, "serve.parse");
     Result<JsonValue> body = request.Json();
     if (!body.ok()) {
       JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
-      return;
-    }
-    tenant = body->GetStringOr("tenant", "");
-    context.record.tenant = tenant;
-    kind_name = body->GetStringOr("kind", "social");
-    epsilon = body->GetNumberOr("epsilon", 0.5);
-    deadline = RequestDeadline(*body, started, options_.request_deadline_seconds);
-    kind = core::ParsePublisherKind(kind_name);
-    if (!kind.ok()) {
-      JsonError(response, 400, kind.status().ToString());
-      return;
-    }
-    config = ParsePublishConfig(*body);
-    if (!config.ok()) {
-      JsonError(response, 400, config.status().ToString());
-      return;
+    } else {
+      context.record.tenant = body->GetStringOr("tenant", "");
+      (this->*handler)(*body, &context, &parse, response);
     }
   }
+  if (response->status() == 200) {
+    RequestHistogram().Observe(obs::MonotonicSeconds() - context.start_seconds);
+  }
+  context.record.status = response->status();
+  context.record.bytes_out = response->body().size();
+  observer_.Complete(&context);
+}
+
+void ServeApp::HandlePublish(const JsonValue& body, RequestContext* context, StageTimer* parse,
+                             obs::HttpResponse* response) {
+  static obs::Counter& runs = obs::MetricsRegistry::Global().counter("serve.publish.runs");
+  static obs::Counter& fanout =
+      obs::MetricsRegistry::Global().counter("serve.coalesced.fanout");
+  const double epsilon = body.GetNumberOr("epsilon", 0.5);
+  const double deadline =
+      RequestDeadline(body, context->start_seconds, options_.request_deadline_seconds);
+  Result<core::PublisherKind> kind = core::ParsePublisherKind(body.GetStringOr("kind", "social"));
+  if (!kind.ok()) {
+    JsonError(response, 400, kind.status().ToString());
+    return;
+  }
+  Result<core::PublishConfig> config = ParsePublishConfig(body);
+  if (!config.ok()) {
+    JsonError(response, 400, config.status().ToString());
+    return;
+  }
+  parse->Stop();
 
   AdmissionSlot slot;
-  obs::PrivacyLedger* ledger = AdmitAndCharge(&context, tenant, deadline,
-                                              core::PublisherKindName(*kind), "publish",
-                                              epsilon, &slot, response);
+  obs::PrivacyLedger* ledger = AdmitAndCharge(context, deadline, core::PublisherKindName(*kind),
+                                              "publish", epsilon, &slot, response);
   if (ledger == nullptr) return;
 
   core::Publisher* publisher = PublisherFor(*kind);
   const core::PublishConfig publish_config = *config;
   BatchCoalescer::Outcome outcome =
-      coalescer_.Run(CanonicalConfigKey(*kind, publish_config), &context,
-                     [this, publisher, publish_config]() -> Result<core::PublishOutput> {
+      coalescer_.Run(CanonicalConfigKey(*kind, publish_config), context,
+                     [publisher, publish_config]() -> Result<core::PublishOutput> {
                        // Chaos hook for the slow-request capture path: an
                        // armed delay here stretches serve.publish, which
                        // --slow_request_ms then flags into FlightRecorder.
@@ -607,26 +571,35 @@ void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse*
                          std::this_thread::sleep_for(
                              std::chrono::duration<double, std::milli>(decision.delay_ms));
                        }
-                       return RunPublish(
-                           [publisher, publish_config] { return publisher->Publish(publish_config); });
+                       // Inline on the connection thread: the publisher's
+                       // internal ParallelFor treats the caller as one
+                       // execution thread and enlists pool workers as
+                       // helpers, which is only safe when the caller is not
+                       // itself a pool worker. Submitting the publish to the
+                       // pool and blocking on a future deadlocks once every
+                       // worker is parked in that wait (the helpers they
+                       // enqueued can never start). Connection threads are
+                       // bounded by http_max_conns, so this keeps
+                       // concurrency capped without parking a pool thread.
+                       return publisher->Publish(publish_config);
                      });
-  context.record.coalesce = outcome.leader ? "leader" : "waiter";
+  context->record.coalesce = outcome.leader ? "leader" : "waiter";
   if (outcome.leader) {
     runs.Increment();
   } else {
     fanout.Increment();
-    context.record.leader_request_id = outcome.leader_request_id;
+    context->record.leader_request_id = outcome.leader_request_id;
   }
   if (!outcome.result.ok()) {
     JsonError(response, 400, outcome.result.status().ToString());
     return;
   }
 
-  StageTimer write_stage(&context, "serve.write");
+  StageTimer write_stage(context, "serve.write");
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.serve.publish.v1"));
-  doc.Set("request_id", JsonValue::String(context.record.request_id));
-  doc.Set("tenant", JsonValue::String(tenant));
+  doc.Set("request_id", JsonValue::String(context->record.request_id));
+  doc.Set("tenant", JsonValue::String(context->record.tenant));
   doc.Set("kind", JsonValue::String(core::PublisherKindName(*kind)));
   doc.Set("coalesced", JsonValue::Bool(!outcome.leader));
   doc.Set("batch_size", JsonValue::Number(static_cast<double>(outcome.batch_size)));
@@ -634,34 +607,13 @@ void ServeApp::HandlePublish(const obs::HttpRequest& request, obs::HttpResponse*
   doc.Set("remaining_epsilon", JsonValue::Number(ledger->remaining()));
   doc.Set("output", outcome.result->ToJson());
   response->Json(200, doc);
-  write_stage.Stop();
-  RequestHistogram().Observe(obs::MonotonicSeconds() - started);
 }
 
-void ServeApp::HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  static obs::Counter& requests = obs::MetricsRegistry::Global().counter("serve.audit.requests");
-  requests.Increment();
-  RequestContext context("/v1/audit", request);
-  response->SetHeader("traceparent", context.ResponseTraceparent());
-  ScopedRequest scoped(&observer_, &context);
-  ResponseStamp stamp(&context, response);
-  const double started = context.start_seconds;
-  if (draining()) {
-    JsonError(response, 503, "draining");
-    return;
-  }
-  InflightScope inflight(&inflight_);
-
-  StageTimer parse_stage(&context, "serve.parse");
-  Result<JsonValue> body = request.Json();
-  if (!body.ok()) {
-    JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
-    return;
-  }
-  const std::string tenant = body->GetStringOr("tenant", "");
-  context.record.tenant = tenant;
+void ServeApp::HandleAudit(const JsonValue&, RequestContext* context, StageTimer* parse,
+                           obs::HttpResponse* response) {
+  const std::string& tenant = context->record.tenant;
   Status valid = TenantRegistry::ValidateName(tenant);
-  parse_stage.Stop();
+  parse->Stop();
   if (!valid.ok()) {
     JsonError(response, 400, valid.ToString());
     return;
@@ -672,11 +624,11 @@ void ServeApp::HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* r
     return;
   }
 
-  StageTimer write_stage(&context, "serve.write");
+  StageTimer write_stage(context, "serve.write");
   obs::PrivacyLedger::BudgetSnapshot snapshot = ledger->snapshot();
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.serve.audit.v1"));
-  doc.Set("request_id", JsonValue::String(context.record.request_id));
+  doc.Set("request_id", JsonValue::String(context->record.request_id));
   doc.Set("tenant", JsonValue::String(tenant));
   doc.Set("budget", JsonValue::Number(snapshot.budget));
   doc.Set("spent", JsonValue::Number(snapshot.spent));
@@ -693,43 +645,21 @@ void ServeApp::HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* r
   }
   doc.Set("entries", entries);
   response->Json(200, doc);
-  write_stage.Stop();
-  RequestHistogram().Observe(obs::MonotonicSeconds() - started);
 }
 
-void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpResponse* response) {
-  static obs::Counter& requests =
-      obs::MetricsRegistry::Global().counter("serve.aggregate.requests");
-  requests.Increment();
-  RequestContext context("/v1/dp/aggregate", request);
-  response->SetHeader("traceparent", context.ResponseTraceparent());
-  ScopedRequest scoped(&observer_, &context);
-  ResponseStamp stamp(&context, response);
-  const double started = context.start_seconds;
-  if (draining()) {
-    JsonError(response, 503, "draining");
-    return;
-  }
-  InflightScope inflight(&inflight_);
-
-  StageTimer parse_stage(&context, "serve.parse");
-  Result<JsonValue> body = request.Json();
-  if (!body.ok()) {
-    JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
-    return;
-  }
-  const std::string tenant = body->GetStringOr("tenant", "");
-  context.record.tenant = tenant;
-  const std::string op = body->GetStringOr("op", "histogram");
-  const double epsilon = body->GetNumberOr("epsilon", 0.1);
-  const double deadline = RequestDeadline(*body, started, options_.request_deadline_seconds);
+void ServeApp::HandleAggregate(const JsonValue& body, RequestContext* context, StageTimer* parse,
+                               obs::HttpResponse* response) {
+  const std::string op = body.GetStringOr("op", "histogram");
+  const double epsilon = body.GetNumberOr("epsilon", 0.1);
+  const double deadline =
+      RequestDeadline(body, context->start_seconds, options_.request_deadline_seconds);
   // Every input check runs before the charge: a refused request is never
   // charged ε.
-  const double q = body->GetNumberOr("q", 0.5);
+  const double q = body.GetNumberOr("q", 0.5);
   int64_t lo = 0, hi = 0;
   if (op == "range_count") {
-    lo = static_cast<int64_t>(body->GetNumberOr("lo", 0));
-    hi = static_cast<int64_t>(body->GetNumberOr("hi", static_cast<double>(degree_domain_ - 1)));
+    lo = static_cast<int64_t>(body.GetNumberOr("lo", 0));
+    hi = static_cast<int64_t>(body.GetNumberOr("hi", static_cast<double>(degree_domain_ - 1)));
     if (lo < 0 || hi < lo || static_cast<size_t>(hi) >= degree_domain_) {
       JsonError(response, 400, "range [lo, hi] out of degree domain");
       return;
@@ -742,16 +672,16 @@ void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpRespons
                                  " (expected histogram | quantile | range_count)");
     return;
   }
-  parse_stage.Stop();
+  parse->Stop();
 
   AdmissionSlot slot;
   obs::PrivacyLedger* ledger =
-      AdmitAndCharge(&context, tenant, deadline, "dp.aggregate", op, epsilon, &slot, response);
+      AdmitAndCharge(context, deadline, "dp.aggregate", op, epsilon, &slot, response);
   if (ledger == nullptr) return;
 
   // Fresh noise per request: the sequence number keeps streams disjoint
   // while the base seed keeps a daemon run reproducible end to end.
-  StageTimer publish_stage(&context, "serve.publish");
+  StageTimer publish_stage(context, "serve.publish");
   Rng rng(options_.seed + 0x9e3779b97f4a7c15ULL *
                               (1 + aggregate_sequence_.fetch_add(1, std::memory_order_relaxed)));
   JsonValue result;
@@ -775,24 +705,22 @@ void ServeApp::HandleAggregate(const obs::HttpRequest& request, obs::HttpRespons
   }
   publish_stage.Stop();
 
-  StageTimer write_stage(&context, "serve.write");
+  StageTimer write_stage(context, "serve.write");
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.serve.aggregate.v1"));
-  doc.Set("request_id", JsonValue::String(context.record.request_id));
-  doc.Set("tenant", JsonValue::String(tenant));
+  doc.Set("request_id", JsonValue::String(context->record.request_id));
+  doc.Set("tenant", JsonValue::String(context->record.tenant));
   doc.Set("op", JsonValue::String(op));
   doc.Set("epsilon_spent", JsonValue::Number(epsilon));
   doc.Set("remaining_epsilon", JsonValue::Number(ledger->remaining()));
   doc.Set("result", std::move(result));
   response->Json(200, doc);
-  write_stage.Stop();
-  RequestHistogram().Observe(obs::MonotonicSeconds() - started);
 }
 
 void ServeApp::HandleRequestz(const obs::HttpRequest& request, obs::HttpResponse* response) {
   const std::string tenant = request.QueryStringOr("tenant", "");
   const int min_ms = request.QueryIntOr("min_ms", 0);
-  response->Json(200, observer_.tracker().ToJson(tenant, static_cast<double>(min_ms)));
+  response->Json(200, observer_.RequestzDocument(tenant, static_cast<double>(min_ms)));
 }
 
 JsonValue ServeApp::StartupSummary() const {

@@ -109,7 +109,7 @@ class ServeApp {
 
   int port() const { return server_->port(); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
-  size_t inflight() const { return inflight_.load(std::memory_order_acquire); }
+  size_t inflight() const { return observer_.inflight(); }
 
   TenantRegistry& tenants() { return tenants_; }
   AdmissionController& admission() { return admission_; }
@@ -134,9 +134,25 @@ class ServeApp {
            std::unique_ptr<core::Publisher> genome);
 
   void RegisterRoutes();
-  void HandlePublish(const obs::HttpRequest& request, obs::HttpResponse* response);
-  void HandleAudit(const obs::HttpRequest& request, obs::HttpResponse* response);
-  void HandleAggregate(const obs::HttpRequest& request, obs::HttpResponse* response);
+
+  /// One traced route's own checks and work. ServeRequest calls it once the
+  /// body has parsed as JSON and the tenant is on the record; `parse` is the
+  /// open serve.parse stage, which the handler stops once its inputs pass.
+  using Handler = void (ServeApp::*)(const JsonValue& body, RequestContext* context,
+                                     StageTimer* parse, obs::HttpResponse* response);
+  /// The lifecycle every traced request runs once: the `counter` metric,
+  /// context and traceparent, observer registration, the draining 503,
+  /// the JSON-body 400 and tenant capture, then `handler`; on 200 the
+  /// request histogram, and on every path the status/bytes stamp and the
+  /// observer's Complete.
+  void ServeRequest(const std::string& endpoint, const std::string& counter, Handler handler,
+                    const obs::HttpRequest& request, obs::HttpResponse* response);
+  void HandlePublish(const JsonValue& body, RequestContext* context, StageTimer* parse,
+                     obs::HttpResponse* response);
+  void HandleAudit(const JsonValue& body, RequestContext* context, StageTimer* parse,
+                   obs::HttpResponse* response);
+  void HandleAggregate(const JsonValue& body, RequestContext* context, StageTimer* parse,
+                       obs::HttpResponse* response);
   void HandleRequestz(const obs::HttpRequest& request, obs::HttpResponse* response);
   void HandleHealthz(const obs::HttpRequest& request, obs::HttpResponse* response);
 
@@ -159,23 +175,14 @@ class ServeApp {
 
   /// The one charge path of the spending endpoints, called once a handler
   /// has validated its body: admission (429, or 504 once `deadline`
-  /// passes in line), the deadline re-check (504), the tenant's ledger
-  /// (400/403), its Spend (503 when refused as unavailable, 403 otherwise)
-  /// and the SLO burn-rate feed. Returns the charged ledger with `*slot`
-  /// held, or nullptr after writing the error response.
-  obs::PrivacyLedger* AdmitAndCharge(RequestContext* context, const std::string& tenant,
-                                     double deadline, std::string_view label,
-                                     std::string_view mechanism, double epsilon,
-                                     AdmissionSlot* slot, obs::HttpResponse* response);
-
-  /// Runs `task` inline on the calling connection thread. Publishers
-  /// parallelize internally via ParallelFor, which enlists pool workers as
-  /// helpers and requires the caller NOT to be a pool worker itself: a
-  /// worker blocked waiting on helpers it enqueued behind other blocked
-  /// workers deadlocks the pool. Connection threads are bounded by
-  /// http_max_conns, so running inline keeps concurrency capped without
-  /// ever parking a pool thread.
-  Result<core::PublishOutput> RunPublish(std::function<Result<core::PublishOutput>()> task);
+  /// passes in line), the deadline re-check (504), the record's tenant's
+  /// ledger (400/403), its Spend (503 when refused as unavailable, 403
+  /// otherwise) and the SLO burn-rate feed. Returns the charged ledger with
+  /// `*slot` held, or nullptr after writing the error response.
+  obs::PrivacyLedger* AdmitAndCharge(RequestContext* context, double deadline,
+                                     std::string_view label, std::string_view mechanism,
+                                     double epsilon, AdmissionSlot* slot,
+                                     obs::HttpResponse* response);
 
   core::Publisher* PublisherFor(core::PublisherKind kind) const;
 
@@ -192,11 +199,10 @@ class ServeApp {
   TenantRegistry tenants_;
   AdmissionController admission_;
   BatchCoalescer coalescer_;
-  RequestObserver observer_;
+  RequestObserver observer_{&tenants_};
   std::unique_ptr<obs::TelemetryServer> server_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
-  std::atomic<size_t> inflight_{0};
   std::atomic<uint64_t> aggregate_sequence_{0};  ///< per-request DP noise stream
 };
 

@@ -50,6 +50,15 @@ TEST(EnvelopeChecksumTest, DetectsAnyFieldFlip) {
   EXPECT_NE(EnvelopeChecksum(corrupted), envelope.checksum);
 }
 
+TEST(EnvelopeChecksumTest, IsFnv1aOverTheLittleEndianPayloadWords) {
+  Envelope envelope;
+  envelope.device = 1;
+  envelope.seq = 2;
+  envelope.reading = {3, 4, 0.5};
+  // FNV-1a 64 of the 40 bytes struct.pack("<4Qd", 1, 2, 3, 4, 0.5).
+  EXPECT_EQ(EnvelopeChecksum(envelope), 0x4B9243B3BB6735ECULL);
+}
+
 TEST(EnvelopeCodecTest, RoundTripsEveryField) {
   Envelope envelope;
   envelope.device = 7;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
 namespace ppdp {
@@ -42,6 +43,13 @@ TEST(FlagsTest, UnparsableFallsBack) {
   Flags f = MakeFlags({"--seed=notanumber"});
   EXPECT_EQ(f.GetInt("seed", 5), 5);
   EXPECT_DOUBLE_EQ(f.GetDouble("seed", 2.5), 2.5);
+}
+
+TEST(FlagsTest, RejectUnknownExitsTwoNamingTheFlag) {
+  constexpr std::string_view kKnown[] = {"seed", "threads"};
+  MakeFlags({"--seed=1", "--threads", "4"}).RejectUnknown("binary", kKnown);  // returns
+  EXPECT_EXIT(MakeFlags({"--seed=1", "--threds", "4"}).RejectUnknown("binary", kKnown),
+              ::testing::ExitedWithCode(2), "binary: unknown flag --threds");
 }
 
 TEST(FlagsTest, HelpDetected) {

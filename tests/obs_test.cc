@@ -170,7 +170,7 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
       TraceSpan inner("obs_test.inner");
       // Do a little real work so the inner duration is non-trivial.
       volatile double sink = 0.0;
-      for (int i = 0; i < 50000; ++i) sink += static_cast<double>(i) * 1e-9;
+      for (int i = 0; i < 50000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
       EXPECT_GE(inner.ElapsedSeconds(), 0.0);
     }
     EXPECT_GE(outer.ElapsedSeconds(), 0.0);

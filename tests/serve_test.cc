@@ -297,6 +297,57 @@ TEST(ServeAppTest, ExhaustedTenantGets403WhileOthersServe) {
   (*app)->Stop();
 }
 
+/// Sample lines in a /metrics scrape: every non-empty line that is not a
+/// HELP/TYPE comment, the count `ppdp_stat prom --max_series` bounds.
+size_t MetricSeries(int port) {
+  auto metrics = Get(port, "/metrics");
+  EXPECT_TRUE(metrics.ok());
+  if (!metrics.ok()) return 0;
+  std::istringstream lines(metrics->body);
+  size_t series = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line[0] != '#') ++series;
+  }
+  return series;
+}
+
+TEST(ServeAppTest, UnregisteredTenantsMintNoMetricSeries) {
+  ServeOptions options = FastOptions();
+  options.max_tenants = 1;
+  auto app = ServeApp::Create(options);
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  ASSERT_TRUE((*app)->Start().ok());
+  const int port = (*app)->port();
+  auto audit = [port](const std::string& tenant) {
+    JsonValue body = JsonValue::Object();
+    body.Set("tenant", JsonValue::String(tenant));
+    return PostJson(port, "/v1/audit", body);
+  };
+
+  // One of each answer first, so every series the paths themselves export
+  // exists before the count: the registered tenant's 200s, an unknown
+  // tenant's 404 and a 403 from the full registry.
+  ASSERT_EQ(PostJson(port, "/v1/dp/aggregate", AggregateBody("owner", 0.1))->status, 200);
+  ASSERT_EQ(audit("owner")->status, 200);
+  ASSERT_EQ(audit("ghost")->status, 404);
+  ASSERT_EQ(PostJson(port, "/v1/dp/aggregate", AggregateBody("squatter", 0.1))->status, 403);
+  const size_t before = MetricSeries(port);
+
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = "phantom" + std::to_string(i);
+    EXPECT_EQ(audit(name)->status, 404);
+    EXPECT_EQ(PostJson(port, "/v1/dp/aggregate", AggregateBody(name, 0.1))->status, 403);
+  }
+  EXPECT_EQ(MetricSeries(port), before) << "names nobody registered grew /metrics";
+
+  // The registered tenant still has its series.
+  auto metrics = Get(port, "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->body.find("serve_tenant_owner_requests"), std::string::npos);
+  EXPECT_EQ(metrics->body.find("serve_tenant_phantom"), std::string::npos);
+  (*app)->Stop();
+}
+
 TEST(ServeAppTest, FullAdmissionQueueGets429AndDegradesHealth) {
   ServeOptions options = FastOptions();
   options.max_pending = 2;
@@ -865,7 +916,7 @@ TEST(ServeAppTraceTest, AccessLogRecordsEveryRequestOnceWithBoundedStageSums) {
 
   const std::vector<JsonValue> records = ReadAccessLog(log_path);
   ASSERT_EQ(records.size(), sent);
-  EXPECT_EQ((*app)->observer().tracker().completed_total(), sent);
+  EXPECT_EQ((*app)->observer().completed_total(), sent);
 
   std::set<std::string> ids;
   std::map<int, int> by_status;

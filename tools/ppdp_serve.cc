@@ -37,6 +37,9 @@
 //   --slo_eval_period_s X request-path alert evaluation throttle; /alertz
 //                         and /sloz always evaluate on read (1)
 //   --log_level L         debug|info|warn|error|off (info)
+//   --log_json            one JSON object per log line on stderr
+//
+// Any other flag is a usage error: the daemon names it and exits 2.
 //
 // SIGTERM / SIGINT drain in-flight requests (new ones get 503), stop the
 // server, and exit 0.
@@ -44,6 +47,7 @@
 #include <csignal>
 #include <chrono>
 #include <iostream>
+#include <string_view>
 #include <thread>
 
 #include "common/flags.h"
@@ -52,6 +56,14 @@
 #include "serve/serve_app.h"
 
 namespace {
+
+/// Every flag main reads (log_level and log_json via InitLoggingFromFlags).
+constexpr std::string_view kFlags[] = {
+    "port", "http_max_conns", "max_body_bytes", "graph_scale", "genome_snps", "seed",
+    "threads", "tenant_budget", "max_tenants", "max_pending", "drain_timeout_s",
+    "ledger_wal", "ledger_sync", "request_deadline_s", "access_log", "access_log_max_mb",
+    "slow_request_ms", "slo_config", "alert_log", "alert_log_max_mb", "slo_eval_period_s",
+    "log_level", "log_json"};
 
 volatile std::sig_atomic_t g_shutdown = 0;
 
@@ -63,6 +75,7 @@ int main(int argc, char** argv) {
   using namespace ppdp;
 
   Flags flags(argc, argv);
+  flags.RejectUnknown("ppdp_serve", kFlags);
   if (!obs::InitLoggingFromFlags(flags)) {
     std::cerr << "warning: unknown --log_level ignored (want debug|info|warn|error|off)\n";
   }
