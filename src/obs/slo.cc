@@ -49,66 +49,51 @@ SlidingWindow::SlidingWindow(Options options) : options_(std::move(options)) {
   ring_.resize(options_.num_buckets);
 }
 
-SlidingWindow::Bucket& SlidingWindow::BucketFor(double now) {
-  const int64_t index = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  Bucket& bucket = ring_[RingPosition(index, ring_.size())];
-  if (bucket.index != index) {
-    bucket.index = index;
-    bucket.stats.Reset(options_.bounds.size());
-  }
-  return bucket;
-}
-
-int64_t SlidingWindow::FirstIndex(double window_seconds, double now) const {
+const BucketAccumulator& SlidingWindow::Read(double window_seconds, double now) const {
   const double window = std::min(std::max(window_seconds, options_.bucket_seconds),
                                  span_seconds());
   const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
   const int64_t covered =
       static_cast<int64_t>(std::ceil(window / options_.bucket_seconds - 1e-9));
-  return current - covered + 1;
-}
-
-template <typename Visit>
-void SlidingWindow::ForEachBucketIn(int64_t first, int64_t current, Visit&& visit) const {
-  if (first > current) return;
-  const size_t n = ring_.size();
-  auto visit_range = [&](size_t begin, size_t end) {  // positions [begin, end)
-    for (size_t pos = begin; pos < end; ++pos) {
-      const Bucket& bucket = ring_[pos];
-      if (bucket.index < first || bucket.index > current || bucket.stats.count == 0) continue;
-      visit(bucket);
+  newest_ = std::max(newest_, current);
+  auto closed = std::find_if(closed_.begin(), closed_.end(),
+                             [covered](const ClosedMerge& c) { return c.covered == covered; });
+  if (closed == closed_.end()) {
+    closed = closed_.emplace(closed_.end());
+    closed->covered = covered;
+  }
+  if (closed->current != current || closed->generation != generation_) {
+    closed->current = current;
+    closed->generation = generation_;
+    closed->merged.Reset(options_.bounds.size());
+    for (int64_t index = current - covered + 1; index < current; ++index) {
+      const Bucket& bucket = ring_[RingPosition(index, ring_.size())];
+      if (bucket.index == index) closed->merged.Merge(bucket.stats);
     }
-  };
-  // A bucket with index i sits at RingPosition(i); a window of at least n
-  // indices covers every position.
-  if (static_cast<uint64_t>(current - first) >= n - 1) {
-    visit_range(0, n);
-    return;
   }
-  const size_t lo = RingPosition(first, n);
-  const size_t hi = RingPosition(current, n);
-  if (lo <= hi) {
-    visit_range(lo, hi + 1);
-  } else {
-    visit_range(0, hi + 1);
-    visit_range(lo, n);
-  }
+  read_ = closed->merged;
+  const Bucket& live = ring_[RingPosition(current, ring_.size())];
+  if (live.index == current) read_.Merge(live.stats);
+  return read_;
 }
 
 void SlidingWindow::Add(double value, double now) {
+  const int64_t index = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
   std::lock_guard<std::mutex> lock(mutex_);
-  BucketFor(now).stats.Add(options_.bounds, value);
+  Bucket& bucket = ring_[RingPosition(index, ring_.size())];
+  if (bucket.index != index || index < newest_) ++generation_;
+  if (bucket.index != index) {
+    bucket.index = index;
+    bucket.stats.Reset(options_.bounds.size());
+  }
+  newest_ = std::max(newest_, index);
+  bucket.stats.Add(options_.bounds, value);
 }
 
 SlidingWindow::WindowStats SlidingWindow::StatsOver(double window_seconds, double now) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t first = FirstIndex(window_seconds, now);
-  const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  WindowStats stats;
-  ForEachBucketIn(first, current, [&](const Bucket& bucket) {
-    stats.count += bucket.stats.count;
-    stats.sum += bucket.stats.sum;
-  });
+  const BucketAccumulator& merged = Read(window_seconds, now);
+  WindowStats stats{merged.count, merged.sum};
   if (stats.count > 0) stats.mean = stats.sum / static_cast<double>(stats.count);
   return stats;
 }
@@ -120,16 +105,13 @@ double SlidingWindow::RateOver(double window_seconds, double now) const {
 
 BucketAccumulator SlidingWindow::MergedOver(double window_seconds, double now) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t first = FirstIndex(window_seconds, now);
-  const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-  BucketAccumulator merged(options_.bounds.size());
-  ForEachBucketIn(first, current, [&](const Bucket& bucket) { merged.Merge(bucket.stats); });
-  return merged;
+  return Read(window_seconds, now);
 }
 
 double SlidingWindow::QuantileOver(double window_seconds, double q, double now) const {
   if (options_.bounds.empty()) return 0.0;
-  return BucketQuantile(options_.bounds, MergedOver(window_seconds, now), q);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return BucketQuantile(options_.bounds, Read(window_seconds, now), q);
 }
 
 // ----------------------------------------------------------------- rule model
@@ -354,7 +336,8 @@ SloEngine::SloEngine(Options options)
       clock_(options_.clock ? options_.clock : SloClock(&MonotonicSeconds)),
       server_errors_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}),
       latency_(SlidingWindow::Options{options_.bucket_seconds, 3660, RequestLatencyBounds()}),
-      queue_depth_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}) {}
+      queue_depth_(SlidingWindow::Options{options_.bucket_seconds, 3660, {}}),
+      instances_(options_.rules.size()) {}
 
 Result<std::unique_ptr<SloEngine>> SloEngine::Create(Options options) {
   if (!(options.bucket_seconds > 0)) {
@@ -414,87 +397,103 @@ void SloEngine::RecordSpend(const std::string& tenant, double epsilon, double re
   it->second.budget = budget_epsilon;
 }
 
-SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const std::string& tenant,
+SloEngine::SignalReading SloEngine::ReadSignal(const AlertRule& rule, const TenantBurn* burn,
                                                double window_seconds, double now) const {
   SignalReading reading;
-  reading.inputs = JsonValue::Object();
   switch (rule.signal) {
     case AlertRule::Signal::kAvailability: {
       const SlidingWindow::WindowStats all = latency_.StatsOver(window_seconds, now);
-      const SlidingWindow::WindowStats bad = server_errors_.StatsOver(window_seconds, now);
-      reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(all.count)));
-      reading.inputs.Set("errors_5xx", JsonValue::Number(static_cast<double>(bad.count)));
+      reading.errors = server_errors_.StatsOver(window_seconds, now).count;
       reading.events = all.count;
-      const double error_ratio = static_cast<double>(bad.count) / static_cast<double>(all.count);
+      const double error_ratio =
+          static_cast<double>(reading.errors) / static_cast<double>(all.count);
       reading.attained = all.count == 0 ? 1.0 : 1.0 - error_ratio;
       if (all.count < rule.min_count) return reading;
       const double budget = 1.0 - rule.objective;  // objective < 1 enforced at parse
       reading.evaluable = true;
       reading.burn = error_ratio / budget;
       reading.breach = reading.burn >= rule.burn_rate;
-      reading.inputs.Set("error_ratio", JsonValue::Number(error_ratio));
       return reading;
     }
     case AlertRule::Signal::kLatency: {
-      const SlidingWindow::WindowStats all = latency_.StatsOver(window_seconds, now);
-      reading.inputs.Set("requests", JsonValue::Number(static_cast<double>(all.count)));
-      reading.events = all.count;
+      reading.events = latency_.StatsOver(window_seconds, now).count;
       const double quantile = latency_.QuantileOver(window_seconds, rule.quantile, now);
       reading.attained = quantile;
-      if (all.count < rule.min_count) return reading;
+      if (reading.events < rule.min_count) return reading;
       reading.evaluable = true;
       reading.burn = rule.threshold > 0 ? quantile / rule.threshold : 0.0;
       reading.breach = quantile > rule.threshold;
-      reading.inputs.Set("quantile_seconds", JsonValue::Number(quantile));
       return reading;
     }
     case AlertRule::Signal::kQueue: {
       const SlidingWindow::WindowStats all = queue_depth_.StatsOver(window_seconds, now);
-      reading.inputs.Set("samples", JsonValue::Number(static_cast<double>(all.count)));
       reading.events = all.count;
       reading.attained = all.mean;
       if (all.count < rule.min_count) return reading;
       reading.evaluable = true;
       reading.burn = rule.threshold > 0 ? all.mean / rule.threshold : 0.0;
       reading.breach = all.mean > rule.threshold;
-      reading.inputs.Set("mean_depth_ratio", JsonValue::Number(all.mean));
       return reading;
     }
     case AlertRule::Signal::kLedgerBurn: {
-      // Caller holds mutex_ (Evaluate, Attainment): tenants_ access is
-      // safe, and the tenant's own window takes only its internal lock.
-      reading.attained = std::numeric_limits<double>::infinity();
-      auto it = tenants_.find(tenant);
-      if (it == tenants_.end()) return reading;
-      const TenantBurn& burn = it->second;
-      const SlidingWindow::WindowStats spend = burn.spend->StatsOver(window_seconds, now);
-      reading.inputs.Set("spends", JsonValue::Number(static_cast<double>(spend.count)));
-      reading.inputs.Set("remaining_epsilon", JsonValue::Number(burn.remaining));
+      // Caller holds mutex_ (Evaluate, Attainment), which guards `burn`;
+      // the tenant's own window takes only its internal lock.
+      const SlidingWindow::WindowStats spend = burn->spend->StatsOver(window_seconds, now);
       reading.events = spend.count;
-      const double rate = spend.sum / window_seconds;  // ε per second
-      const double tte = burn.remaining / rate;        // projected seconds to exhaustion
-      if (rate > 0) reading.attained = tte;
-      if (spend.count < rule.min_count) return reading;
-      reading.inputs.Set("spend_rate", JsonValue::Number(rate));
-      if (!(rate > 0)) return reading;
+      reading.remaining = burn->remaining;
+      reading.rate = spend.sum / window_seconds;          // ε per second
+      const double tte = burn->remaining / reading.rate;  // projected seconds to exhaustion
+      reading.attained = reading.rate > 0 ? tte : std::numeric_limits<double>::infinity();
+      if (spend.count < rule.min_count || !(reading.rate > 0)) return reading;
       reading.evaluable = true;
       reading.burn = tte > 0 ? rule.horizon_seconds / tte : rule.horizon_seconds * 1e6;
       reading.breach = tte <= rule.horizon_seconds;
-      reading.inputs.Set("time_to_exhaustion_s", JsonValue::Number(tte));
       return reading;
     }
   }
   return reading;
 }
 
-void SloEngine::Step(const AlertRule& rule, const std::string& tenant, Instance* instance,
-                     double now, std::vector<AlertTransition>* transitions) {
-  const SignalReading fast = ReadSignal(rule, tenant, rule.fast_window_seconds, now);
-  const SignalReading slow = ReadSignal(rule, tenant, rule.slow_window_seconds, now);
-  instance->burn_fast = fast.burn;
-  instance->burn_slow = slow.burn;
-  instance->inputs_fast = fast.inputs;
-  instance->inputs_slow = slow.inputs;
+JsonValue SloEngine::InputsJson(const AlertRule& rule, const SignalReading& reading) {
+  JsonValue inputs = JsonValue::Object();
+  const double events = static_cast<double>(reading.events);
+  switch (rule.signal) {
+    case AlertRule::Signal::kAvailability:
+      inputs.Set("requests", JsonValue::Number(events));
+      inputs.Set("errors_5xx", JsonValue::Number(static_cast<double>(reading.errors)));
+      if (reading.evaluable) {
+        inputs.Set("error_ratio",
+                   JsonValue::Number(static_cast<double>(reading.errors) / events));
+      }
+      break;
+    case AlertRule::Signal::kLatency:
+      inputs.Set("requests", JsonValue::Number(events));
+      if (reading.evaluable) inputs.Set("quantile_seconds", JsonValue::Number(reading.attained));
+      break;
+    case AlertRule::Signal::kQueue:
+      inputs.Set("samples", JsonValue::Number(events));
+      if (reading.evaluable) inputs.Set("mean_depth_ratio", JsonValue::Number(reading.attained));
+      break;
+    case AlertRule::Signal::kLedgerBurn:
+      inputs.Set("spends", JsonValue::Number(events));
+      inputs.Set("remaining_epsilon", JsonValue::Number(reading.remaining));
+      if (reading.events >= rule.min_count) {
+        inputs.Set("spend_rate", JsonValue::Number(reading.rate));
+      }
+      if (reading.evaluable) {
+        inputs.Set("time_to_exhaustion_s", JsonValue::Number(reading.attained));
+      }
+      break;
+  }
+  return inputs;
+}
+
+void SloEngine::Step(const AlertRule& rule, const std::string& tenant, const TenantBurn* burn,
+                     Instance* instance, double now, std::vector<AlertTransition>* transitions) {
+  instance->fast = ReadSignal(rule, burn, rule.fast_window_seconds, now);
+  instance->slow = ReadSignal(rule, burn, rule.slow_window_seconds, now);
+  const SignalReading& fast = instance->fast;
+  const SignalReading& slow = instance->slow;
   // The multi-window rule: only a breach in BOTH windows counts.
   const bool breach = fast.evaluable && slow.evaluable && fast.breach && slow.breach;
 
@@ -595,15 +594,15 @@ std::vector<AlertTransition> SloEngine::Evaluate() {
   std::vector<AlertTransition> transitions;
   std::lock_guard<std::mutex> lock(mutex_);
   last_eval_seconds_ = now;
-  for (const AlertRule& rule : options_.rules) {
+  static const std::string kGlobal;
+  for (size_t r = 0; r < options_.rules.size(); ++r) {
+    const AlertRule& rule = options_.rules[r];
     if (rule.signal == AlertRule::Signal::kLedgerBurn) {
       for (const auto& [tenant, burn] : tenants_) {
-        Instance& instance = instances_[rule.name + "\n" + tenant];
-        Step(rule, tenant, &instance, now, &transitions);
+        Step(rule, tenant, &burn, &instances_[r][tenant], now, &transitions);
       }
     } else {
-      Instance& instance = instances_[rule.name];
-      Step(rule, "", &instance, now, &transitions);
+      Step(rule, kGlobal, nullptr, &instances_[r][kGlobal], now, &transitions);
     }
   }
   return transitions;
@@ -628,15 +627,10 @@ void SloEngine::EvaluateIfDue() {
 int SloEngine::WorstFiringSeverity() const {
   std::lock_guard<std::mutex> lock(mutex_);
   int worst = 0;
-  for (const AlertRule& rule : options_.rules) {
-    const int severity = rule.severity == AlertRule::Severity::kPage ? 2 : 1;
-    if (severity <= worst) continue;
-    for (const auto& [key, instance] : instances_) {
-      const std::string& name = key.substr(0, key.find('\n'));
-      if (name == rule.name && instance.state == AlertState::kFiring) {
-        worst = severity;
-        break;
-      }
+  for (size_t r = 0; r < options_.rules.size(); ++r) {
+    const int severity = options_.rules[r].severity == AlertRule::Severity::kPage ? 2 : 1;
+    for (const auto& [tenant, instance] : instances_[r]) {
+      if (instance.state == AlertState::kFiring) worst = std::max(worst, severity);
     }
   }
   return worst;
@@ -644,14 +638,17 @@ int SloEngine::WorstFiringSeverity() const {
 
 std::vector<std::string> SloEngine::FiringAlerts() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Sorted by "rule\ntenant": rule name first, then tenant.
   std::vector<std::string> firing;
-  for (const auto& [key, instance] : instances_) {
-    if (instance.state != AlertState::kFiring) continue;
-    std::string name = key;
-    const size_t sep = name.find('\n');
-    if (sep != std::string::npos) name[sep] = '/';
-    firing.push_back(std::move(name));
+  for (size_t r = 0; r < options_.rules.size(); ++r) {
+    const bool ledger = options_.rules[r].signal == AlertRule::Signal::kLedgerBurn;
+    for (const auto& [tenant, instance] : instances_[r]) {
+      if (instance.state != AlertState::kFiring) continue;
+      firing.push_back(ledger ? options_.rules[r].name + "\n" + tenant : options_.rules[r].name);
+    }
   }
+  std::sort(firing.begin(), firing.end());
+  for (std::string& name : firing) std::replace(name.begin(), name.end(), '\n', '/');
   return firing;
 }
 
@@ -662,7 +659,8 @@ JsonValue SloEngine::AlertzDocument() const {
   doc.Set("t_seconds", JsonValue::Number(last_eval_seconds_ < 0 ? 0.0 : last_eval_seconds_));
   doc.Set("transitions_total", JsonValue::Number(static_cast<double>(transitions_total_)));
   JsonValue rules = JsonValue::Array();
-  for (const AlertRule& rule : options_.rules) {
+  for (size_t r = 0; r < options_.rules.size(); ++r) {
+    const AlertRule& rule = options_.rules[r];
     JsonValue rule_json = JsonValue::Object();
     rule_json.Set("rule", JsonValue::String(rule.name));
     rule_json.Set("signal", JsonValue::String(SignalName(rule.signal)));
@@ -670,20 +668,17 @@ JsonValue SloEngine::AlertzDocument() const {
     rule_json.Set("fast_window_s", JsonValue::Number(rule.fast_window_seconds));
     rule_json.Set("slow_window_s", JsonValue::Number(rule.slow_window_seconds));
     JsonValue instances = JsonValue::Array();
-    for (const auto& [key, instance] : instances_) {
-      const size_t sep = key.find('\n');
-      const std::string name = key.substr(0, sep == std::string::npos ? key.size() : sep);
-      if (name != rule.name) continue;
+    for (const auto& [tenant, instance] : instances_[r]) {
       JsonValue instance_json = JsonValue::Object();
-      if (sep != std::string::npos) {
-        instance_json.Set("tenant", JsonValue::String(key.substr(sep + 1)));
+      if (rule.signal == AlertRule::Signal::kLedgerBurn) {
+        instance_json.Set("tenant", JsonValue::String(tenant));
       }
       instance_json.Set("state", JsonValue::String(AlertStateName(instance.state)));
       instance_json.Set("since_s", JsonValue::Number(instance.since_seconds));
-      instance_json.Set("burn_fast", JsonValue::Number(instance.burn_fast));
-      instance_json.Set("burn_slow", JsonValue::Number(instance.burn_slow));
-      instance_json.Set("inputs_fast", instance.inputs_fast);
-      instance_json.Set("inputs_slow", instance.inputs_slow);
+      instance_json.Set("burn_fast", JsonValue::Number(instance.fast.burn));
+      instance_json.Set("burn_slow", JsonValue::Number(instance.slow.burn));
+      instance_json.Set("inputs_fast", InputsJson(rule, instance.fast));
+      instance_json.Set("inputs_slow", InputsJson(rule, instance.slow));
       instances.Append(std::move(instance_json));
     }
     rule_json.Set("instances", std::move(instances));
@@ -705,7 +700,7 @@ std::vector<SloAttainment> SloEngine::Attainment() const {
       // Report the worst tenant: smallest projected time-to-exhaustion.
       double worst_tte = std::numeric_limits<double>::infinity();
       for (const auto& [tenant, burn] : tenants_) {
-        const SignalReading reading = ReadSignal(rule, tenant, rule.slow_window_seconds, now);
+        const SignalReading reading = ReadSignal(rule, &burn, rule.slow_window_seconds, now);
         row.events += reading.events;
         if (reading.attained < worst_tte) {
           worst_tte = reading.attained;
@@ -716,7 +711,7 @@ std::vector<SloAttainment> SloEngine::Attainment() const {
       // itself, which meets the bound exactly.
       row.attained = std::isinf(worst_tte) ? rule.horizon_seconds : worst_tte;
     } else {
-      const SignalReading reading = ReadSignal(rule, "", rule.slow_window_seconds, now);
+      const SignalReading reading = ReadSignal(rule, nullptr, rule.slow_window_seconds, now);
       row.events = reading.events;
       row.attained = reading.attained;
     }

@@ -32,12 +32,14 @@ using SloClock = std::function<double()>;
 
 /// Ring of time-aligned buckets over a scalar stream. Bucket b covers
 /// [b*bucket_seconds, (b+1)*bucket_seconds); a windowed query merges the
-/// last ceil(window/bucket) buckets, so answers lag true sliding-window
-/// semantics by at most one bucket — the standard multi-bucket
-/// approximation. Each bucket is an obs::BucketAccumulator over `bounds`,
-/// so a windowed quantile is BucketQuantile over the merged buckets, the
-/// same estimate obs::Histogram gives. Thread-safe; stale buckets are
-/// lazily recycled on the next touch.
+/// last ceil(window/bucket) buckets, oldest first, so answers lag true
+/// sliding-window semantics by at most one bucket — the standard
+/// multi-bucket approximation. Each bucket is an obs::BucketAccumulator
+/// over `bounds`, so a windowed quantile is BucketQuantile over the merged
+/// buckets, the same estimate obs::Histogram gives. Per window length the
+/// merge of the closed buckets is cached, so a read costs one merge with
+/// the live bucket until the window reaches a new bucket. Thread-safe;
+/// stale buckets are lazily recycled on the next touch.
 class SlidingWindow {
  public:
   struct Options {
@@ -80,23 +82,32 @@ class SlidingWindow {
 
  private:
   struct Bucket {
-    int64_t index = -1;  ///< absolute bucket index; -1 = never used
+    int64_t index = INT64_MIN;  ///< absolute bucket index; INT64_MIN = never used
     BucketAccumulator stats;
   };
+  /// One window length's closed buckets [current - covered + 1, current)
+  /// merged oldest first; valid while `current` and `generation` match.
+  struct ClosedMerge {
+    int64_t covered = 0;  ///< buckets the window spans: the cache key
+    int64_t current = INT64_MIN;
+    uint64_t generation = 0;
+    BucketAccumulator merged;
+  };
 
-  Bucket& BucketFor(double now);  // requires mutex_ held
-  /// First absolute bucket index inside [now - window, now].
-  int64_t FirstIndex(double window_seconds, double now) const;
-  /// Calls `visit` on every non-empty bucket whose absolute index lies in
-  /// [first, current], in ascending ring position (the order the window
-  /// sums are taken in). Only the ring positions those indices map to are
-  /// read. Requires mutex_ held.
-  template <typename Visit>
-  void ForEachBucketIn(int64_t first, int64_t current, Visit&& visit) const;
+  /// The window ending at `now` merged into read_: the cached closed
+  /// buckets, then the live one. Requires mutex_ held.
+  const BucketAccumulator& Read(double window_seconds, double now) const;
 
   Options options_;
   mutable std::mutex mutex_;
   std::vector<Bucket> ring_;
+  // Read cache, at most one entry per window length (<= num_buckets).
+  mutable std::vector<ClosedMerge> closed_;
+  mutable int64_t newest_ = INT64_MIN;  ///< newest bucket index written or read
+  /// Bumped by an Add that recycles a slot or lands below newest_, the
+  /// only Adds that can change a cached closed bucket.
+  uint64_t generation_ = 0;
+  mutable BucketAccumulator read_;  ///< Read's result, reused across reads
 };
 
 /// One SRE-style multi-window multi-burn-rate alert rule (the `ppdp.slo.v1`
@@ -258,21 +269,33 @@ class SloEngine {
  private:
   explicit SloEngine(Options options);
 
-  /// Per-(rule, tenant) windowed verdict.
+  struct TenantBurn {
+    std::unique_ptr<SlidingWindow> spend;  ///< ε per bucket
+    double remaining = 0.0;
+    double budget = 0.0;
+  };
+
+  /// Per-(rule, tenant) windowed verdict, kept as plain numbers; /alertz
+  /// renders its inputs on request (InputsJson).
   struct SignalReading {
     bool evaluable = false;  ///< enough data to judge
     bool breach = false;
-    double burn = 0.0;      ///< signal-specific burn/severity measure
-    JsonValue inputs;       ///< windowed numbers for /alertz
-    uint64_t events = 0;    ///< observations in the window
+    double burn = 0.0;    ///< signal-specific burn/severity measure
+    uint64_t events = 0;  ///< observations in the window
     /// The signal in its rule's unit, read whatever min_count says (the
     /// /sloz attained value): non-5xx ratio (1 when empty), quantile
     /// seconds, mean depth ratio, or projected seconds to ε exhaustion
     /// (infinite while nothing is spent).
     double attained = 0.0;
+    uint64_t errors = 0;      ///< availability: 5xx requests in the window
+    double rate = 0.0;        ///< ledger burn: ε per second over the window
+    double remaining = 0.0;   ///< ledger burn: the tenant's unspent ε
   };
-  SignalReading ReadSignal(const AlertRule& rule, const std::string& tenant,
-                           double window_seconds, double now) const;
+  /// `burn` is the tenant for ledger-burn rules, null for the others.
+  SignalReading ReadSignal(const AlertRule& rule, const TenantBurn* burn, double window_seconds,
+                           double now) const;
+  /// The `inputs_fast`/`inputs_slow` object /alertz shows for a reading.
+  static JsonValue InputsJson(const AlertRule& rule, const SignalReading& reading);
 
   /// One alert instance's state machine.
   struct Instance {
@@ -280,24 +303,16 @@ class SloEngine {
     double since_seconds = 0.0;    ///< entered current state
     double pending_since = 0.0;    ///< breach start (state == pending)
     double clear_since = -1.0;     ///< breach clear start (state == firing)
-    double burn_fast = 0.0;
-    double burn_slow = 0.0;
-    JsonValue inputs_fast;
-    JsonValue inputs_slow;
+    SignalReading fast;            ///< the last Evaluate's readings
+    SignalReading slow;
   };
 
   /// Advances one instance; appends transitions. Requires mutex_ held.
-  void Step(const AlertRule& rule, const std::string& tenant, Instance* instance, double now,
-            std::vector<AlertTransition>* transitions);
+  void Step(const AlertRule& rule, const std::string& tenant, const TenantBurn* burn,
+            Instance* instance, double now, std::vector<AlertTransition>* transitions);
   /// Exports one transition (metrics, flight ring, alert log). Requires
   /// mutex_ held (the log/flight sinks take only their own locks).
   void Export(const AlertTransition& transition);
-
-  struct TenantBurn {
-    std::unique_ptr<SlidingWindow> spend;  ///< ε per bucket
-    double remaining = 0.0;
-    double budget = 0.0;
-  };
 
   Options options_;
   SloClock clock_;
@@ -310,8 +325,9 @@ class SloEngine {
 
   mutable std::mutex mutex_;  ///< instances + tenants + eval bookkeeping
   std::map<std::string, TenantBurn> tenants_;
-  /// Keyed "rule" for global rules, "rule\ntenant" for ledger instances.
-  std::map<std::string, Instance> instances_;
+  /// One map per rule (same order as options_.rules), keyed by tenant for
+  /// ledger-burn rules and "" for the others.
+  std::vector<std::map<std::string, Instance>> instances_;
   double last_eval_seconds_ = -1.0;
   std::atomic<bool> evaluating_{false};  ///< an EvaluateIfDue is in progress
   uint64_t transitions_total_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -117,6 +118,16 @@ double RequestDeadline(const JsonValue& body, double started, double max_seconds
   const double deadline_ms = body.GetNumberOr("deadline_ms", 0.0);
   if (deadline_ms <= 0.0) return 0.0;
   return started + std::min(deadline_ms / 1000.0, max_seconds);
+}
+
+/// A spend needs a positive, finite ε. Anything else is a malformed request:
+/// answered 400 before admission and the ledger, so it never counts as a
+/// refused spend.
+bool ValidEpsilon(double epsilon, obs::HttpResponse* response) {
+  if (std::isfinite(epsilon) && epsilon > 0.0) return true;
+  JsonError(response, 400,
+            Status::InvalidArgument("epsilon must be positive and finite").ToString());
+  return false;
 }
 
 obs::Counter& DeadlineExceededCounter() {
@@ -538,6 +549,7 @@ void ServeApp::HandlePublish(const JsonValue& body, RequestContext* context, Sta
   static obs::Counter& fanout =
       obs::MetricsRegistry::Global().counter("serve.coalesced.fanout");
   const double epsilon = body.GetNumberOr("epsilon", 0.5);
+  if (!ValidEpsilon(epsilon, response)) return;
   const double deadline =
       RequestDeadline(body, context->start_seconds, options_.request_deadline_seconds);
   Result<core::PublisherKind> kind = core::ParsePublisherKind(body.GetStringOr("kind", "social"));
@@ -651,6 +663,7 @@ void ServeApp::HandleAggregate(const JsonValue& body, RequestContext* context, S
                                obs::HttpResponse* response) {
   const std::string op = body.GetStringOr("op", "histogram");
   const double epsilon = body.GetNumberOr("epsilon", 0.1);
+  if (!ValidEpsilon(epsilon, response)) return;
   const double deadline =
       RequestDeadline(body, context->start_seconds, options_.request_deadline_seconds);
   // Every input check runs before the charge: a refused request is never

@@ -545,6 +545,44 @@ TEST(ServeAppTest, InvalidAggregateInputsAreRefusedBeforeAnyCharge) {
   (*app)->Stop();
 }
 
+TEST(ServeAppTest, NonPositiveEpsilonIsAMalformedRequestNotARefusedSpend) {
+  auto app = ServeApp::Create(FastOptions());
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  ASSERT_TRUE((*app)->Start().ok());
+  const int port = (*app)->port();
+  auto first = PostJson(port, "/v1/dp/aggregate", AggregateBody("careful", 0.01));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->status, 200) << first->body;
+  const JsonValue before = AuditDoc(port, "careful");
+  ASSERT_FALSE(before.is_null());
+
+  for (const std::string endpoint : {"/v1/publish", "/v1/dp/aggregate"}) {
+    for (double epsilon : {0.0, -1.0}) {
+      const JsonValue body = endpoint == "/v1/publish" ? PublishBody("careful", epsilon)
+                                                       : AggregateBody("careful", epsilon);
+      auto response = PostJson(port, endpoint, body);
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(response->status, 400) << body.Dump() << " -> " << response->body;
+      // Refused at parse time: nothing spent, no ledger rejection counted
+      // (ledger.tenant.careful.rejections), health untouched.
+      const JsonValue after = AuditDoc(port, "careful");
+      ASSERT_FALSE(after.is_null());
+      EXPECT_EQ(after.GetNumberOr("spent", -1.0), before.GetNumberOr("spent", -2.0))
+          << body.Dump();
+      EXPECT_EQ(after.GetNumberOr("rejected", -1.0), before.GetNumberOr("rejected", -2.0))
+          << body.Dump();
+      auto health = Get(port, "/healthz");
+      ASSERT_TRUE(health.ok());
+      EXPECT_EQ(health->body, "ok\n") << body.Dump();
+      auto verbose = Get(port, "/healthz?verbose=1");
+      ASSERT_TRUE(verbose.ok());
+      EXPECT_EQ(verbose->body.find("ledger.tenant.careful.rejections"), std::string::npos)
+          << verbose->body;
+    }
+  }
+  (*app)->Stop();
+}
+
 TEST(ServeAppWalTest, BudgetSurvivesRestart) {
   const std::string wal_path = TempWalPath("restart");
   ServeOptions options = FastOptions();

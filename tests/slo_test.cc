@@ -19,6 +19,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "obs/profiler.h"
 #include "obs/rotating_log.h"
 
 namespace ppdp::obs {
@@ -66,6 +67,17 @@ TEST(SlidingWindowTest, RingSlotsAreRecycledAfterWrapAround) {
   EXPECT_EQ(window.StatsOver(4.0, 10.0).count, 4u);
 }
 
+TEST(SlidingWindowTest, BucketMinusOneIsAnOrdinaryBucket) {
+  // Index -1 once doubled as the never-used mark, so a first Add just
+  // before t = 0 skipped the reset that sizes a slot's histogram.
+  SlidingWindow window({.bucket_seconds = 1.0, .num_buckets = 8, .bounds = {0.1, 1.0}});
+  window.Add(0.5, -0.5);
+  window.Add(2.0, -0.25);
+  EXPECT_EQ(window.StatsOver(1.0, -0.1).count, 2u);
+  EXPECT_EQ(window.MergedOver(1.0, -0.1).counts, (std::vector<uint64_t>{0, 1, 1}));
+  EXPECT_DOUBLE_EQ(window.QuantileOver(4.0, 1.0, 1.5), 2.0);
+}
+
 TEST(SlidingWindowTest, QuantilesInterpolateWithinHistogramBounds) {
   SlidingWindow::Options options;
   options.bucket_seconds = 1.0;
@@ -89,9 +101,9 @@ TEST(SlidingWindowTest, QuantilesInterpolateWithinHistogramBounds) {
 }
 
 /// A full-ring copy of SlidingWindow's original scans: every query walks all
-/// buckets in ring order and keeps those inside [first, current]. The
-/// window under test reads only the ring positions the window covers; both
-/// must give the same bits.
+/// buckets and keeps those inside [first, current], summing them oldest
+/// bucket first. The window under test reads its closed buckets from a
+/// cache and merges the live one last; both must give the same bits.
 class FullRingWindow {
  public:
   explicit FullRingWindow(SlidingWindow::Options options)
@@ -123,11 +135,17 @@ class FullRingWindow {
   SlidingWindow::WindowStats StatsOver(double window_seconds, double now) const {
     const int64_t first = FirstIndex(window_seconds, now);
     const int64_t current = static_cast<int64_t>(std::floor(now / options_.bucket_seconds));
-    SlidingWindow::WindowStats stats;
+    std::vector<const Bucket*> inside;
     for (const Bucket& bucket : ring_) {
       if (bucket.index < first || bucket.index > current || bucket.count == 0) continue;
-      stats.count += bucket.count;
-      stats.sum += bucket.sum;
+      inside.push_back(&bucket);
+    }
+    std::sort(inside.begin(), inside.end(),
+              [](const Bucket* a, const Bucket* b) { return a->index < b->index; });
+    SlidingWindow::WindowStats stats;
+    for (const Bucket* bucket : inside) {
+      stats.count += bucket->count;
+      stats.sum += bucket->sum;
     }
     if (stats.count > 0) stats.mean = stats.sum / static_cast<double>(stats.count);
     return stats;
@@ -243,6 +261,74 @@ TEST(SlidingWindowTest, WindowScanMatchesFullRingScanBitForBit) {
   // Long after the last sample every window is empty.
   check(now + 100.0);
   EXPECT_GT(queries, 1000u);
+}
+
+TEST(SlidingWindowTest, LateAddIntoAMergedBucketShowsInTheNextRead) {
+  SlidingWindow window({.bucket_seconds = 1.0, .num_buckets = 4, .bounds = {1.0, 4.0}});
+  window.Add(0.5, 1.5);
+  window.Add(2.0, 2.5);
+  window.Add(3.0, 3.5);
+  // At t = 3.5 buckets 1 and 2 are closed and merged into the cache.
+  EXPECT_EQ(window.StatsOver(4.0, 3.5).count, 3u);
+  EXPECT_DOUBLE_EQ(window.QuantileOver(4.0, 1.0, 3.5), 3.0);
+
+  // A writer whose clock lagged lands in closed bucket 2 after the read.
+  window.Add(8.0, 2.9);
+  SlidingWindow::WindowStats stats = window.StatsOver(4.0, 3.5);
+  EXPECT_EQ(stats.count, 4u);
+  EXPECT_DOUBLE_EQ(stats.sum, 13.5);
+  EXPECT_DOUBLE_EQ(window.QuantileOver(4.0, 1.0, 3.5), 8.0);
+  EXPECT_EQ(window.MergedOver(4.0, 3.5).counts, (std::vector<uint64_t>{1, 2, 1}));
+
+  // An Add ahead of the read recycles bucket 1's slot: the merged bucket
+  // leaves the window read at the old instant, as a full-ring scan says.
+  window.Add(1.0, 5.5);
+  stats = window.StatsOver(4.0, 3.5);
+  EXPECT_EQ(stats.count, 3u);
+  EXPECT_DOUBLE_EQ(stats.sum, 13.0);
+}
+
+TEST(SlidingWindowTest, JitteredWritersAndAPollingReaderLoseNoAdds) {
+  // 10 ms buckets over a 20 s ring. Each writer's clock wanders up to 1.5
+  // buckets either side of the shared timeline, so its Adds cross bucket
+  // boundaries late and early while the reader keeps re-merging the cache.
+  SlidingWindow window({.bucket_seconds = 0.01, .num_buckets = 2000, .bounds = {0.5, 2.0}});
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 5000;
+  constexpr double kStep = 0.002;  // 10 s of timeline
+  std::atomic<int> done{0};
+  std::atomic<uint64_t> progress{0};  // adds made, across writers
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(100 + static_cast<uint64_t>(w));
+      for (int i = 0; i < kPerWriter; ++i) {
+        const double jitter = 0.015 * (2.0 * rng.UniformReal() - 1.0);
+        window.Add(1.0, 1.0 + i * kStep + jitter);
+        progress.fetch_add(1, std::memory_order_relaxed);
+      }
+      done.fetch_add(1);
+    });
+  }
+  std::thread reader([&] {
+    uint64_t reads = 0;
+    while (done.load() < kWriters || reads == 0) {
+      const double now = 1.0 + static_cast<double>(progress.load()) / kWriters * kStep;
+      for (double w : {0.05, 1.0, 20.0}) {
+        EXPECT_LE(window.StatsOver(w, now).count, static_cast<uint64_t>(kWriters * kPerWriter));
+        EXPECT_LE(window.QuantileOver(w, 0.99, now), 1.0);
+      }
+      ++reads;
+    }
+  });
+  for (std::thread& writer : writers) writer.join();
+  reader.join();
+  const double end = 1.0 + kPerWriter * kStep + 0.1;
+  const SlidingWindow::WindowStats stats = window.StatsOver(20.0, end);
+  EXPECT_EQ(stats.count, static_cast<uint64_t>(kWriters * kPerWriter));
+  EXPECT_DOUBLE_EQ(stats.sum, kWriters * kPerWriter);
+  EXPECT_EQ(window.MergedOver(20.0, end).counts,
+            (std::vector<uint64_t>{0, kWriters * kPerWriter, 0}));
 }
 
 // ----------------------------------------------------------------- config
@@ -608,6 +694,139 @@ TEST(SloEngineTest, AlertzAndSlozDocumentsCarryTheirSchemas) {
   JsonValue sloz = (*engine)->SlozDocument();
   EXPECT_EQ(sloz.GetStringOr("schema", ""), "ppdp.sloz.v1");
   ASSERT_NE(sloz.Find("slos"), nullptr);
+}
+
+TEST(SloEngineTest, WarmEvaluateAllocatesNothing) {
+  double now = 0.0;
+  SloEngine::Options options;  // the default rules
+  options.clock = [&now] { return now; };
+  options.eval_period_seconds = 0.0;
+  options.export_metrics = false;
+  Result<std::unique_ptr<SloEngine>> engine = SloEngine::Create(std::move(options));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (int second = 0; second < 120; ++second) {
+    now = second + 0.5;
+    for (int i = 0; i < 5; ++i) {
+      (*engine)->RecordRequest(i == 0 && second % 30 == 0 ? 503 : 200, 0.001 * (1 + i));
+      (*engine)->RecordQueueDepth(0.05 * i);
+    }
+    for (int t = 0; t < 4; ++t) {
+      (*engine)->RecordSpend("tenant" + std::to_string(t), 0.01, 100.0 - 0.01 * second, 100.0);
+    }
+  }
+  const uint64_t cold = ThreadAllocBytes();
+  EXPECT_TRUE((*engine)->Evaluate().empty());
+  EXPECT_GT(ThreadAllocBytes(), cold) << "the first Evaluate makes its instances and caches";
+
+  now = 119.75;  // same bucket, no new tenant, nothing recorded since
+  const uint64_t before = ThreadAllocBytes();
+  const std::vector<AlertTransition> transitions = (*engine)->Evaluate();
+  const uint64_t allocated = ThreadAllocBytes() - before;
+  EXPECT_TRUE(transitions.empty());
+  EXPECT_EQ(allocated, 0u);
+}
+
+TEST(SloEngineTest, AlertzInputsKeepTheirFieldsInEveryState) {
+  auto make_rule = [](const char* name, AlertRule::Signal signal) {
+    AlertRule rule;
+    rule.name = name;
+    rule.signal = signal;
+    rule.fast_window_seconds = 10.0;
+    rule.slow_window_seconds = 60.0;
+    rule.for_seconds = 0.0;
+    rule.min_count = 3;
+    return rule;
+  };
+  AlertRule avail = make_rule("avail", AlertRule::Signal::kAvailability);
+  avail.objective = 0.9;
+  avail.burn_rate = 2.0;
+  AlertRule lat = make_rule("lat", AlertRule::Signal::kLatency);
+  lat.quantile = 0.5;
+  lat.threshold = 0.1;
+  AlertRule queue = make_rule("queue", AlertRule::Signal::kQueue);
+  queue.threshold = 0.5;
+  AlertRule burn = make_rule("burn", AlertRule::Signal::kLedgerBurn);
+  burn.min_count = 1;
+  burn.severity = AlertRule::Severity::kPage;
+
+  double now = 0.0;
+  SloEngine::Options options;
+  options.rules = {avail, lat, queue, burn};
+  options.clock = [&now] { return now; };
+  options.eval_period_seconds = 0.0;
+  options.export_metrics = false;
+  Result<std::unique_ptr<SloEngine>> engine = SloEngine::Create(std::move(options));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  for (int t = 1; t <= 4; ++t) {
+    now = t;
+    (*engine)->RecordRequest(t == 4 ? 500 : 200, 0.25);
+    (*engine)->RecordQueueDepth(0.25 * t);
+  }
+  now = 2.0;
+  (*engine)->RecordSpend("acme", 0.25, 0.75, 1.0);
+  now = 3.0;
+  (*engine)->RecordSpend("acme", 0.25, 0.5, 1.0);
+  now = 5.0;
+  (*engine)->RecordSpend("idle", 0.125, 0.875, 1.0);
+  now = 24.0;
+  (*engine)->RecordSpend("acme", 0.25, 0.25, 1.0);
+  now = 25.0;
+  (*engine)->RecordRequest(200, 0.5);
+  (*engine)->RecordQueueDepth(0.25);
+
+  // t = 30: one event in each fast window (below min_count: not yet
+  // evaluable), enough in each slow window; "idle" has spent nothing in
+  // its fast window.
+  now = 30.0;
+  (*engine)->Evaluate();
+  EXPECT_EQ((*engine)->AlertzDocument().Dump(),
+            R"({"schema":"ppdp.alertz.v1","t_seconds":30,"transitions_total":2,)"
+            R"("rules":[{"rule":"avail","signal":"availability","severity":"ticket",)"
+            R"("fast_window_s":10,"slow_window_s":60,"instances":[{"state":"inactive",)"
+            R"("since_s":0,"burn_fast":0,"burn_slow":2.0000000000000004,)"
+            R"("inputs_fast":{"requests":1,"errors_5xx":0},"inputs_slow":{"requests":5,)"
+            R"("errors_5xx":1,"error_ratio":0.20000000000000001}}]},{"rule":"lat",)"
+            R"("signal":"latency","severity":"ticket","fast_window_s":10,"slow_window_s":60,)"
+            R"("instances":[{"state":"inactive","since_s":0,"burn_fast":0,"burn_slow":2.5,)"
+            R"("inputs_fast":{"requests":1},"inputs_slow":{"requests":5,)"
+            R"("quantile_seconds":0.25}}]},{"rule":"queue","signal":"queue",)"
+            R"("severity":"ticket","fast_window_s":10,"slow_window_s":60,)"
+            R"("instances":[{"state":"inactive","since_s":0,"burn_fast":0,)"
+            R"("burn_slow":1.1000000000000001,"inputs_fast":{"samples":1},)"
+            R"("inputs_slow":{"samples":5,"mean_depth_ratio":0.55000000000000004}}]},)"
+            R"({"rule":"burn","signal":"ledger_burn","severity":"page","fast_window_s":10,)"
+            R"("slow_window_s":60,"instances":[{"tenant":"acme","state":"firing","since_s":30,)"
+            R"("burn_fast":60,"burn_slow":30,"inputs_fast":{"spends":1,)"
+            R"("remaining_epsilon":0.25,"spend_rate":0.025000000000000001,)"
+            R"("time_to_exhaustion_s":10},"inputs_slow":{"spends":3,"remaining_epsilon":0.25,)"
+            R"("spend_rate":0.012500000000000001,"time_to_exhaustion_s":20}},{"tenant":"idle",)"
+            R"("state":"inactive","since_s":0,"burn_fast":0,"burn_slow":1.4285714285714286,)"
+            R"("inputs_fast":{"spends":0,"remaining_epsilon":0.875},"inputs_slow":{"spends":1,)"
+            R"("remaining_epsilon":0.875,"spend_rate":0.0020833333333333333,)"
+            R"("time_to_exhaustion_s":420}}]}]})");
+  // t = 100: every window is empty again.
+  now = 100.0;
+  (*engine)->Evaluate();
+  EXPECT_EQ((*engine)->AlertzDocument().Dump(),
+            R"({"schema":"ppdp.alertz.v1","t_seconds":100,"transitions_total":2,)"
+            R"("rules":[{"rule":"avail","signal":"availability","severity":"ticket",)"
+            R"("fast_window_s":10,"slow_window_s":60,"instances":[{"state":"inactive",)"
+            R"("since_s":0,"burn_fast":0,"burn_slow":0,"inputs_fast":{"requests":0,)"
+            R"("errors_5xx":0},"inputs_slow":{"requests":0,"errors_5xx":0}}]},{"rule":"lat",)"
+            R"("signal":"latency","severity":"ticket","fast_window_s":10,"slow_window_s":60,)"
+            R"("instances":[{"state":"inactive","since_s":0,"burn_fast":0,"burn_slow":0,)"
+            R"("inputs_fast":{"requests":0},"inputs_slow":{"requests":0}}]},{"rule":"queue",)"
+            R"("signal":"queue","severity":"ticket","fast_window_s":10,"slow_window_s":60,)"
+            R"("instances":[{"state":"inactive","since_s":0,"burn_fast":0,"burn_slow":0,)"
+            R"("inputs_fast":{"samples":0},"inputs_slow":{"samples":0}}]},{"rule":"burn",)"
+            R"("signal":"ledger_burn","severity":"page","fast_window_s":10,"slow_window_s":60,)"
+            R"("instances":[{"tenant":"acme","state":"firing","since_s":30,"burn_fast":0,)"
+            R"("burn_slow":0,"inputs_fast":{"spends":0,"remaining_epsilon":0.25},)"
+            R"("inputs_slow":{"spends":0,"remaining_epsilon":0.25}},{"tenant":"idle",)"
+            R"("state":"inactive","since_s":0,"burn_fast":0,"burn_slow":0,)"
+            R"("inputs_fast":{"spends":0,"remaining_epsilon":0.875},"inputs_slow":{"spends":0,)"
+            R"("remaining_epsilon":0.875}}]}]})");
 }
 
 TEST(SloEngineTest, TransitionsAppendToTheAlertLog) {

@@ -34,8 +34,10 @@
 //   --alert_log PATH      JSONL alert-transition log (ppdp.alertlog.v1);
 //                         off when empty
 //   --alert_log_max_mb X  alert-log size rotation threshold (16)
-//   --slo_eval_period_s X request-path alert evaluation throttle; /alertz
-//                         and /sloz always evaluate on read (1)
+//   --slo_eval_period_s X request-path alert evaluation throttle; 0
+//                         evaluates on every request (about 1 µs with the
+//                         default rules); /alertz and /sloz always
+//                         evaluate on read (1)
 //   --log_level L         debug|info|warn|error|off (info)
 //   --log_json            one JSON object per log line on stderr
 //
