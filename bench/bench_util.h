@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <iterator>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/status.h"
 #include "common/table.h"
 #include "exec/exec_config.h"
 #include "exec/thread_pool.h"
@@ -30,6 +32,47 @@
 #include "obs/trace.h"
 
 namespace ppdp::bench {
+
+/// The per-phase table every bench prints at exit: one row per span name
+/// in the global TraceRecorder, by descending wall total.
+inline Table PhaseTable() {
+  Table table({"phase", "count", "total ms", "mean ms", "min ms", "max ms", "cpu ms",
+               "alloc MB", "peak rss MB"});
+  for (const obs::TraceRecorder::PhaseStats& s : obs::TraceRecorder::Global().PhaseStatsSorted()) {
+    table.AddRow({s.name, std::to_string(s.count), Table::FormatDouble(s.wall_ms_total, 3),
+                  Table::FormatDouble(s.wall_ms_mean, 3), Table::FormatDouble(s.wall_ms_min, 3),
+                  Table::FormatDouble(s.wall_ms_max, 3),
+                  Table::FormatDouble(s.cpu_ms_total, 3),
+                  Table::FormatDouble(static_cast<double>(s.alloc_bytes_total) / (1 << 20), 2),
+                  Table::FormatDouble(static_cast<double>(s.rss_peak_bytes) / (1 << 20), 1)});
+  }
+  return table;
+}
+
+/// Writes the global TraceRecorder's retained events as Chrome trace_event
+/// JSON ("X" complete events; load via chrome://tracing or
+/// https://ui.perfetto.dev).
+inline Status WriteChromeTrace(const std::string& path) {
+  std::ofstream file(path);
+  if (!file) return Status::NotFound("cannot open " + path + " for writing");
+  std::vector<obs::TraceEvent> snapshot = obs::TraceRecorder::Global().events();
+  file << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    const obs::TraceEvent& e = snapshot[i];
+    if (i) file << ",";
+    file << "\n{\"name\":\"";
+    for (char c : obs::SpanNameForId(e.span)) {
+      if (c == '"' || c == '\\') file << '\\';
+      file << c;
+    }
+    file << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.thread << ",\"ts\":"
+         << Table::FormatDouble(e.start_us, 3) << ",\"dur\":"
+         << Table::FormatDouble(e.duration_us, 3) << "}";
+  }
+  file << "\n]}\n";
+  if (!file.good()) return Status::Internal("write to " + path + " failed");
+  return Status::Ok();
+}
 
 /// Common knobs of the reproduction benches. Every bench accepts
 ///   --seed N        (default 7)    generator / mask seed
@@ -176,7 +219,7 @@ struct BenchEnv {
     if (profile_hz_ > 0) EmitProfile();
     EmitPhaseTimings();
     if (!trace_out.empty()) {
-      Status status = obs::TraceRecorder::Global().WriteChromeTrace(trace_out);
+      Status status = WriteChromeTrace(trace_out);
       if (status.ok()) {
         std::cout << "(trace: " << trace_out << ")\n";
       } else {
@@ -269,7 +312,7 @@ struct BenchEnv {
   /// Called automatically at destruction; call earlier to interleave with
   /// result tables.
   void EmitPhaseTimings() const {
-    Table phases = obs::TraceRecorder::Global().PhaseSummary();
+    Table phases = PhaseTable();
     if (phases.num_rows() == 0) return;
     // Timings differ from run to run, so this table is written but not
     // digested: `ppdp_stat report --check_digests` audits results only.

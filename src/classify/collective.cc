@@ -161,7 +161,7 @@ CollectiveResult IcaSolver::Finish() const {
 
 CollectiveResult CollectiveInference(const SocialGraph& g, const std::vector<bool>& known,
                                      AttributeClassifier& local, const CollectiveConfig& config) {
-  obs::TraceSpan span("classify.ica");
+  obs::TraceSpan span(PPDP_SPAN_SITE("classify.ica"));
   IcaSolver solver(g, known, local, config);
   size_t consecutive_faults = 0;
   while (!solver.Done()) {

@@ -223,7 +223,7 @@ CollectiveResult GibbsSampler::Collect() const {
 CollectiveResult GibbsCollectiveInference(const SocialGraph& g, const std::vector<bool>& known,
                                           AttributeClassifier& local,
                                           const GibbsConfig& config) {
-  obs::TraceSpan span("classify.gibbs");
+  obs::TraceSpan span(PPDP_SPAN_SITE("classify.gibbs"));
   GibbsSampler sampler(g, known, local, config);
   auto total_done = [&] {
     size_t done = 0;

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -150,17 +151,23 @@ std::string JsonEscape(std::string_view raw) {
 
 namespace {
 
-/// Shortest representation that round-trips a double; integral values within
-/// the exact range print without an exponent or trailing ".0" so counts stay
-/// greppable.
-std::string FormatNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  if (v == static_cast<double>(static_cast<int64_t>(v)) && std::fabs(v) < 9.007199254740992e15) {
-    return std::to_string(static_cast<int64_t>(v));
+/// Appends `v` as a JSON number. Integral values within the exact range
+/// print without an exponent or trailing ".0" so counts stay greppable;
+/// anything else prints 17 significant digits, byte for byte what printf's
+/// "%.17g" prints: enough to round-trip every double, though not always the
+/// shortest form that does.
+void AppendNumber(double v, std::string& out) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
   }
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
+  const bool integral =
+      std::fabs(v) < 9.007199254740992e15 && v == static_cast<double>(static_cast<int64_t>(v));
+  const std::to_chars_result printed =
+      integral ? std::to_chars(buffer, buffer + sizeof(buffer), static_cast<int64_t>(v))
+               : std::to_chars(buffer, buffer + sizeof(buffer), v, std::chars_format::general, 17);
+  out.append(buffer, printed.ptr);
 }
 
 void DumpTo(const JsonValue& value, std::string& out);
@@ -174,7 +181,7 @@ void DumpTo(const JsonValue& value, std::string& out) {
       out += value.as_bool() ? "true" : "false";
       break;
     case JsonValue::Kind::kNumber:
-      out += FormatNumber(value.as_number());
+      AppendNumber(value.as_number(), out);
       break;
     case JsonValue::Kind::kString:
       out += '"';

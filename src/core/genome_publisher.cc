@@ -30,7 +30,7 @@ Result<GenomePublisher> GenomePublisher::Create(genomics::GwasCatalog catalog,
 
 genomics::GenomeAttackResult GenomePublisher::Attack(
     genomics::AttackMethod method, const genomics::FactorGraph::BpOptions& options) const {
-  obs::TraceSpan span("genome.attack");
+  obs::TraceSpan span(PPDP_SPAN_SITE("genome.attack"));
   static obs::Counter& attacks =
       obs::MetricsRegistry::Global().counter("genome.attacks_measured");
   attacks.Increment();
@@ -57,7 +57,7 @@ Result<PublishOutput> GenomePublisher::Publish(const PublishConfig& config) cons
                                      std::to_string(catalog_.num_traits()) + " traits)");
     }
   }
-  obs::TraceSpan span("genome.publish");
+  obs::TraceSpan span(PPDP_SPAN_SITE("genome.publish"));
   genomics::GputOptions options;
   options.delta = config.delta;
   // GreedySanitize takes the view by value: the held view stays pristine,
@@ -83,7 +83,7 @@ Result<PublishOutput> GenomePublisher::Publish(const PublishConfig& config) cons
 
 genomics::GputResult GenomePublisher::PublishWithDeltaPrivacy(
     double delta, const std::vector<size_t>& target_traits, genomics::AttackMethod method) {
-  obs::TraceSpan span("genome.publish_delta_privacy");
+  obs::TraceSpan span(PPDP_SPAN_SITE("genome.publish_delta_privacy"));
   genomics::GputOptions options;
   options.delta = delta;
   options.method = method;

@@ -34,7 +34,7 @@ classify::CollectiveConfig SocialPublisher::Effective(
 
 double SocialPublisher::AttackAccuracy(classify::AttackModel attack, classify::LocalModel local,
                                        const classify::CollectiveConfig& config) const {
-  obs::TraceSpan span("social.attack");
+  obs::TraceSpan span(PPDP_SPAN_SITE("social.attack"));
   static obs::Counter& attacks =
       obs::MetricsRegistry::Global().counter("social.attacks_measured");
   attacks.Increment();
@@ -55,7 +55,7 @@ double SocialPublisher::PriorAccuracy() const {
 }
 
 size_t SocialPublisher::RemoveTopPrivacyAttributes(size_t count, size_t utility_category) {
-  obs::TraceSpan span("social.remove_attributes");
+  obs::TraceSpan span(PPDP_SPAN_SITE("social.remove_attributes"));
   auto ranked = sanitize::RankPrivacyDependence(graph_, utility_category);
   size_t removed = 0;
   for (const auto& [category, unused_gamma] : ranked) {
@@ -72,7 +72,7 @@ size_t SocialPublisher::RemoveTopPrivacyAttributes(size_t count, size_t utility_
 }
 
 size_t SocialPublisher::RemoveIndistinguishableLinks(size_t count) {
-  obs::TraceSpan span("social.remove_links");
+  obs::TraceSpan span(PPDP_SPAN_SITE("social.remove_links"));
   classify::NaiveBayesClassifier nb;
   nb.Train(graph_, known_);
   auto estimates = classify::BootstrapDistributions(graph_, known_, nb, threads_);
@@ -87,7 +87,7 @@ size_t SocialPublisher::RemoveIndistinguishableLinks(size_t count) {
 
 sanitize::SanitizeReport SocialPublisher::SanitizeCollective(
     const sanitize::CollectiveSanitizeOptions& options) {
-  obs::TraceSpan span("social.sanitize_collective");
+  obs::TraceSpan span(PPDP_SPAN_SITE("social.sanitize_collective"));
   sanitize::SanitizeReport report = sanitize::CollectiveSanitize(graph_, options);
   PPDP_LOG(INFO) << "collective sanitization done"
                  << obs::Field("attributes_removed", report.removed_categories.size())
@@ -105,7 +105,7 @@ Result<PublishOutput> SocialPublisher::Publish(const PublishConfig& config) cons
         "utility_category " + std::to_string(config.utility_category) + " out of range (graph has " +
         std::to_string(graph_.num_categories()) + " categories)");
   }
-  obs::TraceSpan span("social.publish");
+  obs::TraceSpan span(PPDP_SPAN_SITE("social.publish"));
   const classify::LocalModel local = classify::LocalModel::kNaiveBayes;
   sanitize::PrivacyUtility before = MeasurePrivacyUtility(config.utility_category, local);
 
@@ -133,7 +133,7 @@ Result<PublishOutput> SocialPublisher::Publish(const PublishConfig& config) cons
 sanitize::PrivacyUtility SocialPublisher::MeasurePrivacyUtility(
     size_t utility_category, classify::LocalModel local,
     const classify::CollectiveConfig& config) const {
-  obs::TraceSpan span("social.measure_privacy_utility");
+  obs::TraceSpan span(PPDP_SPAN_SITE("social.measure_privacy_utility"));
   return sanitize::MeasurePrivacyUtility(graph_, known_, utility_category, local,
                                          Effective(config));
 }

@@ -23,7 +23,7 @@ Result<TradeoffPublisher> TradeoffPublisher::Create(graph::SocialGraph graph,
 }
 
 tradeoff::StrategyProblem TradeoffPublisher::BuildProblem(double delta, size_t max_sets) const {
-  obs::TraceSpan span("tradeoff.build_problem");
+  obs::TraceSpan span(PPDP_SPAN_SITE("tradeoff.build_problem"));
   tradeoff::StrategyProblem problem;
   problem.profile = tradeoff::BuildProfileFromGraph(graph_, max_sets);
   problem.utility_disparity = tradeoff::HammingDisparity(problem.profile);
@@ -39,7 +39,7 @@ tradeoff::StrategyProblem TradeoffPublisher::BuildProblem(double delta, size_t m
 
 Result<tradeoff::StrategyResult> TradeoffPublisher::OptimizeAttributeStrategy(
     double delta, size_t max_sets) const {
-  obs::TraceSpan span("tradeoff.optimize_lp");
+  obs::TraceSpan span(PPDP_SPAN_SITE("tradeoff.optimize_lp"));
   auto result = tradeoff::SolveOptimalStrategy(BuildProblem(delta, max_sets));
   PPDP_LOG(INFO) << "attribute-strategy LP solved" << obs::Field("ok", result.ok())
                  << obs::Field("delta", delta) << obs::Field("max_sets", max_sets)
@@ -60,7 +60,7 @@ Result<PublishOutput> TradeoffPublisher::Publish(const PublishConfig& config) co
         "utility_category " + std::to_string(config.utility_category) + " out of range (graph has " +
         std::to_string(graph_.num_categories()) + " categories)");
   }
-  obs::TraceSpan span("tradeoff.publish");
+  obs::TraceSpan span(PPDP_SPAN_SITE("tradeoff.publish"));
   tradeoff::TradeoffConfig tradeoff_config;
   tradeoff_config.num_attributes = config.num_attributes;
   tradeoff_config.num_links = config.num_links;
@@ -91,7 +91,7 @@ Result<PublishOutput> TradeoffPublisher::Publish(const PublishConfig& config) co
 
 tradeoff::TradeoffOutcome TradeoffPublisher::Apply(tradeoff::Strategy strategy,
                                                    const tradeoff::TradeoffConfig& config) const {
-  obs::TraceSpan span("tradeoff.apply_strategy");
+  obs::TraceSpan span(PPDP_SPAN_SITE("tradeoff.apply_strategy"));
   tradeoff::TradeoffOutcome outcome = tradeoff::ApplyStrategy(graph_, known_, strategy, config);
   static obs::Counter& done =
       obs::MetricsRegistry::Global().counter("tradeoff.progress.apply_strategy");

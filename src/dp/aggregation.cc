@@ -37,7 +37,7 @@ Result<RangeCountSketch> RangeCountSketch::Build(const std::vector<int64_t>& dat
     }
   }
 
-  obs::TraceSpan span("dp.aggregation.range_sketch_build");
+  obs::TraceSpan span(PPDP_SPAN_SITE("dp.aggregation.range_sketch_build"));
   RangeCountSketch sketch;
   sketch.domain_size_ = domain_size;
   sketch.padded_ = 1;

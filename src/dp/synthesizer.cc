@@ -81,7 +81,7 @@ Result<PrivateSynthesizer> PrivateSynthesizer::Fit(const CategoricalData& data,
                                                    obs::PrivacyLedger* ledger,
                                                    const std::string& label_prefix) {
   if (ledger == nullptr) return Fit(data, config);
-  obs::TraceSpan fit_span("dp.synthesizer.fit");
+  obs::TraceSpan fit_span(PPDP_SPAN_SITE("dp.synthesizer.fit"));
   PPDP_RETURN_IF_ERROR(config.Validate());
   if (data.empty()) return Status::InvalidArgument("no data to fit");
   const size_t width = data[0].size();
@@ -109,7 +109,7 @@ Result<PrivateSynthesizer> PrivateSynthesizer::Fit(const CategoricalData& data,
   // earlier parents (PrivBayes-style k-degree network). MI sensitivity
   // under add/remove-one adjacency is O(log n / n).
   if (width > 1 && config.structure_fraction > 0.0) {
-    obs::TraceSpan structure_span("dp.synthesizer.structure");
+    obs::TraceSpan structure_span(PPDP_SPAN_SITE("dp.synthesizer.structure"));
     double eps_structure = config.epsilon * config.structure_fraction;
     double eps_per_choice =
         eps_structure / (static_cast<double>(width - 1) *
@@ -162,7 +162,7 @@ Result<PrivateSynthesizer> PrivateSynthesizer::Fit(const CategoricalData& data,
   // across the per-attribute tables (sequential composition); each table's
   // counts change by at most 2 when one record changes (it leaves one cell
   // and enters another), so sensitivity 2.
-  obs::TraceSpan tables_span("dp.synthesizer.noisy_tables");
+  obs::TraceSpan tables_span(PPDP_SPAN_SITE("dp.synthesizer.noisy_tables"));
   double eps_tables = config.epsilon * (1.0 - config.structure_fraction);
   double eps_per_table = eps_tables / static_cast<double>(width);
   LaplaceMechanism laplace(/*sensitivity=*/2.0, eps_per_table);
@@ -215,7 +215,7 @@ Result<PrivateSynthesizer> PrivateSynthesizer::Fit(const CategoricalData& data,
 }
 
 CategoricalData PrivateSynthesizer::Sample(size_t count, Rng& rng) const {
-  obs::TraceSpan span("dp.synthesizer.sample");
+  obs::TraceSpan span(PPDP_SPAN_SITE("dp.synthesizer.sample"));
   static obs::Counter& sampled =
       obs::MetricsRegistry::Global().counter("dp.synthesizer.rows_sampled");
   sampled.Increment(count);

@@ -88,14 +88,23 @@ double FactorGraph::TableValue(const Factor& f, const std::vector<size_t>& assig
 
 namespace {
 
-/// Books one solve: the `genomics.bp.runs` counter and a DEBUG line.
-void NoteSolve(const obs::TraceSpan& span, size_t iterations, bool converged, size_t variables,
+/// A solve's start time for NoteSolve's DEBUG line: the clock is read only
+/// while DEBUG is on.
+double SolveStart() {
+  return obs::LogEnabled(obs::LogLevel::kDebug) ? obs::MonotonicSeconds() : 0.0;
+}
+
+/// Books one solve: the `genomics.bp.runs` counter and a DEBUG line. Solves
+/// are counted, not spanned: an incremental one takes microseconds, and its
+/// time falls under the greedy's span.
+void NoteSolve(double start_seconds, size_t iterations, bool converged, size_t variables,
                size_t factors) {
   static obs::Counter& runs = obs::MetricsRegistry::Global().counter("genomics.bp.runs");
   runs.Increment();
   PPDP_LOG(DEBUG) << "BP finished" << obs::Field("iterations", iterations)
                   << obs::Field("converged", converged) << obs::Field("variables", variables)
-                  << obs::Field("factors", factors) << obs::Field("seconds", span.ElapsedSeconds());
+                  << obs::Field("factors", factors)
+                  << obs::Field("seconds", obs::MonotonicSeconds() - start_seconds);
 }
 
 }  // namespace
@@ -231,7 +240,8 @@ FactorGraph::BpResult FactorGraph::RunBeliefPropagation(const BpOptions& options
 FactorGraph::BpResult FactorGraph::RunBeliefPropagation(
     const BpOptions& options, const std::vector<size_t>& variables) const {
   for (size_t v : variables) PPDP_CHECK(v < domains_.size()) << "variable " << v << " out of range";
-  obs::TraceSpan span("genomics.bp.sum_product");
+  obs::TraceSpan span(PPDP_SPAN_SITE("genomics.bp.sum_product"));
+  const double start = SolveStart();
   Messages messages;
   BpResult result;
   RunMessagePassing(AllFactors(), options, /*max_product=*/false, &messages,
@@ -245,12 +255,13 @@ FactorGraph::BpResult FactorGraph::RunBeliefPropagation(
     result.marginals.emplace_back(domains_[v]);
     Belief(messages, v, result.marginals.back());
   }
-  NoteSolve(span, result.iterations, result.converged, domains_.size(), factors_.size());
+  NoteSolve(start, result.iterations, result.converged, domains_.size(), factors_.size());
   return result;
 }
 
 FactorGraph::MapResult FactorGraph::RunMaxProduct(const BpOptions& options) const {
-  obs::TraceSpan span("genomics.bp.max_product");
+  obs::TraceSpan span(PPDP_SPAN_SITE("genomics.bp.max_product"));
+  const double start = SolveStart();
   Messages messages;
   MapResult result;
   RunMessagePassing(AllFactors(), options, /*max_product=*/true, &messages,
@@ -266,7 +277,7 @@ FactorGraph::MapResult FactorGraph::RunMaxProduct(const BpOptions& options) cons
     Belief(messages, v, belief);
     result.assignment[v] = ArgMax(belief);
   }
-  NoteSolve(span, result.iterations, result.converged, domains_.size(), factors_.size());
+  NoteSolve(start, result.iterations, result.converged, domains_.size(), factors_.size());
   return result;
 }
 
@@ -376,7 +387,7 @@ IncrementalBp::IncrementalBp(FactorGraph* graph, const FactorGraph::BpOptions& o
   for (size_t v : read_) {
     PPDP_CHECK(v < graph_->num_variables()) << "variable " << v << " out of range";
   }
-  obs::TraceSpan span("genomics.bp.sum_product");
+  const double start = SolveStart();
   // Union-find over factors joined through unclamped variables.
   const FactorGraph& g = *graph_;
   std::vector<size_t> parent(g.num_factors());
@@ -403,7 +414,7 @@ IncrementalBp::IncrementalBp(FactorGraph* graph, const FactorGraph::BpOptions& o
   Reindex();
   for (Component& c : components_) SolveComponent(&c);
   RefreshCurrent();
-  NoteSolve(span, current_.iterations, current_.converged, g.num_variables(), g.num_factors());
+  NoteSolve(start, current_.iterations, current_.converged, g.num_variables(), g.num_factors());
 }
 
 double IncrementalBp::ChangeAt(const Component& c, size_t iteration) {
@@ -524,7 +535,7 @@ void IncrementalBp::ReadMarginals(size_t iterations, FactorGraph::BpResult* resu
 const FactorGraph::BpResult& IncrementalBp::SolveFreed(size_t variable) {
   PPDP_CHECK(variable < graph_->num_variables() && graph_->HasEvidence(variable))
       << "variable " << variable << " is not clamped";
-  obs::TraceSpan span("genomics.bp.sum_product");
+  const double start = SolveStart();
   CollectMerged(variable);
   const int64_t value = graph_->evidence_[variable];
   graph_->evidence_[variable] = -1;
@@ -545,7 +556,7 @@ const FactorGraph::BpResult& IncrementalBp::SolveFreed(size_t variable) {
       });
   ReadMarginals(freed_.iterations, &freed_);
   graph_->evidence_[variable] = value;
-  NoteSolve(span, freed_.iterations, freed_.converged, graph_->num_variables(),
+  NoteSolve(start, freed_.iterations, freed_.converged, graph_->num_variables(),
             merged_factors_.size());
   return freed_;
 }
@@ -553,7 +564,7 @@ const FactorGraph::BpResult& IncrementalBp::SolveFreed(size_t variable) {
 void IncrementalBp::Free(size_t variable) {
   PPDP_CHECK(variable < graph_->num_variables() && graph_->HasEvidence(variable))
       << "variable " << variable << " is not clamped";
-  obs::TraceSpan span("genomics.bp.sum_product");
+  const double start = SolveStart();
   CollectMerged(variable);
   graph_->evidence_[variable] = -1;
   for (size_t k = merged_.size(); k-- > 0;) {
@@ -567,7 +578,7 @@ void IncrementalBp::Free(size_t variable) {
   Reindex();
   if (merges) SolveComponent(&components_.back());
   RefreshCurrent();
-  NoteSolve(span, current_.iterations, current_.converged, graph_->num_variables(),
+  NoteSolve(start, current_.iterations, current_.converged, graph_->num_variables(),
             merged_factors_.size());
 }
 

@@ -162,8 +162,8 @@ class FactorGraph {
 /// `tolerance`: the whole-graph rule. Read variables elsewhere come from
 /// the cache at that iteration. Every result is bit-identical to
 /// `RunBeliefPropagation(options, read)` on the whole graph under the same
-/// evidence. Each solve (the constructor, `SolveFreed`, `Free`) is one
-/// `genomics.bp.sum_product` span.
+/// evidence. Each solve (the constructor, `SolveFreed`, `Free`) counts one
+/// `genomics.bp.runs` and opens no span: its caller's span holds its time.
 class IncrementalBp {
  public:
   /// Solves `graph` under its current evidence. The graph must outlive this

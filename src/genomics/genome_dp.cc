@@ -32,7 +32,7 @@ dp::CategoricalData GroupRows(const CaseControlPanel& panel, bool cases) {
 
 Result<CaseControlPanel> SynthesizeDpPanel(const CaseControlPanel& real,
                                            const DpPanelConfig& config) {
-  obs::TraceSpan span("genomics.dp_panel");
+  obs::TraceSpan span(PPDP_SPAN_SITE("genomics.dp_panel"));
   if (real.individuals.empty()) return Status::InvalidArgument("empty panel");
   size_t num_traits = real.individuals[0].traits.size();
   size_t num_snps = real.individuals[0].genotypes.size();

@@ -8,6 +8,7 @@
 #include "genomics/genome_data.h"
 #include "genomics/inference_attack.h"
 #include "genomics/privacy_metrics.h"
+#include "obs/trace.h"
 
 namespace ppdp::genomics {
 
@@ -62,12 +63,14 @@ inline constexpr size_t kNoVariable = static_cast<size_t>(-1);
 /// kNoVariable) for one IncrementalBp solve of the `read` variables, and
 /// `score` maps their marginals to the rule's score; a pick unclamps it for
 /// good. Every marginal is bit-identical to a whole-graph solve of a graph
-/// rebuilt from the current evidence.
+/// rebuilt from the current evidence. The call is one
+/// `genomics.bp.sum_product` span; `genomics.bp.runs` counts its solves.
 template <typename Candidate, typename VariableOf, typename ScoreOf, typename Rule>
 void RunBpGreedy(FactorGraph* graph, const FactorGraph::BpOptions& options,
                  std::vector<size_t> read, std::vector<Candidate> pool, size_t max_picks,
                  const VariableOf& variable_of, const ScoreOf& score, const Rule& rule,
                  std::vector<Candidate>* picks, std::vector<double>* trace) {
+  obs::TraceSpan span(PPDP_SPAN_SITE("genomics.bp.sum_product"));
   IncrementalBp bp(graph, options, std::move(read));
   const auto start = score(bp.current().marginals);
   auto trial = [&](const Candidate& c) {

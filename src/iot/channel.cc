@@ -170,7 +170,7 @@ bool ResilientChannel::TransmitOnce(const Envelope& envelope) {
 }
 
 Status ResilientChannel::Send(const PerturbedReading& reading) {
-  obs::TraceSpan span("channel.send");
+  obs::TraceSpan span(PPDP_SPAN_SITE("channel.send"));
   static obs::Counter& retries_metric = obs::MetricsRegistry::Global().counter("channel.retries");
   static obs::Counter& gave_up_metric = obs::MetricsRegistry::Global().counter("channel.gave_up");
   static obs::Counter& attempts_metric =

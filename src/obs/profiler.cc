@@ -336,12 +336,11 @@ ProcessMemory ReadProcessMemory() {
   return memory;
 }
 
-uint64_t CurrentRssBytesCached(double max_age_seconds) {
+uint64_t CurrentRssBytesCached(double now) {
   static std::atomic<double> last_read_seconds{-1.0};
   static std::atomic<uint64_t> last_rss{0};
-  double now = MonotonicSeconds();
   double last = last_read_seconds.load(std::memory_order_acquire);
-  if (last >= 0.0 && now - last < max_age_seconds) {
+  if (last >= 0.0 && now - last < 0.01) {
     return last_rss.load(std::memory_order_relaxed);
   }
   uint64_t rss = ReadProcessMemory().rss_bytes;

@@ -31,10 +31,9 @@ struct ProcessMemory {
 /// /proc/self/status is unavailable.
 ProcessMemory ReadProcessMemory();
 
-/// Current RSS with a small rate limit: re-reads /proc at most every
-/// `max_age_seconds`, otherwise returns the cached value — cheap enough to
-/// call at every TraceSpan close.
-uint64_t CurrentRssBytesCached(double max_age_seconds = 0.01);
+/// Current RSS at MonotonicSeconds() `now_seconds`, re-read from /proc at
+/// most every 10 ms and otherwise cached: cheap enough for every span close.
+uint64_t CurrentRssBytesCached(double now_seconds);
 
 struct ProcessCpu {
   double user_seconds = 0.0;

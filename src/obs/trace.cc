@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <ctime>
-#include <fstream>
+#include <limits>
 #include <unordered_map>
 
 #include "obs/log.h"
@@ -27,15 +27,36 @@ struct SpanNameTable {
   }
 };
 
-/// Fixed-depth stack of interned span ids for one thread: pushed and popped
-/// by its owner, read by the owner's SIGPROF handler and by
-/// ActiveSpanStacks() on other threads.
+/// One phase's running totals; an empty row merges as a no-op.
+struct PhaseRow {
+  uint64_t count = 0;
+  double total_us = 0.0, min_us = std::numeric_limits<double>::infinity(), max_us = 0.0;
+  double cpu_us = 0.0;
+  uint64_t alloc_bytes = 0, rss_peak = 0;
+
+  void Merge(const PhaseRow& other) {  // a close, or another thread's row
+    count += other.count;
+    total_us += other.total_us;
+    min_us = std::min(min_us, other.min_us);
+    max_us = std::max(max_us, other.max_us);
+    cpu_us += other.cpu_us;
+    alloc_bytes += other.alloc_bytes;
+    rss_peak = std::max(rss_peak, other.rss_peak);
+  }
+};
+
+/// One thread's span state: a fixed-depth stack of interned span ids,
+/// pushed and popped by its owner, read by the owner's SIGPROF handler and
+/// by ActiveSpanStacks() on other threads; and the phase rows its closes
+/// fold into, which outlive the thread and pass to the slot's next owner.
 constexpr uint32_t kMaxSignalSpanDepth = 64;
 struct SpanStackSlot {
   std::atomic<uint32_t> depth{0};
   std::atomic<uint32_t> ids[kMaxSignalSpanDepth] = {};
   uint32_t thread = 0;  ///< owner's ordinal (TraceEvent::thread); set under the slots mutex
   bool live = false;    ///< guarded by the slots mutex
+  std::mutex rows_mutex;       ///< the owner's at each close; others' to read or clear
+  std::vector<PhaseRow> rows;  ///< indexed by span id
 };
 
 /// Every slot ever handed out: leaked, so readers never touch a dead
@@ -103,17 +124,30 @@ SpanStackSlot& PopSpanId() {
   return slot;
 }
 
+/// Calls `fn` on every slot's phase rows (live and exited threads'), each
+/// under its slot's lock.
+template <typename Fn>
+void ForEachSlotRows(Fn fn) {
+  SpanStackSlots& registry = SpanStackSlots::Global();
+  std::lock_guard<std::mutex> lock(registry.mutex);  // then a slot's rows lock
+  for (SpanStackSlot* slot : registry.slots) {
+    std::lock_guard<std::mutex> rows_lock(slot->rows_mutex);
+    fn(slot->rows);
+  }
+}
+
 }  // namespace
 
-uint32_t InternSpanName(const std::string& name) {
+SpanSite::SpanSite(std::string_view span_name) {
   SpanNameTable& table = SpanNameTable::Global();
   std::lock_guard<std::mutex> lock(table.mutex);
-  auto it = table.ids.find(name);
-  if (it != table.ids.end()) return it->second;
-  table.names.push_back(new std::string(name));  // intentionally leaked
-  uint32_t id = static_cast<uint32_t>(table.names.size());
-  table.ids.emplace(name, id);
-  return id;
+  auto [it, added] = table.ids.try_emplace(std::string(span_name), 0);
+  if (added) {
+    table.names.push_back(new std::string(span_name));  // intentionally leaked
+    it->second = static_cast<uint32_t>(table.names.size());
+  }
+  id = it->second;
+  name = table.names[id - 1];
 }
 
 const std::string& SpanNameForId(uint32_t id) {
@@ -136,8 +170,8 @@ void TouchSpanTls() { (void)CurrentThreadSpanId(); }  // reads t_span_slot, so i
 std::vector<ActiveSpanStack> ActiveSpanStacks() {
   std::vector<ActiveSpanStack> stacks;
   SpanStackSlots& registry = SpanStackSlots::Global();
-  // Lock order: slots, then names. A span open takes the name lock and (on
-  // a thread's first span) the slot lock, never both at once.
+  // Lock order: slots, then names or a slot's rows. Interning a site takes
+  // the name lock and a thread's first span the slot lock, never both.
   std::lock_guard<std::mutex> lock(registry.mutex);
   for (const SpanStackSlot* slot : registry.slots) {
     // A returned slot has depth 0, so only live threads get past this.
@@ -169,22 +203,19 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 void TraceRecorder::SetRetainEvents(bool retain) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  retain_events_ = retain;
+  retain_events_.store(retain, std::memory_order_relaxed);
 }
 
 void TraceRecorder::Record(const TraceEvent& event) {
+  SpanStackSlot& slot = ThisThreadSlot();
+  {
+    std::lock_guard<std::mutex> lock(slot.rows_mutex);
+    if (event.span >= slot.rows.size()) slot.rows.resize(event.span + 1);
+    slot.rows[event.span].Merge({1, event.duration_us, event.duration_us, event.duration_us,
+                                 event.cpu_us, event.alloc_bytes, event.rss_bytes});
+  }
+  if (!retain_events_.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (event.span >= phases_.size()) phases_.resize(event.span + 1);
-  PhaseRow& row = phases_[event.span];
-  if (row.count == 0 || event.duration_us < row.min_us) row.min_us = event.duration_us;
-  if (row.count == 0 || event.duration_us > row.max_us) row.max_us = event.duration_us;
-  row.total_us += event.duration_us;
-  row.cpu_us += event.cpu_us;
-  row.alloc_bytes += event.alloc_bytes;
-  if (event.rss_bytes > row.rss_peak) row.rss_peak = event.rss_bytes;
-  ++row.count;
-  if (!retain_events_) return;
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
     return;
@@ -203,17 +234,23 @@ std::vector<TraceEvent> TraceRecorder::events() const {
 }
 
 void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  phases_.clear();
-  events_.clear();
-  dropped_ = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.clear();
+    dropped_ = 0;
+  }
+  ForEachSlotRows([](std::vector<PhaseRow>& rows) { rows.clear(); });
 }
 
 std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
+  std::vector<PhaseRow> phases;  // indexed by span id
+  ForEachSlotRows([&](const std::vector<PhaseRow>& rows) {
+    if (rows.size() > phases.size()) phases.resize(rows.size());
+    for (size_t id = 0; id < rows.size(); ++id) phases[id].Merge(rows[id]);
+  });
   std::vector<PhaseStats> stats;
-  std::lock_guard<std::mutex> lock(mutex_);  // then the name lock; nothing nests the other way
-  for (uint32_t id = 0; id < phases_.size(); ++id) {
-    const PhaseRow& row = phases_[id];
+  for (uint32_t id = 0; id < phases.size(); ++id) {
+    const PhaseRow& row = phases[id];
     if (row.count == 0) continue;
     stats.push_back(PhaseStats{SpanNameForId(id), row.count, row.total_us / 1e3,
                                row.total_us / static_cast<double>(row.count) / 1e3,
@@ -227,44 +264,8 @@ std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
   return stats;
 }
 
-Table TraceRecorder::PhaseSummary() const {
-  Table table({"phase", "count", "total ms", "mean ms", "min ms", "max ms", "cpu ms",
-               "alloc MB", "peak rss MB"});
-  for (const PhaseStats& s : PhaseStatsSorted()) {
-    table.AddRow({s.name, std::to_string(s.count), Table::FormatDouble(s.wall_ms_total, 3),
-                  Table::FormatDouble(s.wall_ms_mean, 3), Table::FormatDouble(s.wall_ms_min, 3),
-                  Table::FormatDouble(s.wall_ms_max, 3),
-                  Table::FormatDouble(s.cpu_ms_total, 3),
-                  Table::FormatDouble(static_cast<double>(s.alloc_bytes_total) / (1 << 20), 2),
-                  Table::FormatDouble(static_cast<double>(s.rss_peak_bytes) / (1 << 20), 1)});
-  }
-  return table;
-}
-
-Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) return Status::NotFound("cannot open " + path + " for writing");
-  std::vector<TraceEvent> snapshot = events();
-  file << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    const TraceEvent& e = snapshot[i];
-    if (i) file << ",";
-    file << "\n{\"name\":\"";
-    for (char c : SpanNameForId(e.span)) {
-      if (c == '"' || c == '\\') file << '\\';
-      file << c;
-    }
-    file << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.thread << ",\"ts\":"
-         << Table::FormatDouble(e.start_us, 3) << ",\"dur\":"
-         << Table::FormatDouble(e.duration_us, 3) << "}";
-  }
-  file << "\n]}\n";
-  if (!file.good()) return Status::Internal("write to " + path + " failed");
-  return Status::Ok();
-}
-
-TraceSpan::TraceSpan(const std::string& name) : id_(InternSpanName(name)) {
-  PushSpanId(id_);
+TraceSpan::TraceSpan(const SpanSite& site) : site_(site) {
+  PushSpanId(site_.id);
   start_us_ = MonotonicSeconds() * 1e6;
   start_cpu_us_ = ThreadCpuSeconds() * 1e6;
   start_alloc_bytes_ = ThreadAllocBytes();
@@ -277,13 +278,14 @@ double TraceSpan::Stop() {
   open_ = false;
   const SpanStackSlot& slot = PopSpanId();
   TraceEvent event;
-  event.span = id_;
+  event.span = site_.id;
   event.thread = slot.thread;
   event.start_us = start_us_;
-  event.duration_us = MonotonicSeconds() * 1e6 - start_us_;
+  const double now = MonotonicSeconds();
+  event.duration_us = now * 1e6 - start_us_;
   event.cpu_us = ThreadCpuSeconds() * 1e6 - start_cpu_us_;
   event.alloc_bytes = ThreadAllocBytes() - start_alloc_bytes_;
-  event.rss_bytes = CurrentRssBytesCached();
+  event.rss_bytes = CurrentRssBytesCached(now);
   TraceRecorder::Global().Record(event);
   return event.duration_us;
 }

@@ -1,13 +1,13 @@
 #ifndef PPDP_OBS_TRACE_H_
 #define PPDP_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/status.h"
-#include "common/table.h"
 
 namespace ppdp::obs {
 
@@ -33,9 +33,13 @@ struct TraceEvent {
 /// attribute a sample to the innermost open span without touching strings,
 /// locks, or the allocator. Id 0 is reserved for "no open span".
 
-/// Returns the id for `name`, assigning one on first use. Not signal-safe
-/// (takes a lock); called from TraceSpan construction only.
-uint32_t InternSpanName(const std::string& name);
+/// One call site's span name, interned once (PPDP_SPAN_SITE): its id and
+/// its leaked, never-moving name. Opening a span then builds no string.
+struct SpanSite {
+  explicit SpanSite(std::string_view span_name);
+  uint32_t id = 0;
+  const std::string* name = nullptr;
+};
 
 /// The name behind an interned id; "(none)" for 0 or an unknown id. The
 /// returned reference is to leaked storage and stays valid forever.
@@ -68,32 +72,29 @@ struct ActiveSpanStack {
 /// telemetry server polls it mid-run.
 std::vector<ActiveSpanStack> ActiveSpanStacks();
 
-/// Process-wide collector of completed TraceSpans. A span's close folds into
-/// its phase row under one mutex, so memory grows with span names, not
-/// spans. The raw events behind WriteChromeTrace are kept only while event
-/// retention is on (benches turn it on for --trace_out), capped at kMaxEvents.
+/// Process-wide collector of completed TraceSpans. Each thread folds its
+/// closes into its own phase rows under its own lock, so memory grows with
+/// span names, not spans, and readers fold every thread's rows, exited
+/// threads' included. Raw events are kept only while event retention is on
+/// (benches turn it on for --trace_out), capped at kMaxEvents.
 class TraceRecorder {
  public:
   static TraceRecorder& Global();
 
-  TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// Keeps (or stops keeping) raw events; off by default.
   void SetRetainEvents(bool retain);
 
+  /// Folds `event` into the calling thread's rows; keeps it if retaining.
   void Record(const TraceEvent& event);
   /// Events retention left out because kMaxEvents were already kept.
   size_t num_dropped() const;
   std::vector<TraceEvent> events() const;
   void Clear();
 
-  /// Wall+CPU aggregate by span name: phase, count, total ms, mean ms,
-  /// min ms, max ms, cpu ms. Rows sorted by descending total.
-  Table PhaseSummary() const;
-
-  /// The same aggregate as structured rows (for RunReport serialization).
+  /// Wall+CPU aggregate by span name, sorted by descending wall total.
   struct PhaseStats {
     std::string name;
     uint64_t count = 0;
@@ -107,24 +108,13 @@ class TraceRecorder {
   };
   std::vector<PhaseStats> PhaseStatsSorted() const;
 
-  /// Writes the retained events as Chrome trace_event JSON ("X" complete
-  /// events; load via chrome://tracing or https://ui.perfetto.dev).
-  Status WriteChromeTrace(const std::string& path) const;
-
   /// Maximum retained events before new ones are dropped.
   static constexpr size_t kMaxEvents = 1 << 18;
 
  private:
-  /// One phase's running totals, folded in close order.
-  struct PhaseRow {
-    uint64_t count = 0;
-    double total_us = 0.0, min_us = 0.0, max_us = 0.0, cpu_us = 0.0;
-    uint64_t alloc_bytes = 0, rss_peak = 0;
-  };
-
-  mutable std::mutex mutex_;
-  std::vector<PhaseRow> phases_;  ///< indexed by span id
-  bool retain_events_ = false;
+  TraceRecorder() = default;  // one per process: the phase rows live in the span slots
+  std::atomic<bool> retain_events_{false};
+  mutable std::mutex mutex_;  ///< guards the retained events
   std::vector<TraceEvent> events_;
   size_t dropped_ = 0;
 };
@@ -132,12 +122,12 @@ class TraceRecorder {
 /// RAII scoped timer: measures the enclosed scope on the monotonic clock
 /// and records a TraceEvent on close (destruction, or an earlier Stop()).
 /// Nestable (inner spans simply record their own shorter intervals) and
-/// thread-safe (each span is local; the recorder synchronizes).
+/// thread-safe (each span is local; each thread folds its own closes).
 ///
-///   { TraceSpan span("synth.fit.structure"); ... }
+///   { TraceSpan span(PPDP_SPAN_SITE("synth.fit.structure")); ... }
 class TraceSpan {
  public:
-  explicit TraceSpan(const std::string& name);
+  explicit TraceSpan(const SpanSite& site);
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() { Stop(); }
@@ -148,11 +138,11 @@ class TraceSpan {
   /// Seconds elapsed since construction.
   double ElapsedSeconds() const;
 
-  /// The interned id of this span's name.
-  uint32_t id() const { return id_; }
+  const SpanSite& site() const { return site_; }
+  uint32_t id() const { return site_.id; }
 
  private:
-  uint32_t id_;
+  const SpanSite& site_;
   bool open_ = true;
   double start_us_;
   double start_cpu_us_;
@@ -176,5 +166,10 @@ class SpanIdScope {
 };
 
 }  // namespace ppdp::obs
+
+/// The calling site's SpanSite for the literal `name`, held in a
+/// function-local static: obs::TraceSpan span(PPDP_SPAN_SITE("a.b"));
+#define PPDP_SPAN_SITE(name) \
+  ([]() -> const ::ppdp::obs::SpanSite& { static const ::ppdp::obs::SpanSite s(name); return s; }())
 
 #endif  // PPDP_OBS_TRACE_H_

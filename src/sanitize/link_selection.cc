@@ -163,7 +163,7 @@ class LinkScorer {
 std::vector<ScoredLink> RankIndistinguishableLinks(
     const graph::SocialGraph& g, const std::vector<bool>& known,
     const std::vector<classify::LabelDistribution>& estimates) {
-  obs::TraceSpan span("sanitize.rank_links");
+  obs::TraceSpan span(PPDP_SPAN_SITE("sanitize.rank_links"));
   LinkScorer scorer(g, known, estimates);
   std::vector<ScoredLink> scored;
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -189,7 +189,7 @@ std::vector<ScoredLink> LinkScoreLowerBounds(
 size_t RemoveIndistinguishableLinks(graph::SocialGraph& g, const std::vector<bool>& known,
                                     const std::vector<classify::LabelDistribution>& estimates,
                                     size_t count) {
-  obs::TraceSpan span("sanitize.remove_links");
+  obs::TraceSpan span(PPDP_SPAN_SITE("sanitize.remove_links"));
   // Every link enters a heap on the ranking order under its key, a lower
   // bound on its score. A bound reaching the top is replaced by the exact
   // score and pushed back; an exact entry on top scores no higher than any

@@ -26,7 +26,7 @@ BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestConte
   if (leader) {
     Result<core::PublishOutput> result = [&] {
       std::optional<StageTimer> publish_stage;
-      if (context != nullptr) publish_stage.emplace(context, "serve.publish");
+      if (context != nullptr) publish_stage.emplace(context, PPDP_SPAN_SITE("serve.publish"));
       return runner();
     }();
     batches_run_.fetch_add(1, std::memory_order_relaxed);
@@ -46,7 +46,7 @@ BatchCoalescer::Outcome BatchCoalescer::Run(const std::string& key, RequestConte
     // A waiter's whole latency inside the coalescer is wait: the rest of
     // the leader's run.
     std::optional<StageTimer> wait_stage;
-    if (context != nullptr) wait_stage.emplace(context, "serve.coalesce.wait");
+    if (context != nullptr) wait_stage.emplace(context, PPDP_SPAN_SITE("serve.coalesce.wait"));
     std::unique_lock<std::mutex> batch_lock(batch->mutex);
     batch->cv.wait(batch_lock, [&batch] { return batch->done; });
   }

@@ -176,19 +176,19 @@ RequestContext::RequestContext(std::string endpoint, const obs::HttpRequest& req
   record.span_id = GenerateSpanId();
 }
 
-void RequestContext::AddStage(std::string name, double micros) {
+void RequestContext::AddStage(const std::string* name, double micros) {
   // A stage re-entered on the same request (e.g. a retried spend) merges
   // into one entry, keeping the access record one row per stage.
-  for (StageMicros& stage : record.stages) {
-    if (stage.name == name) {
-      stage.micros += micros;
+  for (auto& [stage, total] : stages_) {
+    if (stage == name) {
+      total += micros;
       return;
     }
   }
-  record.stages.push_back(StageMicros{std::move(name), micros});
+  stages_.emplace_back(name, micros);
 }
 
-StageTimer::StageTimer(RequestContext* context, const std::string& stage)
+StageTimer::StageTimer(RequestContext* context, const obs::SpanSite& stage)
     : context_(context), span_(stage) {
   if (context_ != nullptr) context_->current_stage.store(span_.id(), std::memory_order_release);
 }
@@ -196,7 +196,7 @@ StageTimer::StageTimer(RequestContext* context, const std::string& stage)
 double StageTimer::Stop() {
   const double micros = span_.Stop();
   if (context_ != nullptr) {
-    context_->AddStage(obs::SpanNameForId(span_.id()), micros);
+    context_->AddStage(span_.site().name, micros);
     context_->current_stage.store(0, std::memory_order_release);
     context_ = nullptr;
   }
@@ -219,6 +219,7 @@ void RequestObserver::Begin(RequestContext* context) {
 void RequestObserver::Complete(RequestContext* context) {
   RequestRecord& record = context->record;
   record.total_micros = (obs::MonotonicSeconds() - context->start_seconds) * 1e6;
+  for (const auto& [name, micros] : context->stages_) record.stages.push_back({*name, micros});
 
   if (log_.enabled()) {
     if (Status appended = log_.Append(record.ToJson().Dump()); !appended.ok()) {

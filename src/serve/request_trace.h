@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -101,7 +102,10 @@ class RequestContext {
   /// endpoint + body size.
   RequestContext(std::string endpoint, const obs::HttpRequest& request);
 
-  void AddStage(std::string name, double micros);
+  /// Adds a closed stage's wall micros under its interned name (a
+  /// SpanSite's); a stage re-entered on the same request merges into one
+  /// entry. Complete copies the stages into `record`.
+  void AddStage(const std::string* name, double micros);
 
   /// The response traceparent header value for this request.
   std::string ResponseTraceparent() const {
@@ -112,6 +116,10 @@ class RequestContext {
   double start_seconds = 0.0;
   /// Interned span-name id of the currently open stage (0 = between stages).
   std::atomic<uint32_t> current_stage{0};
+
+ private:
+  friend class RequestObserver;
+  std::vector<std::pair<const std::string*, double>> stages_;  ///< in first-close order
 };
 
 /// RAII stage timer: an obs::TraceSpan (phase summaries, /statusz active
@@ -120,7 +128,7 @@ class RequestContext {
 /// stage early; the destructor then no-ops.
 class StageTimer {
  public:
-  StageTimer(RequestContext* context, const std::string& stage);
+  StageTimer(RequestContext* context, const obs::SpanSite& stage);
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
   ~StageTimer() { Stop(); }

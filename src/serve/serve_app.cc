@@ -450,7 +450,7 @@ obs::PrivacyLedger* ServeApp::AdmitAndCharge(RequestContext* context, double dea
   // Admission before spending: a request refused for queue pressure must
   // not have charged its tenant. A declared deadline waits in line for a
   // slot until it expires (504); no deadline keeps the immediate 429.
-  StageTimer admit_stage(context, "serve.admission.queue");
+  StageTimer admit_stage(context, PPDP_SPAN_SITE("serve.admission.queue"));
   *slot = deadline > 0.0 ? admission_.TryAdmitUntil(deadline) : admission_.TryAdmit();
   admit_stage.Stop();
   ObserveQueueDepth();
@@ -474,7 +474,7 @@ obs::PrivacyLedger* ServeApp::AdmitAndCharge(RequestContext* context, double dea
     return nullptr;
   }
 
-  StageTimer spend_stage(context, "serve.ledger.spend");
+  StageTimer spend_stage(context, PPDP_SPAN_SITE("serve.ledger.spend"));
   Result<obs::PrivacyLedger*> ledger = tenants_.ForTenant(tenant);
   if (!ledger.ok()) {
     const int status = ledger.status().code() == StatusCode::kFailedPrecondition ? 403 : 400;
@@ -526,7 +526,7 @@ void ServeApp::ServeRequest(const std::string& endpoint, const std::string& coun
   if (draining()) {
     JsonError(response, 503, "draining");
   } else {
-    StageTimer parse(&context, "serve.parse");
+    StageTimer parse(&context, PPDP_SPAN_SITE("serve.parse"));
     Result<JsonValue> body = request.Json();
     if (!body.ok()) {
       JsonError(response, 400, "invalid JSON body: " + body.status().ToString());
@@ -607,7 +607,7 @@ void ServeApp::HandlePublish(const JsonValue& body, RequestContext* context, Sta
     return;
   }
 
-  StageTimer write_stage(context, "serve.write");
+  StageTimer write_stage(context, PPDP_SPAN_SITE("serve.write"));
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.serve.publish.v1"));
   doc.Set("request_id", JsonValue::String(context->record.request_id));
@@ -636,7 +636,7 @@ void ServeApp::HandleAudit(const JsonValue&, RequestContext* context, StageTimer
     return;
   }
 
-  StageTimer write_stage(context, "serve.write");
+  StageTimer write_stage(context, PPDP_SPAN_SITE("serve.write"));
   obs::PrivacyLedger::BudgetSnapshot snapshot = ledger->snapshot();
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.serve.audit.v1"));
@@ -694,7 +694,7 @@ void ServeApp::HandleAggregate(const JsonValue& body, RequestContext* context, S
 
   // Fresh noise per request: the sequence number keeps streams disjoint
   // while the base seed keeps a daemon run reproducible end to end.
-  StageTimer publish_stage(context, "serve.publish");
+  StageTimer publish_stage(context, PPDP_SPAN_SITE("serve.publish"));
   Rng rng(options_.seed + 0x9e3779b97f4a7c15ULL *
                               (1 + aggregate_sequence_.fetch_add(1, std::memory_order_relaxed)));
   JsonValue result;
@@ -718,7 +718,7 @@ void ServeApp::HandleAggregate(const JsonValue& body, RequestContext* context, S
   }
   publish_stage.Stop();
 
-  StageTimer write_stage(context, "serve.write");
+  StageTimer write_stage(context, PPDP_SPAN_SITE("serve.write"));
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::String("ppdp.serve.aggregate.v1"));
   doc.Set("request_id", JsonValue::String(context->record.request_id));

@@ -90,7 +90,7 @@ TEST(ParallelForTest, HelpersRunUnderTheCallersSpanAndOpenNoPhases) {
   uint32_t caller = 0;
   uint64_t calls_before = 0;
   {
-    obs::TraceSpan span("exec_test.caller");
+    obs::TraceSpan span(PPDP_SPAN_SITE("exec_test.caller"));
     caller = span.id();
     calls_before = calls.value();
     // One index per chunk with a stall, so the helpers claim some.

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace ppdp {
 namespace {
@@ -22,6 +29,41 @@ TEST(JsonValueTest, IntegersDumpWithoutExponentOrFraction) {
   EXPECT_EQ(JsonValue::Number(1e15).Dump(), "1000000000000000");
   // 2^53 round-trips exactly; that is the documented integer range.
   EXPECT_EQ(JsonValue::Number(9007199254740992.0).Dump(), "9007199254740992");
+}
+
+/// What Dump printed for a number through snprintf: the integral form below
+/// 2^53, else "%.17g".
+std::string PrintfNumber(double v) {
+  if (std::fabs(v) < 9.007199254740992e15 && v == static_cast<double>(static_cast<int64_t>(v))) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
+}
+
+TEST(JsonValueTest, NumbersDumpByteForByteAsPrintfDid) {
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values = {
+      std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0), DBL_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON,
+      two53 - 1.0, two53, two53 + 2.0, -(two53 - 1.0), -two53, -(two53 + 2.0),
+      std::nextafter(two53, 0.0), 1e21, -1e21, 1e-7, 1e16, 0.1, 1.0 / 3.0, -2.5e-300,
+      123456789.125, 0.0, -0.0};
+  std::mt19937_64 bits(20261019);
+  std::mt19937_64 reals(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  while (values.size() < 200000) {
+    values.push_back(std::bit_cast<double>(bits()));  // every exponent, NaN and inf too
+    values.push_back(std::ldexp(unit(reals), static_cast<int>(bits() % 120) - 60));
+  }
+  size_t finite = 0;
+  for (double v : values) {
+    if (!std::isfinite(v)) continue;
+    ++finite;
+    ASSERT_EQ(JsonValue::Number(v).Dump(), PrintfNumber(v)) << std::hexfloat << v;
+  }
+  EXPECT_GT(finite, 190000u);
 }
 
 TEST(JsonValueTest, NonFiniteNumbersDumpAsNull) {

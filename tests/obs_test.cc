@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -10,6 +11,10 @@
 
 #include "common/flags.h"
 #include "common/json.h"
+#include "common/rng.h"
+#include "genomics/genome_data.h"
+#include "genomics/gwas_catalog.h"
+#include "genomics/snp_sanitizer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -165,9 +170,9 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   recorder.Clear();
 
   {
-    TraceSpan outer("obs_test.outer");
+    TraceSpan outer(PPDP_SPAN_SITE("obs_test.outer"));
     {
-      TraceSpan inner("obs_test.inner");
+      TraceSpan inner(PPDP_SPAN_SITE("obs_test.inner"));
       // Do a little real work so the inner duration is non-trivial.
       volatile double sink = 0.0;
       for (int i = 0; i < 50000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
@@ -183,7 +188,7 @@ TEST_F(ObsTest, NestedTraceSpansHaveMonotonicTiming) {
   EXPECT_EQ(outer.count, 1u);
   EXPECT_EQ(inner.count, 1u);
   EXPECT_GE(outer.wall_ms_total, inner.wall_ms_total);
-  EXPECT_EQ(recorder.PhaseSummary().num_rows(), 2u);
+  EXPECT_EQ(recorder.PhaseStatsSorted().size(), 2u);
   recorder.Clear();
 }
 
@@ -196,7 +201,7 @@ TEST_F(ObsTest, PhaseRowsCountEverySpanPastTheChromeTraceCap) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
-      for (int i = 0; i < kSpansPerThread; ++i) TraceSpan span("obs_test.flood");
+      for (int i = 0; i < kSpansPerThread; ++i) TraceSpan span(PPDP_SPAN_SITE("obs_test.flood"));
     });
   }
   for (auto& thread : threads) thread.join();
@@ -206,19 +211,62 @@ TEST_F(ObsTest, PhaseRowsCountEverySpanPastTheChromeTraceCap) {
   recorder.Clear();
 }
 
+/// A reference fold of closed spans: one thread's closes in close order,
+/// then thread rows merged, as the recorder folds them.
+struct Fold {
+  uint64_t count = 0;
+  double total_us = 0.0, min_us = 0.0, max_us = 0.0, cpu_us = 0.0;
+  uint64_t alloc_bytes = 0, rss_peak = 0;
+
+  void Merge(const Fold& other) {
+    if (other.count == 0) return;
+    min_us = count == 0 ? other.min_us : std::min(min_us, other.min_us);
+    max_us = count == 0 ? other.max_us : std::max(max_us, other.max_us);
+    count += other.count;
+    total_us += other.total_us;
+    cpu_us += other.cpu_us;
+    alloc_bytes += other.alloc_bytes;
+    rss_peak = std::max(rss_peak, other.rss_peak);
+  }
+  void Add(const TraceEvent& e) {
+    Merge(Fold{1, e.duration_us, e.duration_us, e.duration_us, e.cpu_us, e.alloc_bytes,
+               e.rss_bytes});
+  }
+};
+
+/// Per span name: each thread ordinal's closes folded in close order, then
+/// the threads merged in ordinal order.
+std::map<std::string, Fold> PerThreadFold(const std::vector<TraceEvent>& events) {
+  std::map<uint32_t, std::map<std::string, Fold>> by_thread;
+  for (const TraceEvent& e : events) by_thread[e.thread][SpanNameForId(e.span)].Add(e);
+  std::map<std::string, Fold> folds;
+  for (const auto& [thread, rows] : by_thread) {
+    for (const auto& [name, fold] : rows) folds[name].Merge(fold);
+  }
+  return folds;
+}
+
 TEST_F(ObsTest, PhaseRowsEqualAFoldOfTheRetainedEvents) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
   recorder.SetRetainEvents(true);
   constexpr int kThreads = 3;
+  // Threads open their first span one at a time and none goes on before
+  // all have, so each leases its own span slot, in ordinal order, and a
+  // read sums their rows in that order.
+  std::atomic<int> turn{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
+    threads.emplace_back([t, &turn] {
       for (int i = 0; i < 40; ++i) {
-        TraceSpan outer("obs_test.fold.outer");
+        while (i == 0 && turn.load() != t) std::this_thread::yield();
+        TraceSpan outer(PPDP_SPAN_SITE("obs_test.fold.outer"));
+        if (i == 0) turn.fetch_add(1);
+        while (turn.load() != kThreads) std::this_thread::yield();
         std::vector<char> scratch(static_cast<size_t>(64 * (i + t + 1)));
-        TraceSpan middle(i % 2 == 0 ? "obs_test.fold.even" : "obs_test.fold.odd");
-        { TraceSpan inner("obs_test.fold.inner"); }
+        TraceSpan middle(i % 2 == 0 ? PPDP_SPAN_SITE("obs_test.fold.even")
+                                    : PPDP_SPAN_SITE("obs_test.fold.odd"));
+        { TraceSpan inner(PPDP_SPAN_SITE("obs_test.fold.inner")); }
       }
     });
   }
@@ -227,23 +275,9 @@ TEST_F(ObsTest, PhaseRowsEqualAFoldOfTheRetainedEvents) {
   recorder.SetRetainEvents(false);
   ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * 40 * 3));
 
-  // The same fold the recorder applies at close, in close order.
-  struct Fold {
-    uint64_t count = 0;
-    double total_us = 0.0, min_us = 0.0, max_us = 0.0, cpu_us = 0.0;
-    uint64_t alloc_bytes = 0, rss_peak = 0;
-  };
-  std::map<std::string, Fold> folds;
-  for (const TraceEvent& e : events) {
-    Fold& fold = folds[SpanNameForId(e.span)];
-    if (fold.count == 0 || e.duration_us < fold.min_us) fold.min_us = e.duration_us;
-    if (fold.count == 0 || e.duration_us > fold.max_us) fold.max_us = e.duration_us;
-    fold.total_us += e.duration_us;
-    fold.cpu_us += e.cpu_us;
-    fold.alloc_bytes += e.alloc_bytes;
-    fold.rss_peak = std::max(fold.rss_peak, e.rss_bytes);
-    ++fold.count;
-  }
+  // Sums match bit for bit only in the recorder's own order: each thread's
+  // closes in close order, then thread rows in slot order.
+  std::map<std::string, Fold> folds = PerThreadFold(events);
   std::vector<TraceRecorder::PhaseStats> phases = recorder.PhaseStatsSorted();
   ASSERT_EQ(phases.size(), 4u);
   for (const TraceRecorder::PhaseStats& phase : phases) {
@@ -277,6 +311,184 @@ TEST_F(ObsTest, PhaseRowsEqualAFoldOfTheRetainedEvents) {
   recorder.Clear();
 }
 
+/// Closes `n` spans of `site` on the calling thread, each allocating a
+/// little so the alloc column moves.
+void CloseSpans(const SpanSite& site, int n) {
+  for (int i = 0; i < n; ++i) {
+    TraceSpan span(site);
+    std::vector<char> scratch(static_cast<size_t>(32 * (i % 7 + 1)));
+  }
+}
+
+/// Holds a thread that has closed its spans until the test lets it exit.
+struct Gate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool open = false;
+
+  void ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++arrived;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  }
+  void AwaitArrivals(int n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return arrived == n; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+TEST_F(ObsTest, PhaseRowsCountLiveAndExitedThreads) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.SetRetainEvents(true);
+  const SpanSite& a = PPDP_SPAN_SITE("obs_test.slots.a");
+  const SpanSite& b = PPDP_SPAN_SITE("obs_test.slots.b");
+  // Three threads close spans and exit; three more, one at a time, take
+  // over their slots (and rows); three stay alive through the read.
+  std::vector<std::thread> exited;
+  for (int t = 0; t < 3; ++t) exited.emplace_back([&, t] { CloseSpans(t % 2 ? a : b, 50 + t); });
+  for (auto& thread : exited) thread.join();
+  for (int t = 0; t < 3; ++t) std::thread([&] { CloseSpans(a, 20); }).join();
+  Gate gate;
+  std::vector<std::thread> live;
+  for (int t = 0; t < 3; ++t) {
+    live.emplace_back([&, t] {
+      CloseSpans(a, 30 + t);
+      CloseSpans(b, 10);
+      gate.ArriveAndWait();
+    });
+  }
+  gate.AwaitArrivals(3);
+  std::vector<TraceRecorder::PhaseStats> phases = recorder.PhaseStatsSorted();
+  std::vector<TraceEvent> events = recorder.events();
+  gate.Open();
+  for (auto& thread : live) thread.join();
+  recorder.SetRetainEvents(false);
+
+  std::map<std::string, Fold> folds = PerThreadFold(events);
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_EQ(folds["obs_test.slots.a"].count, 51u + 3 * 20 + 30 + 31 + 32);
+  EXPECT_EQ(folds["obs_test.slots.b"].count, 50u + 52 + 3 * 10);
+  for (const TraceRecorder::PhaseStats& phase : phases) {
+    SCOPED_TRACE(phase.name);
+    const Fold& fold = folds[phase.name];
+    EXPECT_EQ(phase.count, fold.count);
+    EXPECT_EQ(phase.wall_ms_min, fold.min_us / 1e3);
+    EXPECT_EQ(phase.wall_ms_max, fold.max_us / 1e3);
+    EXPECT_EQ(phase.alloc_bytes_total, fold.alloc_bytes);
+    EXPECT_EQ(phase.rss_peak_bytes, fold.rss_peak);
+    // Slot reuse mixes two threads into one row, so sums agree only up to
+    // the order of additions.
+    EXPECT_NEAR(phase.wall_ms_total, fold.total_us / 1e3, 1e-9 * fold.total_us);
+    EXPECT_NEAR(phase.cpu_ms_total, fold.cpu_us / 1e3, 1e-9 * fold.cpu_us + 1e-12);
+  }
+  recorder.Clear();
+}
+
+TEST_F(ObsTest, ClearResetsTheRowsOfLiveAndExitedThreads) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  const SpanSite& live_site = PPDP_SPAN_SITE("obs_test.clear.live");
+  std::thread([] { CloseSpans(PPDP_SPAN_SITE("obs_test.clear.exited"), 5); }).join();
+  Gate cleared;
+  std::thread live([&] {
+    CloseSpans(live_site, 5);
+    cleared.ArriveAndWait();
+    CloseSpans(live_site, 1);
+  });
+  cleared.AwaitArrivals(1);
+  EXPECT_EQ(FindPhase("obs_test.clear.exited").count, 5u);
+  EXPECT_EQ(FindPhase("obs_test.clear.live").count, 5u);
+  recorder.Clear();
+  EXPECT_TRUE(recorder.PhaseStatsSorted().empty());
+  cleared.Open();
+  live.join();
+  EXPECT_EQ(FindPhase("obs_test.clear.live").count, 1u) << "the live thread's row restarted";
+  EXPECT_EQ(FindPhase("obs_test.clear.exited").count, 0u);
+  recorder.Clear();
+}
+
+TEST_F(ObsTest, PhaseStatsSortedPollsWhileSpansClose) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  constexpr int kThreads = 3;
+  constexpr int kSpansPerThread = 20000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        TraceSpan outer(PPDP_SPAN_SITE("obs_test.poll"));
+        TraceSpan inner(PPDP_SPAN_SITE("obs_test.poll.inner"));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last = 0;
+  size_t polls = 0;
+  while (running.load() > 0 || polls == 0) {
+    const TraceRecorder::PhaseStats outer = FindPhase("obs_test.poll");
+    const TraceRecorder::PhaseStats inner = FindPhase("obs_test.poll.inner");
+    EXPECT_GE(outer.count, last) << "a row never shrinks";
+    EXPECT_LE(outer.count, static_cast<uint64_t>(kThreads * kSpansPerThread));
+    EXPECT_LE(outer.wall_ms_min, outer.wall_ms_max);
+    EXPECT_GE(inner.count + kThreads, outer.count) << "inner closes before outer";
+    last = outer.count;
+    ++polls;
+  }
+  for (auto& thread : writers) thread.join();
+  EXPECT_EQ(FindPhase("obs_test.poll").count, static_cast<uint64_t>(kThreads * kSpansPerThread));
+  EXPECT_EQ(FindPhase("obs_test.poll.inner").count,
+            static_cast<uint64_t>(kThreads * kSpansPerThread));
+  recorder.Clear();
+}
+
+TEST_F(ObsTest, GreedySanitizeOpensOneSpanAndCountsEverySolve) {
+  Rng rng(7);
+  genomics::SyntheticCatalogConfig config;
+  config.num_snps = 120;
+  const genomics::GwasCatalog catalog = genomics::GenerateSyntheticCatalog(config, rng);
+  const genomics::TargetView view =
+      genomics::MakeTargetView(catalog, genomics::SampleIndividual(catalog, rng), {});
+  genomics::GputOptions options;
+  options.delta = 0.4;
+  size_t pool = 0;  // GreedySanitize's candidates: published neighbor SNPs
+  for (size_t s : genomics::NeighborSnpsOfTrait(catalog, 0)) {
+    pool += view.snp_known[s] && view.individual.genotypes[s] != genomics::kUnknownGenotype;
+  }
+
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  const Counter& runs = MetricsRegistry::Global().counter("genomics.bp.runs");
+  const uint64_t runs_before = runs.value();
+  const genomics::GputResult result = genomics::GreedySanitize(catalog, view, {0}, options);
+
+  // One solve to start, one per candidate tried in each round, one per
+  // pick; a last round that picks nothing runs unless δ was met or the pool
+  // ran out.
+  const size_t picks = result.sanitized.size();
+  const size_t rounds = picks + (result.privacy_trace.back() < options.delta && pool > picks);
+  size_t trials = 0;
+  for (size_t round = 0; round < rounds; ++round) trials += pool - round;
+  ASSERT_GT(trials, 10u) << "a greedy that tries candidates";
+  EXPECT_EQ(runs.value() - runs_before, 1 + trials + picks);
+
+  std::vector<TraceRecorder::PhaseStats> phases = recorder.PhaseStatsSorted();
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].name, "genomics.bp.sum_product");
+  EXPECT_EQ(phases[0].count, 1u) << "the greedy call is one span, its solves none";
+  recorder.Clear();
+}
+
 TEST_F(ObsTest, TraceSpanStopRecordsExactlyOneClose) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();
@@ -284,7 +496,7 @@ TEST_F(ObsTest, TraceSpanStopRecordsExactlyOneClose) {
   uint32_t id = 0;
   double stopped_micros = -1.0;
   {
-    TraceSpan span("obs_test.stopped");
+    TraceSpan span(PPDP_SPAN_SITE("obs_test.stopped"));
     id = span.id();
     EXPECT_EQ(CurrentThreadSpanId(), id);
     stopped_micros = span.Stop();
@@ -308,9 +520,9 @@ TEST_F(ObsTest, ActiveSpanStacksReadEachThreadsIdStack) {
   uint32_t innermost = 0;
   uint32_t c_id = 0;
   std::thread blocked([&] {
-    TraceSpan a("obs_test.stack.a");
-    TraceSpan b("obs_test.stack.b");
-    TraceSpan c("obs_test.stack.c");
+    TraceSpan a(PPDP_SPAN_SITE("obs_test.stack.a"));
+    TraceSpan b(PPDP_SPAN_SITE("obs_test.stack.b"));
+    TraceSpan c(PPDP_SPAN_SITE("obs_test.stack.c"));
     std::unique_lock<std::mutex> lock(mutex);
     innermost = CurrentThreadSpanId();
     c_id = c.id();
@@ -338,7 +550,7 @@ TEST_F(ObsTest, ActiveSpanStacksReadEachThreadsIdStack) {
   for (int batch = 0; batch < 100; ++batch) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 10; ++t) {
-      threads.emplace_back([] { TraceSpan span("obs_test.stack.short"); });
+      threads.emplace_back([] { TraceSpan span(PPDP_SPAN_SITE("obs_test.stack.short")); });
     }
     for (auto& thread : threads) thread.join();
   }
@@ -494,7 +706,7 @@ TEST_F(ObsTest, TraceSpansFromMultipleThreadsAllRecorded) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
-      for (int i = 0; i < kSpansPerThread; ++i) TraceSpan span("obs_test.mt");
+      for (int i = 0; i < kSpansPerThread; ++i) TraceSpan span(PPDP_SPAN_SITE("obs_test.mt"));
     });
   }
   for (auto& thread : threads) thread.join();

@@ -23,6 +23,7 @@
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
+#include "obs/log.h"
 #include "obs/trace.h"
 
 namespace ppdp::obs {
@@ -53,7 +54,7 @@ TEST(ResourceProbesTest, ProcessMemoryAndCpuAreSane) {
   ProcessMemory memory = ReadProcessMemory();
   EXPECT_GT(memory.rss_bytes, 0u);
   EXPECT_GE(memory.peak_rss_bytes, memory.rss_bytes);
-  EXPECT_GT(CurrentRssBytesCached(), 0u);
+  EXPECT_GT(CurrentRssBytesCached(MonotonicSeconds()), 0u);
 
   ProcessCpu before = ReadProcessCpu();
   EXPECT_GE(before.user_seconds, 0.0);
@@ -90,7 +91,7 @@ TEST(ResourceProbesTest, ThreadAllocCountersTrackOperatorNew) {
 TEST(ProfilerTest, OffByDefaultWithNoSamples) {
   Profiler& profiler = Profiler::Global();
   EXPECT_FALSE(profiler.running());
-  { TraceSpan span("profiler_test.unprofiled"); BurnCpu(0.01); }
+  { TraceSpan span(PPDP_SPAN_SITE("profiler_test.unprofiled")); BurnCpu(0.01); }
   EXPECT_EQ(profiler.samples_recorded(), 0u);
 }
 
@@ -110,9 +111,9 @@ TEST(ProfilerTest, CaptureAttributesSamplesToInnermostSpan) {
   Profiler& profiler = Profiler::Global();
   ASSERT_TRUE(profiler.Start({.hz = 997}).ok());
   {
-    TraceSpan outer("profiler_test.outer");
+    TraceSpan outer(PPDP_SPAN_SITE("profiler_test.outer"));
     {
-      TraceSpan inner("profiler_test.inner");
+      TraceSpan inner(PPDP_SPAN_SITE("profiler_test.inner"));
       BurnCpu(0.25);
     }
   }
@@ -149,7 +150,7 @@ TEST(ProfilerTest, ProfileJsonRoundTripsAndValidates) {
   Profiler& profiler = Profiler::Global();
   ASSERT_TRUE(profiler.Start({.hz = 997}).ok());
   {
-    TraceSpan span("profiler_test.roundtrip");
+    TraceSpan span(PPDP_SPAN_SITE("profiler_test.roundtrip"));
     BurnCpu(0.15);
   }
   profiler.Stop();
@@ -290,7 +291,7 @@ TEST(ProfilerTest, SurvivesActiveParallelForAcrossWorkers) {
   ASSERT_TRUE(profiler.Start({.hz = 499}).ok());
   std::atomic<uint64_t> checksum{0};
   {
-    TraceSpan span("profiler_test.parallel");
+    TraceSpan span(PPDP_SPAN_SITE("profiler_test.parallel"));
     for (int round = 0; round < 4; ++round) {
       exec::ParallelFor(0, 512, 16, [&](size_t i) {
         volatile uint64_t sink = i;

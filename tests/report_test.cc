@@ -147,7 +147,7 @@ TEST(RunReportTest, ValidationCatchesMissingAndMalformedSections) {
 TEST(RunReportTest, CollectGlobalTelemetryPicksUpSpansAndHistograms) {
   TraceRecorder::Global().Clear();
   MetricsRegistry::Global().Reset();
-  { TraceSpan span("report_test.phase"); }
+  { TraceSpan span(PPDP_SPAN_SITE("report_test.phase")); }
   MetricsRegistry::Global().histogram("report_test.ms", {1.0, 10.0}).Observe(2.0);
 
   RunReport report;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -192,7 +193,7 @@ class FullRingWindow {
 
  private:
   struct Bucket {
-    int64_t index = -1;
+    int64_t index = std::numeric_limits<int64_t>::min();  ///< unused: no real index
     uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
@@ -245,13 +246,22 @@ TEST(SlidingWindowTest, WindowScanMatchesFullRingScanBitForBit) {
   // three laps of the ring with irregular gaps, querying as the ring turns
   // over (including just before the newest sample, so a bucket newer than
   // `now` sits in the ring).
+  // One sample always lands in bucket -1, t in [-bucket_seconds, 0), whose
+  // ring position is still unused then: an unused-bucket mark of -1 would
+  // pass it for a bucket already in use.
   double now = -2.0;
+  bool added_to_bucket_minus_one = false;
   while (now < 13.0) {
     const uint64_t burst = rng.Uniform(7);
     for (uint64_t i = 0; i < burst; ++i) {
       const double value = 0.0005 * std::exp(9.0 * rng.UniformReal());
       window.Add(value, now);
       reference.Add(value, now);
+    }
+    if (!added_to_bucket_minus_one && now >= -options.bucket_seconds) {
+      window.Add(0.003, -0.5 * options.bucket_seconds);
+      reference.Add(0.003, -0.5 * options.bucket_seconds);
+      added_to_bucket_minus_one = true;
     }
     check(now);
     check(now - 0.3);

@@ -249,7 +249,7 @@ TEST(TelemetryServerTest, StatuszRoundTripsThroughCommonJson) {
   PrivacyLedger ledger(2.0);
   ledger.SetName("statusz_entity");
   ASSERT_TRUE(ledger.Spend("phase", "laplace", 0.5).ok());
-  TraceSpan span("statusz.test.span");
+  TraceSpan span(PPDP_SPAN_SITE("statusz.test.span"));
 
   TelemetryServer::Options options;
   options.flags = {{"seed", "7"}, {"threads", "4"}};
