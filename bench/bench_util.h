@@ -37,14 +37,13 @@ namespace ppdp::bench {
 /// in the global TraceRecorder, by descending wall total.
 inline Table PhaseTable() {
   Table table({"phase", "count", "total ms", "mean ms", "min ms", "max ms", "cpu ms",
-               "alloc MB", "peak rss MB"});
+               "alloc MB"});
   for (const obs::TraceRecorder::PhaseStats& s : obs::TraceRecorder::Global().PhaseStatsSorted()) {
     table.AddRow({s.name, std::to_string(s.count), Table::FormatDouble(s.wall_ms_total, 3),
                   Table::FormatDouble(s.wall_ms_mean, 3), Table::FormatDouble(s.wall_ms_min, 3),
                   Table::FormatDouble(s.wall_ms_max, 3),
                   Table::FormatDouble(s.cpu_ms_total, 3),
-                  Table::FormatDouble(static_cast<double>(s.alloc_bytes_total) / (1 << 20), 2),
-                  Table::FormatDouble(static_cast<double>(s.rss_peak_bytes) / (1 << 20), 1)});
+                  Table::FormatDouble(static_cast<double>(s.alloc_bytes_total) / (1 << 20), 2)});
   }
   return table;
 }
@@ -108,9 +107,8 @@ inline Status WriteChromeTrace(const std::string& path) {
 /// A bench passes the names of the flags it reads itself. Any other flag is
 /// a usage error: the constructor names it and exits 2 before any work.
 ///
-/// On destruction (end of main) the harness emits the per-phase wall-time
-/// table of every TraceSpan closed — printed and written to
-/// <out>/<bench>_phases.csv — then, with --trace_out, the Chrome trace, and
+/// On destruction (end of main) the harness prints the per-phase table of
+/// every TraceSpan closed, then writes, with --trace_out, the Chrome trace, and
 /// the BENCH_<name>.json run report (invocation, build, fault plan, phase
 /// timings, histogram percentiles, ledger audits, and FNV-1a digests of
 /// every CSV written through Emit).
@@ -217,7 +215,11 @@ struct BenchEnv {
 
   ~BenchEnv() {
     if (profile_hz_ > 0) EmitProfile();
-    EmitPhaseTimings();
+    if (Table phases = PhaseTable(); phases.num_rows() > 0) {
+      std::cout << "== per-phase timing (" << bench_name << ") ==\n";
+      phases.Print(std::cout);
+      std::cout << "\n";
+    }
     if (!trace_out.empty()) {
       Status status = WriteChromeTrace(trace_out);
       if (status.ok()) {
@@ -244,8 +246,16 @@ struct BenchEnv {
   /// Prints `table` under a heading and writes it to <out>/<name>.csv.
   /// The CSV is digested into the run report at exit.
   void Emit(const Table& table, const std::string& name, const std::string& heading) const {
-    std::string path = PrintAndWrite(table, name, heading);
-    if (!path.empty()) RecordOutput(name, path);
+    std::cout << "== " << heading << " ==\n";
+    table.Print(std::cout);
+    std::string path = out_dir + "/" + name + ".csv";
+    Status status = table.WriteCsv(path);
+    if (!status.ok()) {
+      std::cout << "(csv write failed: " << status.ToString() << ")\n\n";
+      return;
+    }
+    std::cout << "(csv: " << path << ")\n\n";
+    RecordOutput(name, path);
   }
 
   /// Prints a privacy-ledger audit table, persists it as <out>/<name>.csv,
@@ -306,17 +316,6 @@ struct BenchEnv {
                   Table::FormatDouble(
                       parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0, 2)});
     Emit(table, name + "_speedup", heading);
-  }
-
-  /// Per-phase wall-time table from every TraceSpan closed so far.
-  /// Called automatically at destruction; call earlier to interleave with
-  /// result tables.
-  void EmitPhaseTimings() const {
-    Table phases = PhaseTable();
-    if (phases.num_rows() == 0) return;
-    // Timings differ from run to run, so this table is written but not
-    // digested: `ppdp_stat report --check_digests` audits results only.
-    PrintAndWrite(phases, bench_name + "_phases", "per-phase timing (" + bench_name + ")");
   }
 
   /// Stops the sampling profiler and writes the ppdp.profile.v1 JSON plus
@@ -400,22 +399,6 @@ struct BenchEnv {
       "seed",         "scale",        "out",          "log_level",       "log_json",
       "trace_out",    "threads",      "report_out",   "flight_capacity", "flight_level",
       "flight_dump",  "telemetry_port", "http_max_conns", "profile_hz",  "profile_out"};
-
-  /// Prints `table` under a heading and writes it to <out>/<name>.csv.
-  /// Returns the CSV's path, or "" when the write failed.
-  std::string PrintAndWrite(const Table& table, const std::string& name,
-                            const std::string& heading) const {
-    std::cout << "== " << heading << " ==\n";
-    table.Print(std::cout);
-    std::string path = out_dir + "/" + name + ".csv";
-    Status status = table.WriteCsv(path);
-    if (!status.ok()) {
-      std::cout << "(csv write failed: " << status.ToString() << ")\n\n";
-      return "";
-    }
-    std::cout << "(csv: " << path << ")\n\n";
-    return path;
-  }
 
   /// Remembers a CSV written through Emit, replacing an earlier write of
   /// the same table name (benches may re-emit).

@@ -37,11 +37,10 @@ namespace ppdp::obs {
 namespace {
 
 /// Per-thread allocation tally, bumped by the replacement operator new
-/// below. Plain thread-local PODs: local-exec TLS, zero-initialized in the
+/// below. A plain thread-local POD: local-exec TLS, zero-initialized in the
 /// TLS image, safe to touch at any point of process life (including static
 /// init and signal handlers, though the handler never does).
 thread_local uint64_t t_alloc_bytes = 0;
-thread_local uint64_t t_alloc_calls = 0;
 
 /// One raw stack sample. Fixed-size and trivially copyable so the signal
 /// handler writes it with plain stores.
@@ -317,7 +316,6 @@ std::vector<CpuProfile::FrameCount> FramesFromJson(const JsonValue* array) {
 }  // namespace
 
 uint64_t ThreadAllocBytes() { return t_alloc_bytes; }
-uint64_t ThreadAllocCalls() { return t_alloc_calls; }
 
 ProcessMemory ReadProcessMemory() {
   ProcessMemory memory;
@@ -334,19 +332,6 @@ ProcessMemory ReadProcessMemory() {
   }
   std::fclose(file);
   return memory;
-}
-
-uint64_t CurrentRssBytesCached(double now) {
-  static std::atomic<double> last_read_seconds{-1.0};
-  static std::atomic<uint64_t> last_rss{0};
-  double last = last_read_seconds.load(std::memory_order_acquire);
-  if (last >= 0.0 && now - last < 0.01) {
-    return last_rss.load(std::memory_order_relaxed);
-  }
-  uint64_t rss = ReadProcessMemory().rss_bytes;
-  last_rss.store(rss, std::memory_order_relaxed);
-  last_read_seconds.store(now, std::memory_order_release);
-  return rss;
 }
 
 ProcessCpu ReadProcessCpu() {
@@ -549,7 +534,7 @@ CpuProfile Profiler::Collect(const std::string& name) const {
     stacks[folded]++;
   }
 
-  // Merge per-phase memory numbers recorded by the TraceRecorder under the
+  // Merge per-phase alloc bytes recorded by the TraceRecorder under the
   // same phase names.
   std::map<std::string, TraceRecorder::PhaseStats> trace_phases;
   for (TraceRecorder::PhaseStats& stats : TraceRecorder::Global().PhaseStatsSorted()) {
@@ -561,10 +546,7 @@ CpuProfile Profiler::Collect(const std::string& name) const {
     phase.samples = agg.samples;
     phase.cpu_seconds = profile.hz > 0 ? static_cast<double>(agg.samples) / profile.hz : 0.0;
     auto it = trace_phases.find(phase_name);
-    if (it != trace_phases.end()) {
-      phase.alloc_bytes = it->second.alloc_bytes_total;
-      phase.rss_peak_bytes = it->second.rss_peak_bytes;
-    }
+    if (it != trace_phases.end()) phase.alloc_bytes = it->second.alloc_bytes_total;
     phase.self_frames = TopN(agg.self, CpuProfile::kTopFrames);
     phase.total_frames = TopN(agg.total, CpuProfile::kTopFrames);
     profile.phases.push_back(std::move(phase));
@@ -614,7 +596,6 @@ JsonValue CpuProfile::ToJson() const {
     row.Set("samples", JsonValue::Number(static_cast<double>(phase.samples)));
     row.Set("cpu_seconds", JsonValue::Number(phase.cpu_seconds));
     row.Set("alloc_bytes", JsonValue::Number(static_cast<double>(phase.alloc_bytes)));
-    row.Set("rss_peak_bytes", JsonValue::Number(static_cast<double>(phase.rss_peak_bytes)));
     row.Set("self_frames", FramesToJson(phase.self_frames));
     row.Set("total_frames", FramesToJson(phase.total_frames));
     phase_array.Append(std::move(row));
@@ -684,7 +665,6 @@ Result<CpuProfile> CpuProfile::FromJson(const JsonValue& doc) {
     phase.samples = static_cast<uint64_t>(row.GetNumberOr("samples", 0));
     phase.cpu_seconds = row.GetNumberOr("cpu_seconds", 0.0);
     phase.alloc_bytes = static_cast<uint64_t>(row.GetNumberOr("alloc_bytes", 0));
-    phase.rss_peak_bytes = static_cast<uint64_t>(row.GetNumberOr("rss_peak_bytes", 0));
     phase.self_frames = FramesFromJson(row.Find("self_frames"));
     phase.total_frames = FramesFromJson(row.Find("total_frames"));
     profile.phases.push_back(std::move(phase));
@@ -710,12 +690,11 @@ Result<CpuProfile> CpuProfile::Load(const std::string& path) {
 }
 
 Table CpuProfile::PhaseTable() const {
-  Table table({"phase", "samples", "cpu s", "alloc MB", "peak rss MB", "top self frame"});
+  Table table({"phase", "samples", "cpu s", "alloc MB", "top self frame"});
   for (const Phase& phase : phases) {
     table.AddRow({phase.name, std::to_string(phase.samples),
                   Table::FormatDouble(phase.cpu_seconds, 2),
                   Table::FormatDouble(static_cast<double>(phase.alloc_bytes) / (1 << 20), 2),
-                  Table::FormatDouble(static_cast<double>(phase.rss_peak_bytes) / (1 << 20), 1),
                   phase.self_frames.empty() ? "-" : phase.self_frames.front().frame});
   }
   return table;
@@ -823,24 +802,22 @@ Table ProfileDiff::Summary() const {
 
 /// ---- Global allocation-function replacement (allocation observability) ----
 ///
-/// Counting happens in the thread-local tallies above; the allocations
+/// Counting happens in the thread-local tally above; the allocations
 /// themselves go straight to malloc / posix_memalign / free, so sanitizer
 /// interceptors keep working underneath. The definitions live in this TU —
 /// which every binary links, because trace.cc calls ThreadAllocBytes — so
-/// the whole process is counted consistently. The tallies are plain
-/// local-exec TLS PODs, valid even for allocations during static init.
+/// the whole process is counted consistently. The tally is a plain
+/// local-exec TLS POD, valid even for allocations during static init.
 
 namespace {
 
 inline void* PpdpCountedAlloc(std::size_t size) noexcept {
   ppdp::obs::t_alloc_bytes += size;
-  ++ppdp::obs::t_alloc_calls;
   return std::malloc(size != 0 ? size : 1);
 }
 
 inline void* PpdpCountedAllocAligned(std::size_t size, std::size_t align) noexcept {
   ppdp::obs::t_alloc_bytes += size;
-  ++ppdp::obs::t_alloc_calls;
   if (align < sizeof(void*)) align = sizeof(void*);
   void* ptr = nullptr;
   if (posix_memalign(&ptr, align, size != 0 ? size : 1) != 0) return nullptr;

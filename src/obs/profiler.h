@@ -20,8 +20,6 @@ namespace ppdp::obs {
 /// functions to count; the count never decreases — it is an allocation
 /// *rate* probe, not a live-heap gauge). Zero-cost to read, signal-free.
 uint64_t ThreadAllocBytes();
-/// Cumulative operator-new calls on the calling thread.
-uint64_t ThreadAllocCalls();
 
 struct ProcessMemory {
   uint64_t rss_bytes = 0;       ///< /proc/self/status VmRSS
@@ -30,10 +28,6 @@ struct ProcessMemory {
 /// Reads current and peak resident set size. Returns zeros where
 /// /proc/self/status is unavailable.
 ProcessMemory ReadProcessMemory();
-
-/// Current RSS at MonotonicSeconds() `now_seconds`, re-read from /proc at
-/// most every 10 ms and otherwise cached: cheap enough for every span close.
-uint64_t CurrentRssBytesCached(double now_seconds);
 
 struct ProcessCpu {
   double user_seconds = 0.0;
@@ -72,8 +66,7 @@ struct CpuProfile {
     std::string name;  ///< span name, or "(none)" for unattributed samples
     uint64_t samples = 0;
     double cpu_seconds = 0.0;  ///< samples / hz (the CPU-time estimate)
-    uint64_t alloc_bytes = 0;      ///< from TraceRecorder phase stats
-    uint64_t rss_peak_bytes = 0;   ///< from TraceRecorder phase stats
+    uint64_t alloc_bytes = 0;  ///< from TraceRecorder phase stats
     std::vector<FrameCount> self_frames;   ///< top-N by leaf-frame samples
     std::vector<FrameCount> total_frames;  ///< top-N by any-frame presence
   };
@@ -103,7 +96,7 @@ struct CpuProfile {
   static Result<CpuProfile> FromJson(const JsonValue& doc);
   static Result<CpuProfile> Load(const std::string& path);
 
-  /// phase | samples | cpu s | alloc MB | peak rss MB | top self frame.
+  /// phase | samples | cpu s | alloc MB | top self frame.
   Table PhaseTable() const;
   /// frame | phase | self samples | share, flattened top `n` self frames.
   Table TopFramesTable(size_t n = 20) const;

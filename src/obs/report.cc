@@ -71,6 +71,7 @@ void CollectGlobalTelemetry(RunReport* report) {
   report->wall_seconds = MonotonicSeconds();
   const ProcessCpu cpu = ReadProcessCpu();
   report->cpu_seconds = cpu.user_seconds + cpu.system_seconds;
+  report->peak_rss_bytes = ReadProcessMemory().peak_rss_bytes;
 }
 
 JsonValue RunReport::ToJson() const {
@@ -116,7 +117,6 @@ JsonValue RunReport::ToJson() const {
     row.Set("wall_ms_max", JsonValue::Number(p.wall_ms_max));
     row.Set("cpu_ms_total", JsonValue::Number(p.cpu_ms_total));
     row.Set("alloc_bytes_total", JsonValue::Number(static_cast<double>(p.alloc_bytes_total)));
-    row.Set("rss_peak_bytes", JsonValue::Number(static_cast<double>(p.rss_peak_bytes)));
     phase_array.Append(std::move(row));
   }
   doc.Set("phases", std::move(phase_array));
@@ -177,6 +177,7 @@ JsonValue RunReport::ToJson() const {
 
   doc.Set("wall_seconds", JsonValue::Number(wall_seconds));
   doc.Set("cpu_seconds", JsonValue::Number(cpu_seconds));
+  doc.Set("peak_rss_bytes", JsonValue::Number(static_cast<double>(peak_rss_bytes)));
 
   JsonValue flight_obj = JsonValue::Object();
   flight_obj.Set("recorded", JsonValue::Number(static_cast<double>(flight.recorded)));
@@ -265,6 +266,7 @@ Result<RunReport> RunReport::FromJson(const JsonValue& doc) {
   report.scale = doc.GetNumberOr("scale", 1.0);
   report.wall_seconds = doc.GetNumberOr("wall_seconds", 0.0);
   report.cpu_seconds = doc.GetNumberOr("cpu_seconds", 0.0);
+  report.peak_rss_bytes = static_cast<uint64_t>(doc.GetNumberOr("peak_rss_bytes", 0));
 
   for (const auto& [key, value] : doc.Find("flags")->members()) {
     if (value.is_string()) report.flags[key] = value.as_string();
@@ -302,7 +304,6 @@ Result<RunReport> RunReport::FromJson(const JsonValue& doc) {
     p.wall_ms_max = row.GetNumberOr("wall_ms_max", 0.0);
     p.cpu_ms_total = row.GetNumberOr("cpu_ms_total", 0.0);
     p.alloc_bytes_total = static_cast<uint64_t>(row.GetNumberOr("alloc_bytes_total", 0));
-    p.rss_peak_bytes = static_cast<uint64_t>(row.GetNumberOr("rss_peak_bytes", 0));
     report.phases.push_back(std::move(p));
   }
   const JsonValue& histos = *doc.Find("histograms");
@@ -402,13 +403,13 @@ ReportDiff DiffReports(const RunReport& baseline, const RunReport& current,
       delta.ratio = base.wall_ms_total > 0.0 ? delta.current_ms / base.wall_ms_total : 0.0;
       delta.regressed =
           Regressed(base.wall_ms_total, delta.current_ms, options.threshold, options.min_ms);
-      delta.baseline_rss_peak = base.rss_peak_bytes;
-      delta.current_rss_peak = it->second->rss_peak_bytes;
-      // The memory gate is opt-in and only meaningful when both sides carry
-      // numbers (pre-v6 baselines report 0).
-      if (options.mem_threshold > 0.0 && delta.baseline_rss_peak > 0 &&
-          delta.current_rss_peak > 0) {
-        delta.mem_regressed = Regressed(delta.baseline_rss_peak, delta.current_rss_peak,
+      delta.baseline_alloc_bytes = base.alloc_bytes_total;
+      delta.current_alloc_bytes = it->second->alloc_bytes_total;
+      // The memory gate is opt-in and judges only rows that carry alloc
+      // bytes on both sides (readers load a missing field as 0).
+      if (options.mem_threshold > 0.0 && delta.baseline_alloc_bytes > 0 &&
+          delta.current_alloc_bytes > 0) {
+        delta.mem_regressed = Regressed(delta.baseline_alloc_bytes, delta.current_alloc_bytes,
                                         options.mem_threshold, options.min_mem_bytes);
       }
     }

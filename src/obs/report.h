@@ -84,6 +84,10 @@ struct RunReport {
 
   double wall_seconds = 0.0;  ///< process wall time at emission
   double cpu_seconds = 0.0;   ///< process CPU time at emission
+  /// Process peak RSS (VmHWM) at emission; 0 in reports that predate it.
+  /// Shown by `ppdp_stat report`, never gated: per-phase memory is the
+  /// phases' exact alloc_bytes_total.
+  uint64_t peak_rss_bytes = 0;
 
   struct FlightStats {
     uint64_t recorded = 0;
@@ -132,15 +136,16 @@ RunReport::BuildInfo CurrentBuildInfo();
 
 /// Fills `report`'s telemetry sections from the obs-layer global collectors:
 /// build info, trace phases, metric histograms/counters, flight-recorder
-/// stats, and wall/CPU totals. Flags/seed/outputs/ledgers/fault stay
-/// untouched — the bench harness owns those (fault lives in ppdp_fault,
-/// which links against this library, so the dependency cannot point back).
+/// stats, wall/CPU totals and process peak RSS. Flags/seed/outputs/ledgers/
+/// fault stay untouched — the bench harness owns those (fault lives in
+/// ppdp_fault, which links against this library, so the dependency cannot
+/// point back).
 void CollectGlobalTelemetry(RunReport* report);
 
 /// ---- `ppdp_stat report`: phase-by-phase perf diff with a noise threshold ----
 
-/// The one regression rule every offline gate applies (phase time and peak
-/// RSS here, frame share in DiffProfiles, access-log stage latency in
+/// The one regression rule every offline gate applies (phase time and alloc
+/// bytes here, frame share in DiffProfiles, access-log stage latency in
 /// `ppdp_stat access`): `current` regressed when it exceeds
 /// `baseline * (1 + threshold)` AND `current - baseline > floor`. Both
 /// parts matter: sub-noise quantities can triple without meaning anything.
@@ -157,11 +162,11 @@ struct DiffOptions {
   /// (determinism audit; off by default since baselines may be produced by
   /// a different compiler).
   bool check_digests = false;
-  /// Relative growth of a phase's peak RSS tolerated before the phase
-  /// counts as a memory regression (0.5 = +50%). 0 disables the memory
-  /// gate — the default, since pre-v6 baselines carry no memory numbers.
+  /// Relative growth of a phase's alloc_bytes_total tolerated before the
+  /// phase counts as a memory regression (0.5 = +50%). 0 disables the
+  /// memory gate, the default.
   double mem_threshold = 0.0;
-  /// Peak RSS must additionally grow by this many absolute bytes.
+  /// Alloc bytes must additionally grow by this many absolute bytes.
   uint64_t min_mem_bytes = 16ull << 20;
 };
 
@@ -173,8 +178,8 @@ struct PhaseDelta {
   bool regressed = false;
   bool only_in_baseline = false;
   bool only_in_current = false;
-  uint64_t baseline_rss_peak = 0;  ///< bytes; 0 when the report predates v6
-  uint64_t current_rss_peak = 0;
+  uint64_t baseline_alloc_bytes = 0;  ///< alloc_bytes_total; 0 when the row has none
+  uint64_t current_alloc_bytes = 0;
   bool mem_regressed = false;  ///< only when DiffOptions::mem_threshold > 0
 };
 

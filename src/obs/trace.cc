@@ -32,7 +32,7 @@ struct PhaseRow {
   uint64_t count = 0;
   double total_us = 0.0, min_us = std::numeric_limits<double>::infinity(), max_us = 0.0;
   double cpu_us = 0.0;
-  uint64_t alloc_bytes = 0, rss_peak = 0;
+  uint64_t alloc_bytes = 0;
 
   void Merge(const PhaseRow& other) {  // a close, or another thread's row
     count += other.count;
@@ -41,7 +41,6 @@ struct PhaseRow {
     max_us = std::max(max_us, other.max_us);
     cpu_us += other.cpu_us;
     alloc_bytes += other.alloc_bytes;
-    rss_peak = std::max(rss_peak, other.rss_peak);
   }
 };
 
@@ -212,7 +211,7 @@ void TraceRecorder::Record(const TraceEvent& event) {
     std::lock_guard<std::mutex> lock(slot.rows_mutex);
     if (event.span >= slot.rows.size()) slot.rows.resize(event.span + 1);
     slot.rows[event.span].Merge({1, event.duration_us, event.duration_us, event.duration_us,
-                                 event.cpu_us, event.alloc_bytes, event.rss_bytes});
+                                 event.cpu_us, event.alloc_bytes});
   }
   if (!retain_events_.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -255,7 +254,7 @@ std::vector<TraceRecorder::PhaseStats> TraceRecorder::PhaseStatsSorted() const {
     stats.push_back(PhaseStats{SpanNameForId(id), row.count, row.total_us / 1e3,
                                row.total_us / static_cast<double>(row.count) / 1e3,
                                row.min_us / 1e3, row.max_us / 1e3, row.cpu_us / 1e3,
-                               row.alloc_bytes, row.rss_peak});
+                               row.alloc_bytes});
   }
   std::sort(stats.begin(), stats.end(), [](const PhaseStats& a, const PhaseStats& b) {
     return a.wall_ms_total != b.wall_ms_total ? a.wall_ms_total > b.wall_ms_total
@@ -281,11 +280,9 @@ double TraceSpan::Stop() {
   event.span = site_.id;
   event.thread = slot.thread;
   event.start_us = start_us_;
-  const double now = MonotonicSeconds();
-  event.duration_us = now * 1e6 - start_us_;
+  event.duration_us = MonotonicSeconds() * 1e6 - start_us_;
   event.cpu_us = ThreadCpuSeconds() * 1e6 - start_cpu_us_;
   event.alloc_bytes = ThreadAllocBytes() - start_alloc_bytes_;
-  event.rss_bytes = CurrentRssBytesCached(now);
   TraceRecorder::Global().Record(event);
   return event.duration_us;
 }

@@ -15,8 +15,8 @@ namespace ppdp::obs {
 /// since process start). Besides wall time, each span carries the CPU time
 /// its own thread consumed while the span was open, so run reports can
 /// separate "slow because busy" from "slow because waiting", plus the bytes
-/// this thread allocated inside the span and the process RSS sampled at
-/// close — the same phase names thereby break down time *and* memory.
+/// this thread allocated inside the span — the same phase names thereby
+/// break down time *and* memory.
 struct TraceEvent {
   uint32_t span = 0;    ///< interned span-name id (SpanNameForId)
   uint32_t thread = 0;  ///< small per-process thread ordinal
@@ -24,7 +24,6 @@ struct TraceEvent {
   double duration_us = 0.0;
   double cpu_us = 0.0;  ///< thread CPU time consumed inside the span
   uint64_t alloc_bytes = 0;  ///< operator-new bytes this thread allocated in the span
-  uint64_t rss_bytes = 0;    ///< process RSS at span close (rate-limited sample)
 };
 
 /// ---- Span-name interning (shared with the sampling profiler) ----
@@ -104,7 +103,6 @@ class TraceRecorder {
     double wall_ms_max = 0.0;
     double cpu_ms_total = 0.0;
     uint64_t alloc_bytes_total = 0;  ///< operator-new bytes across all events
-    uint64_t rss_peak_bytes = 0;     ///< max RSS sampled at any event's close
   };
   std::vector<PhaseStats> PhaseStatsSorted() const;
 

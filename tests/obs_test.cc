@@ -216,7 +216,7 @@ TEST_F(ObsTest, PhaseRowsCountEverySpanPastTheChromeTraceCap) {
 struct Fold {
   uint64_t count = 0;
   double total_us = 0.0, min_us = 0.0, max_us = 0.0, cpu_us = 0.0;
-  uint64_t alloc_bytes = 0, rss_peak = 0;
+  uint64_t alloc_bytes = 0;
 
   void Merge(const Fold& other) {
     if (other.count == 0) return;
@@ -226,11 +226,9 @@ struct Fold {
     total_us += other.total_us;
     cpu_us += other.cpu_us;
     alloc_bytes += other.alloc_bytes;
-    rss_peak = std::max(rss_peak, other.rss_peak);
   }
   void Add(const TraceEvent& e) {
-    Merge(Fold{1, e.duration_us, e.duration_us, e.duration_us, e.cpu_us, e.alloc_bytes,
-               e.rss_bytes});
+    Merge(Fold{1, e.duration_us, e.duration_us, e.duration_us, e.cpu_us, e.alloc_bytes});
   }
 };
 
@@ -290,7 +288,6 @@ TEST_F(ObsTest, PhaseRowsEqualAFoldOfTheRetainedEvents) {
     EXPECT_EQ(phase.wall_ms_max, fold.max_us / 1e3);
     EXPECT_EQ(phase.cpu_ms_total, fold.cpu_us / 1e3);
     EXPECT_EQ(phase.alloc_bytes_total, fold.alloc_bytes);
-    EXPECT_EQ(phase.rss_peak_bytes, fold.rss_peak);
   }
 
   // Each thread closes inner, middle, outer in that order, and every inner
@@ -385,7 +382,6 @@ TEST_F(ObsTest, PhaseRowsCountLiveAndExitedThreads) {
     EXPECT_EQ(phase.wall_ms_min, fold.min_us / 1e3);
     EXPECT_EQ(phase.wall_ms_max, fold.max_us / 1e3);
     EXPECT_EQ(phase.alloc_bytes_total, fold.alloc_bytes);
-    EXPECT_EQ(phase.rss_peak_bytes, fold.rss_peak);
     // Slot reuse mixes two threads into one row, so sums agree only up to
     // the order of additions.
     EXPECT_NEAR(phase.wall_ms_total, fold.total_us / 1e3, 1e-9 * fold.total_us);

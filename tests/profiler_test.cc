@@ -54,7 +54,6 @@ TEST(ResourceProbesTest, ProcessMemoryAndCpuAreSane) {
   ProcessMemory memory = ReadProcessMemory();
   EXPECT_GT(memory.rss_bytes, 0u);
   EXPECT_GE(memory.peak_rss_bytes, memory.rss_bytes);
-  EXPECT_GT(CurrentRssBytesCached(MonotonicSeconds()), 0u);
 
   ProcessCpu before = ReadProcessCpu();
   EXPECT_GE(before.user_seconds, 0.0);
@@ -67,14 +66,12 @@ TEST(ResourceProbesTest, ProcessMemoryAndCpuAreSane) {
 
 TEST(ResourceProbesTest, ThreadAllocCountersTrackOperatorNew) {
   uint64_t bytes_before = ThreadAllocBytes();
-  uint64_t calls_before = ThreadAllocCalls();
   {
     std::vector<char> block(1 << 20);
     block[0] = 1;
     EXPECT_GE(ThreadAllocBytes() - bytes_before, static_cast<uint64_t>(1 << 20));
-    EXPECT_GT(ThreadAllocCalls(), calls_before);
   }
-  // The counters are cumulative rates: freeing must not roll them back.
+  // The counter is a cumulative rate: freeing must not roll it back.
   EXPECT_GE(ThreadAllocBytes() - bytes_before, static_cast<uint64_t>(1 << 20));
 
   // Another thread's allocations never leak into this thread's counter.

@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/json.h"
 #include "obs/ledger.h"
@@ -273,7 +276,7 @@ TEST(DiffReportsTest, DigestMismatchRegressesOnlyWhenChecked) {
 TEST(RunReportTest, PhaseMemoryAndProfileLinkSurviveTheRoundTrip) {
   RunReport report = MakeReport();
   report.phases[0].alloc_bytes_total = 48ull << 20;
-  report.phases[0].rss_peak_bytes = 512ull << 20;
+  report.peak_rss_bytes = 512ull << 20;
   report.profile.enabled = true;
   report.profile.hz = 97;
   report.profile.path = "bench_out/PROFILE_iot.json";
@@ -286,7 +289,7 @@ TEST(RunReportTest, PhaseMemoryAndProfileLinkSurviveTheRoundTrip) {
   Result<RunReport> loaded = RunReport::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->phases[0].alloc_bytes_total, 48ull << 20);
-  EXPECT_EQ(loaded->phases[0].rss_peak_bytes, 512ull << 20);
+  EXPECT_EQ(loaded->peak_rss_bytes, 512ull << 20);
   EXPECT_TRUE(loaded->profile.enabled);
   EXPECT_EQ(loaded->profile.hz, 97);
   EXPECT_EQ(loaded->profile.path, "bench_out/PROFILE_iot.json");
@@ -310,18 +313,37 @@ TEST(RunReportTest, ProfileSectionIsOmittedWhenProfilingWasOff) {
   EXPECT_EQ(loaded->phases[0].alloc_bytes_total, 0u);
 }
 
-/// Injects `bloat_mb` of per-phase peak RSS on top of TimingReport.
-RunReport MemoryReport(double phase_ms, uint64_t a_mb, uint64_t b_mb) {
+/// TimingReport with `a_mb` and `b_mb` of per-phase alloc bytes.
+RunReport AllocReport(double phase_ms, uint64_t a_mb, uint64_t b_mb) {
   RunReport report = TimingReport(phase_ms, phase_ms);
-  report.phases[0].rss_peak_bytes = a_mb << 20;
-  report.phases[1].rss_peak_bytes = b_mb << 20;
+  report.phases[0].alloc_bytes_total = a_mb << 20;
+  report.phases[1].alloc_bytes_total = b_mb << 20;
   return report;
 }
 
+/// `report`'s JSON with `drop` left out of every phase row and `extra` added
+/// to each: how rows from an older writer look to today's reader.
+JsonValue WithPhaseRows(const RunReport& report, std::string_view drop,
+                        std::initializer_list<std::pair<const char*, double>> extra) {
+  JsonValue doc = report.ToJson();
+  JsonValue rows = JsonValue::Array();
+  const JsonValue& phases = *doc.Find("phases");
+  for (size_t i = 0; i < phases.size(); ++i) {
+    JsonValue row = JsonValue::Object();
+    for (const auto& [key, value] : phases.at(i).members()) {
+      if (key != drop) row.Set(key, value);
+    }
+    for (const auto& [key, value] : extra) row.Set(key, JsonValue::Number(value));
+    rows.Append(std::move(row));
+  }
+  doc.Set("phases", std::move(rows));
+  return doc;
+}
+
 TEST(DiffReportsTest, MemoryGateIsOffByDefault) {
-  // 100 MB -> 400 MB of injected bloat: invisible until --mem_threshold.
+  // 100 MB -> 264 MB of allocation: invisible until --mem_threshold.
   ReportDiff diff =
-      DiffReports(MemoryReport(50.0, 100, 100), MemoryReport(50.0, 400, 100), DiffOptions{});
+      DiffReports(AllocReport(50.0, 100, 100), AllocReport(50.0, 264, 100), DiffOptions{});
   EXPECT_FALSE(diff.regressed);
 }
 
@@ -329,26 +351,47 @@ TEST(DiffReportsTest, InjectedBloatBeyondMemThresholdRegresses) {
   DiffOptions options;
   options.mem_threshold = 0.5;  // +50%
   ReportDiff diff =
-      DiffReports(MemoryReport(50.0, 100, 100), MemoryReport(50.0, 400, 100), options);
+      DiffReports(AllocReport(50.0, 100, 100), AllocReport(50.0, 200, 100), options);
   EXPECT_TRUE(diff.regressed);
   ASSERT_EQ(diff.phases.size(), 2u);
-  EXPECT_TRUE(diff.phases[0].mem_regressed) << "phase a quadrupled its peak RSS";
+  EXPECT_TRUE(diff.phases[0].mem_regressed) << "phase a doubled its alloc bytes";
   EXPECT_FALSE(diff.phases[0].regressed) << "timing itself did not move";
   EXPECT_FALSE(diff.phases[1].mem_regressed);
-  EXPECT_EQ(diff.phases[0].baseline_rss_peak, 100ull << 20);
-  EXPECT_EQ(diff.phases[0].current_rss_peak, 400ull << 20);
+  EXPECT_EQ(diff.phases[0].baseline_alloc_bytes, 100ull << 20);
+  EXPECT_EQ(diff.phases[0].current_alloc_bytes, 200ull << 20);
 }
 
 TEST(DiffReportsTest, MemoryGateRespectsAbsoluteFloorAndMissingData) {
   DiffOptions options;
   options.mem_threshold = 0.5;
-  // Tripling 4 MB moves only 8 MB — under the 16 MB floor, not a regression.
+  // Tripling 4 MB moves only 8 MB: under the 16 MB floor, not a regression.
   EXPECT_FALSE(
-      DiffReports(MemoryReport(50.0, 4, 4), MemoryReport(50.0, 12, 4), options).regressed);
-  // A pre-v6 baseline carries no memory numbers: the gate must stay quiet
-  // rather than flag every phase as infinitely grown.
-  EXPECT_FALSE(
-      DiffReports(MemoryReport(50.0, 0, 0), MemoryReport(50.0, 400, 100), options).regressed);
+      DiffReports(AllocReport(50.0, 4, 4), AllocReport(50.0, 12, 4), options).regressed);
+  // A baseline whose rows carry no alloc_bytes_total gets no memory verdict,
+  // rather than every phase flagged as grown from nothing.
+  Result<RunReport> bare =
+      RunReport::FromJson(WithPhaseRows(AllocReport(50.0, 100, 100), "alloc_bytes_total", {}));
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  ReportDiff diff = DiffReports(*bare, AllocReport(50.0, 400, 100), options);
+  EXPECT_FALSE(diff.regressed);
+  for (const PhaseDelta& delta : diff.phases) EXPECT_FALSE(delta.mem_regressed) << delta.name;
+}
+
+TEST(DiffReportsTest, RowsWithTheRetiredRssFieldLoadAndDiffCleanly) {
+  // Reports written before per-phase RSS was dropped carry rss_peak_bytes in
+  // every phase row. The reader ignores it, and a re-written report drops it.
+  Result<RunReport> old = RunReport::FromJson(
+      WithPhaseRows(AllocReport(50.0, 100, 100), "", {{"rss_peak_bytes", 8.4e6}}));
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_EQ(old->phases[0].alloc_bytes_total, 100ull << 20);
+  EXPECT_FALSE(old->ToJson().Find("phases")->at(0).Has("rss_peak_bytes"));
+  DiffOptions options;
+  options.mem_threshold = 0.5;
+  ReportDiff diff = DiffReports(*old, AllocReport(50.0, 100, 100), options);
+  EXPECT_FALSE(diff.regressed);
+  ASSERT_EQ(diff.phases.size(), 2u);
+  EXPECT_FALSE(diff.phases[0].only_in_baseline);
+  EXPECT_EQ(diff.phases[0].baseline_alloc_bytes, diff.phases[0].current_alloc_bytes);
 }
 
 TEST(DiffReportsTest, FasterRunsPassTheGate) {

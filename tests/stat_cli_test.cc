@@ -138,6 +138,34 @@ TEST_F(StatCliTest, ReportPassesASelfDiffAndTripsOnATenfoldSlowdown) {
   EXPECT_NE(run.out.find("REGRESSION"), std::string::npos) << run.out;
 }
 
+TEST_F(StatCliTest, ReportGatesAllocBytesOnRequestAndPrintsPeakRssOfBothSides) {
+  // The fig3_5 baseline predates the process peak RSS and still carries the
+  // retired per-phase rss_peak_bytes; it loads and gates on alloc bytes.
+  const std::string base = kBaseline + "BENCH_fig3_5.json";
+  obs::RunReport bloat = BaselineReport("fig3_5");
+  for (auto& phase : bloat.phases) {
+    phase.alloc_bytes_total = phase.alloc_bytes_total * 2 + (64ull << 20);
+  }
+  bloat.peak_rss_bytes = 64ull << 20;
+  const std::string bloat_path = TempPath("bloat.json");
+  ASSERT_TRUE(bloat.WriteJson(bloat_path).ok());
+  const std::string gate = "report --threshold 1.0 --min_ms 100 ";
+  EXPECT_EQ(Stat(gate + base + " " + bloat_path).code, 0) << "the memory gate is opt-in";
+  const StatRun run = Stat(gate + "--mem_threshold 0.5 " + base + " " + bloat_path);
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.out.find("MEM REGRESSED"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("(peak rss: baseline -, current 64.0 MB)"), std::string::npos)
+      << run.out;
+
+  // The iot baseline's rows have no alloc_bytes_total: no memory verdict.
+  obs::RunReport iot = BaselineReport("iot");
+  for (auto& phase : iot.phases) phase.alloc_bytes_total = 1ull << 30;
+  const std::string iot_path = TempPath("iot.json");
+  ASSERT_TRUE(iot.WriteJson(iot_path).ok());
+  EXPECT_EQ(
+      Stat(gate + "--mem_threshold 0.5 " + kBaseline + "BENCH_iot.json " + iot_path).code, 0);
+}
+
 TEST_F(StatCliTest, ReportLabelsEachSidesBuildType) {
   const obs::RunReport base = BaselineReport("fig3_5");
   obs::RunReport other = base;

@@ -5,43 +5,7 @@
 //   ppdp_serve --port 8080 --tenant_budget 4.0
 //   curl -s -XPOST localhost:8080/v1/publish -d '{"tenant":"acme","kind":"social","epsilon":0.5}'
 //
-// Flags (all optional):
-//   --port N              bind port; 0 = ephemeral, printed at startup (0)
-//   --http_max_conns N    concurrent connection cap (32)
-//   --max_body_bytes N    413 threshold for request bodies (1048576)
-//   --graph_scale X       Caltech-like corpus scale (0.25)
-//   --genome_snps N       synthetic GWAS catalog width (300)
-//   --seed N              corpus + DP noise base seed (7)
-//   --threads N           exec width: 0 = all cores, 1 = serial (0)
-//   --tenant_budget X     ε budget per tenant ledger (4.0)
-//   --max_tenants N       tenant registry cap (64)
-//   --max_pending N       admission queue bound; 429 beyond (64)
-//   --drain_timeout_s X   graceful-shutdown drain bound (10)
-//   --ledger_wal PATH     privacy-ledger write-ahead log; spends are logged
-//                         before admission and replayed at startup so
-//                         remaining-ε survives restarts (off: in-memory)
-//   --ledger_sync P       WAL fsync policy: always | batch (always)
-//   --request_deadline_s X  cap on client-declared "deadline_ms"; expired
-//                         requests get 504 (30)
-//   --access_log PATH     JSONL access log (ppdp.access.v1, one object per
-//                         request, per-stage micros); off when empty
-//   --access_log_max_mb X access-log size rotation threshold (256)
-//   --slow_request_ms X   capture requests at/above this wall time in the
-//                         FlightRecorder ring; 0 = off (0)
-//   --slo_config PATH     ppdp.slo.v1 alert-rule config; empty = built-in
-//                         defaults (availability, latency p99, queue
-//                         pressure, per-tenant ledger burn)
-//   --alert_log PATH      JSONL alert-transition log (ppdp.alertlog.v1);
-//                         off when empty
-//   --alert_log_max_mb X  alert-log size rotation threshold (16)
-//   --slo_eval_period_s X request-path alert evaluation throttle; 0
-//                         evaluates on every request (about 1 µs with the
-//                         default rules); /alertz and /sloz always
-//                         evaluate on read (1)
-//   --log_level L         debug|info|warn|error|off (info)
-//   --log_json            one JSON object per log line on stderr
-//
-// Any other flag is a usage error: the daemon names it and exits 2.
+// `ppdp_serve --help` prints every flag and exits 0.
 //
 // SIGTERM / SIGINT drain in-flight requests (new ones get 503), stop the
 // server, and exit 0.
@@ -58,6 +22,49 @@
 #include "serve/serve_app.h"
 
 namespace {
+
+/// What --help prints.
+constexpr const char kUsage[] = R"(usage: ppdp_serve [flags]
+
+Flags (all optional):
+  --port N              bind port; 0 = ephemeral, printed at startup (0)
+  --http_max_conns N    concurrent connection cap (32)
+  --max_body_bytes N    413 threshold for request bodies (1048576)
+  --graph_scale X       Caltech-like corpus scale (0.25)
+  --genome_snps N       synthetic GWAS catalog width (300)
+  --seed N              corpus + DP noise base seed (7)
+  --threads N           exec width: 0 = all cores, 1 = serial (0)
+  --tenant_budget X     ε budget per tenant ledger (4.0)
+  --max_tenants N       tenant registry cap (64)
+  --max_pending N       admission queue bound; 429 beyond (64)
+  --drain_timeout_s X   graceful-shutdown drain bound (10)
+  --ledger_wal PATH     privacy-ledger write-ahead log; spends are logged
+                        before admission and replayed at startup so
+                        remaining-ε survives restarts (off: in-memory)
+  --ledger_sync P       WAL fsync policy: always | batch (always)
+  --request_deadline_s X  cap on client-declared "deadline_ms"; expired
+                        requests get 504 (30)
+  --access_log PATH     JSONL access log (ppdp.access.v1, one object per
+                        request, per-stage micros); off when empty
+  --access_log_max_mb X access-log size rotation threshold (256)
+  --slow_request_ms X   capture requests at/above this wall time in the
+                        FlightRecorder ring; 0 = off (0)
+  --slo_config PATH     ppdp.slo.v1 alert-rule config; empty = built-in
+                        defaults (availability, latency p99, queue
+                        pressure, per-tenant ledger burn)
+  --alert_log PATH      JSONL alert-transition log (ppdp.alertlog.v1);
+                        off when empty
+  --alert_log_max_mb X  alert-log size rotation threshold (16)
+  --slo_eval_period_s X request-path alert evaluation throttle; 0
+                        evaluates on every request (about 1 µs with the
+                        default rules); /alertz and /sloz always
+                        evaluate on read (1)
+  --log_level L         debug|info|warn|error|off (info)
+  --log_json            one JSON object per log line on stderr
+  --help                print this list and exit 0
+
+Any other flag is a usage error: the daemon names it and exits 2.
+)";
 
 /// Every flag main reads (log_level and log_json via InitLoggingFromFlags).
 constexpr std::string_view kFlags[] = {
@@ -77,6 +84,10 @@ int main(int argc, char** argv) {
   using namespace ppdp;
 
   Flags flags(argc, argv);
+  if (flags.help()) {
+    std::cout << kUsage;
+    return 0;
+  }
   flags.RejectUnknown("ppdp_serve", kFlags);
   if (!obs::InitLoggingFromFlags(flags)) {
     std::cerr << "warning: unknown --log_level ignored (want debug|info|warn|error|off)\n";

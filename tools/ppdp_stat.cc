@@ -9,7 +9,8 @@
 //
 // report: diffs per-phase wall-time totals of two BENCH_<name>.json files.
 //   --threshold X (0.25)  --min_ms X (5)  relative and absolute slowdown gate
-//   --mem_threshold X (0 = off)  --min_mem_mb X (16)  per-phase peak-RSS gate
+//   --mem_threshold X (0 = off)  --min_mem_mb X (16)  per-phase alloc-bytes gate
+//   Process peak RSS is printed for both reports and never gated.
 //   --check_digests  also fail when an output CSV digest differs
 //   --validate_only  schema-validate both files and exit
 // profile: one file prints phase + top-frame tables; two diff self-frame
@@ -213,6 +214,12 @@ Result<int> RunReportCommand(const Args& args) {
   diff.Summary().Print(std::cout);
   PrintBuildsDiffer(baseline.build.build_type, baseline.build.compiler, current.build.build_type,
                     current.build.compiler);
+  auto rss_mb = [](uint64_t bytes) {
+    if (bytes == 0) return std::string("-");
+    return Table::FormatDouble(static_cast<double>(bytes) / (1 << 20), 1) + " MB";
+  };
+  std::cout << "(peak rss: baseline " << rss_mb(baseline.peak_rss_bytes) << ", current "
+            << rss_mb(current.peak_rss_bytes) << ")\n";
   for (const std::string& name : diff.digest_mismatches) {
     std::cout << "(output digest differs: " << name << ")\n";
   }
