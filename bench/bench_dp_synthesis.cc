@@ -83,19 +83,5 @@ int main(int argc, char** argv) {
     auto model = ppdp::dp::PrivateSynthesizer::Fit(data, config, &ledger);
     if (model.ok()) env.EmitLedger(ledger, "dp_synthesis_ledger_eps1");
   }
-
-  // Serial-vs-parallel wall time of the heaviest fit (tree structure at
-  // ε = 1): MI pair scoring and noisy-table release are the parallel paths.
-  env.EmitSpeedup(
-      [&](int threads) {
-        ppdp::dp::SynthesizerConfig config;
-        config.epsilon = 1.0;
-        config.structure_fraction = 0.3;
-        config.seed = env.seed;
-        config.threads = threads;
-        auto model = ppdp::dp::PrivateSynthesizer::Fit(data, config);
-        if (!model.ok()) std::cerr << "speedup fit failed: " << model.status().ToString() << "\n";
-      },
-      "dp_synthesis", "DP synthesizer fit: serial vs parallel");
   return 0;
 }

@@ -36,7 +36,6 @@
 #include "graph/graph_generators.h"
 #include "graph/centrality.h"
 #include "opt/simplex.h"
-#include "opt/submodular.h"
 #include "rst/information_system.h"
 #include "rst/reduct.h"
 #include "sanitize/link_selection.h"
@@ -346,35 +345,6 @@ void BM_BetweennessCentrality(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BetweennessCentrality)->Arg(10)->Arg(20);
-
-void BM_GreedySubmodular(benchmark::State& state) {
-  const bool lazy = state.range(0) != 0;
-  Rng rng(5);
-  const size_t ground = 64;
-  std::vector<std::vector<int>> sets(ground);
-  for (auto& s : sets) {
-    for (int i = 0; i < 6; ++i) s.push_back(static_cast<int>(rng.Uniform(128)));
-  }
-  auto coverage = [&](const std::vector<size_t>& selected) {
-    std::vector<bool> covered(128, false);
-    double total = 0.0;
-    for (size_t e : selected) {
-      for (int p : sets[e]) {
-        if (!covered[static_cast<size_t>(p)]) {
-          covered[static_cast<size_t>(p)] = true;
-          total += 1.0;
-        }
-      }
-    }
-    return total;
-  };
-  for (auto _ : state) {
-    auto result = lazy ? ppdp::opt::LazyGreedyCardinalityMaximize(ground, coverage, 16)
-                       : ppdp::opt::GreedyCardinalityMaximize(ground, coverage, 16);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_GreedySubmodular)->Arg(0)->Arg(1);  // 0 = plain, 1 = lazy
 
 /// The tracing primitive itself: one nested open/close pair per iteration.
 /// Each close folds into its own thread's phase row under that thread's

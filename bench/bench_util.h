@@ -1,11 +1,9 @@
 #ifndef PPDP_BENCH_BENCH_UTIL_H_
 #define PPDP_BENCH_BENCH_UTIL_H_
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <iostream>
@@ -19,7 +17,6 @@
 #include "common/flags.h"
 #include "common/status.h"
 #include "common/table.h"
-#include "exec/exec_config.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "obs/ledger.h"
@@ -73,36 +70,9 @@ inline Status WriteChromeTrace(const std::string& path) {
   return Status::Ok();
 }
 
-/// Common knobs of the reproduction benches. Every bench accepts
-///   --seed N        (default 7)    generator / mask seed
-///   --scale X       (default per bench)  dataset scale factor
-///   --out DIR       (default "bench_out")  CSV output directory
-///   --log_level L   (default warn)  debug|info|warn|error|off
-///   --log_json      (off by default)  one JSON object per log record
-///   --trace_out F   (off by default)  write the first 2^18 spans as Chrome JSON
-///   --threads N     (default 0)    execution width: 0 = hardware
-///                   concurrency, 1 = exact serial fallback
-///   --report_out F  (default <out>/BENCH_<name>.json; "off" disables)
-///                   machine-readable run report for `ppdp_stat report`
-///   --flight_capacity N  (default 512)  flight-recorder ring size
-///   --flight_level L     (default warn) min log level the recorder keeps
-///   --flight_dump F      (default <out>/<bench>_flight.json; "off"
-///                   disables)  where crash/fatal-status dumps go
-///   --telemetry_port P   (off unless given)  start the live introspection
-///                   HTTP server on 127.0.0.1:P; 0 picks an ephemeral port.
-///                   The resolved URL is printed at startup. Without this
-///                   flag no socket is opened and nothing is paid.
-///   --http_max_conns N   (default 8)  telemetry server connection cap;
-///                   connections beyond it get an immediate 503 (counted
-///                   by telemetry.rejected_connections)
-///   --profile_hz N  (default 0 = off)  sampling-profiler rate in samples
-///                   per second of per-thread CPU time; prime rates (97,
-///                   211) avoid lock-step with periodic work. Off pays
-///                   nothing — no timers, no buffers, no handler.
-///   --profile_out F (default <out>/PROFILE_<name>.json)  where the
-///                   ppdp.profile.v1 JSON goes when --profile_hz > 0; the
-///                   collapsed folded stacks land next to it with a
-///                   .folded suffix
+/// Common knobs of the reproduction benches: kUsage lists them, and
+/// `--help` prints it with the bench's own flag names, then exits 0 before
+/// any directory is created or any work starts.
 ///
 /// A bench passes the names of the flags it reads itself. Any other flag is
 /// a usage error: the constructor names it and exits 2 before any work.
@@ -126,6 +96,10 @@ struct BenchEnv {
       bench_name = std::filesystem::path(argv[0]).filename().string();
     }
     Flags flags(argc, argv);
+    if (flags.help()) {
+      PrintUsage(default_scale, bench_flags);
+      std::exit(0);
+    }
     std::vector<std::string_view> known(std::begin(kCommonFlags), std::end(kCommonFlags));
     known.insert(known.end(), bench_flags.begin(), bench_flags.end());
     flags.RejectUnknown(bench_name, known);
@@ -287,37 +261,6 @@ struct BenchEnv {
     fault_.point_rates = plan.point_rates;
   }
 
-  /// Times `workload` once at --threads 1 (exact serial fallback) and once
-  /// at the resolved --threads width, and emits a serial/parallel/speedup
-  /// table as <out>/<name>_speedup.csv. `workload` receives the execution
-  /// width to use and must produce identical results at every width (the
-  /// determinism contract of exec::ParallelFor), so the two runs are
-  /// directly comparable. Skipped when only one hardware thread is
-  /// available or the user pinned --threads 1, since the two runs would
-  /// measure the same configuration.
-  void EmitSpeedup(const std::function<void(int threads)>& workload,
-                   const std::string& name, const std::string& heading) const {
-    const int parallel_width = static_cast<int>(exec::ExecConfig{threads}.ResolvedThreads());
-    if (parallel_width <= 1) {
-      std::cout << "== " << heading << " ==\n"
-                << "(speedup table skipped: execution width resolves to 1 thread)\n\n";
-      return;
-    }
-    auto timed = [&](int width) {
-      auto start = std::chrono::steady_clock::now();
-      workload(width);
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    };
-    const double serial_seconds = timed(1);
-    const double parallel_seconds = timed(parallel_width);
-    Table table({"threads", "serial s", "parallel s", "speedup"});
-    table.AddRow({std::to_string(parallel_width), Table::FormatDouble(serial_seconds, 4),
-                  Table::FormatDouble(parallel_seconds, 4),
-                  Table::FormatDouble(
-                      parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0, 2)});
-    Emit(table, name + "_speedup", heading);
-  }
-
   /// Stops the sampling profiler and writes the ppdp.profile.v1 JSON plus
   /// the folded-stack text. Called automatically at destruction when
   /// --profile_hz > 0; the run report then links both files.
@@ -393,6 +336,46 @@ struct BenchEnv {
   }
 
  private:
+  /// What --help prints: every flag BenchEnv reads, with its default.
+  static constexpr const char kUsage[] = R"(Flags every bench reads (all optional):
+  --seed N             generator / mask seed (7)
+  --scale X            dataset scale factor (default below)
+  --out DIR            CSV output directory (bench_out)
+  --log_level L        debug|info|warn|error|off (warn)
+  --log_json           one JSON object per log record on stderr
+  --trace_out F        write the first 2^18 spans as Chrome JSON (off)
+  --threads N          execution width: 0 = hardware concurrency,
+                       1 = exact serial fallback (0)
+  --report_out F       ppdp.bench.v1 run report for `ppdp_stat report`;
+                       "off" disables (<out>/BENCH_<name>.json)
+  --flight_capacity N  flight-recorder ring size (512)
+  --flight_level L     min log level the flight recorder keeps (warn)
+  --flight_dump F      where crash/fatal-status dumps go; "off" disables
+                       (<out>/<bench>_flight.json)
+  --telemetry_port P   serve live introspection HTTP on 127.0.0.1:P; 0
+                       picks an ephemeral port, printed at startup.
+                       Without it no socket opens (off)
+  --http_max_conns N   telemetry connection cap; connections beyond it
+                       get an immediate 503 (8)
+  --profile_hz N       sampling-profiler rate in samples per second of
+                       per-thread CPU time; prime rates (97, 211) avoid
+                       lock-step with periodic work. 0 pays nothing (0)
+  --profile_out F      ppdp.profile.v1 JSON when --profile_hz > 0; the
+                       folded stacks land next to it with a .folded
+                       suffix (<out>/PROFILE_<name>.json)
+  --help               print this list and exit 0
+)";
+
+  void PrintUsage(double default_scale,
+                  std::initializer_list<std::string_view> bench_flags) const {
+    std::cout << "usage: " << bench_name << " [flags]\n\n" << kUsage << "\n"
+              << "Default --scale: " << default_scale << "\n"
+              << "Flags this bench reads:";
+    if (bench_flags.size() == 0) std::cout << " none";
+    for (std::string_view name : bench_flags) std::cout << " --" << name;
+    std::cout << "\n\nAny other flag is a usage error: the bench names it and exits 2.\n";
+  }
+
   /// The flags every bench reads through BenchEnv (log_json through
   /// obs::InitLoggingFromFlags).
   static constexpr std::string_view kCommonFlags[] = {

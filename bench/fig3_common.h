@@ -88,18 +88,6 @@ inline void RunFig3(const Fig3Config& config, const BenchEnv& env) {
              config.dataset.name + ": accuracy vs removed indistinguishable links, " +
                  classify::LocalModelName(local) + " as local classifier");
   }
-
-  // Serial-vs-parallel wall time of the ICA attack on the unsanitized
-  // graph: bootstrap and per-round re-estimation are the parallel paths.
-  env.EmitSpeedup(
-      [&](int threads) {
-        classify::CollectiveConfig collective;
-        collective.threads = threads;
-        auto classifier = classify::MakeLocalClassifier(classify::LocalModel::kNaiveBayes);
-        classify::RunAttack(original, known, classify::AttackModel::kCollective, *classifier,
-                            collective);
-      },
-      config.figure_id + "_ica", config.dataset.name + ": ICA attack, serial vs parallel");
 }
 
 }  // namespace ppdp::bench

@@ -94,13 +94,6 @@ Counter& AppendFailureCounter() {
 
 }  // namespace
 
-Result<LedgerWal::SyncPolicy> ParseSyncPolicy(const std::string& name) {
-  if (name == "always") return LedgerWal::SyncPolicy::kAlways;
-  if (name == "batch") return LedgerWal::SyncPolicy::kBatch;
-  return Status::InvalidArgument("unknown ledger sync policy: " + name +
-                                 " (expected always | batch)");
-}
-
 Result<WalRecovery> LedgerWal::Scan(const std::string& path) {
   WalRecovery recovery;
   int fd = ::open(path.c_str(), O_RDONLY);
@@ -222,8 +215,7 @@ LedgerWal::LedgerWal(Options options, int fd, WalRecovery recovery, uint64_t nex
 LedgerWal::~LedgerWal() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
-    ::fsync(fd_);  // best-effort: flush any kBatch tail before closing
-    ::close(fd_);
+    ::close(fd_);  // every successful append was already fsynced
     fd_ = -1;
   }
 }
@@ -274,31 +266,24 @@ Status LedgerWal::AppendRecord(const std::string& payload) {
     return Status::DataLoss("ledger wal append corrupted (fault ledger.wal.append); "
                             "log poisoned until restart");
   }
-  unsynced_bytes_ += frame.size();
   ++appends_;
   AppendCounter().Increment();
 
-  const bool should_sync = options_.sync == SyncPolicy::kAlways ||
-                           unsynced_bytes_ >= options_.batch_bytes;
-  if (should_sync) {
-    fault::FaultDecision sync_decision =
-        PPDP_FAULT_POINT("ledger.wal.fsync", fault::kMaskDrop);
-    if (sync_decision.drop()) {
-      // An fsync whose outcome is unknown leaves durability unknowable for
-      // everything after it: fail-stop, like the write path.
-      poisoned_ = true;
-      AppendFailureCounter().Increment();
-      return Status::Unavailable("ledger wal fsync dropped (fault ledger.wal.fsync)");
-    }
-    if (::fsync(fd_) != 0) {
-      poisoned_ = true;
-      AppendFailureCounter().Increment();
-      return Status::Unavailable("ledger wal fsync: " + std::string(std::strerror(errno)));
-    }
-    unsynced_bytes_ = 0;
-    ++syncs_;
-    SyncCounter().Increment();
+  fault::FaultDecision sync_decision = PPDP_FAULT_POINT("ledger.wal.fsync", fault::kMaskDrop);
+  if (sync_decision.drop()) {
+    // An fsync whose outcome is unknown leaves durability unknowable for
+    // everything after it: fail-stop, like the write path.
+    poisoned_ = true;
+    AppendFailureCounter().Increment();
+    return Status::Unavailable("ledger wal fsync dropped (fault ledger.wal.fsync)");
   }
+  if (::fsync(fd_) != 0) {
+    poisoned_ = true;
+    AppendFailureCounter().Increment();
+    return Status::Unavailable("ledger wal fsync: " + std::string(std::strerror(errno)));
+  }
+  ++syncs_;
+  SyncCounter().Increment();
   return Status::Ok();
 }
 
@@ -327,20 +312,6 @@ Status LedgerWal::AppendAbort(uint64_t seq) {
   payload.push_back(static_cast<char>(kRecordAbort));
   PutU64(&payload, seq);
   return AppendRecord(payload);
-}
-
-Status LedgerWal::Sync() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (poisoned_) return Status::Unavailable("ledger wal is poisoned");
-  if (fd_ < 0) return Status::FailedPrecondition("ledger wal is closed");
-  if (::fsync(fd_) != 0) {
-    poisoned_ = true;
-    return Status::Unavailable("ledger wal fsync: " + std::string(std::strerror(errno)));
-  }
-  unsynced_bytes_ = 0;
-  ++syncs_;
-  SyncCounter().Increment();
-  return Status::Ok();
 }
 
 bool LedgerWal::poisoned() const {

@@ -1,7 +1,6 @@
 #ifndef PPDP_OBS_WAL_H_
 #define PPDP_OBS_WAL_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -69,16 +68,8 @@ struct WalRecovery {
 /// Thread-safe; one mutex serializes appends.
 class LedgerWal {
  public:
-  enum class SyncPolicy {
-    kAlways,  ///< fsync after every append (durability = every admitted spend)
-    kBatch,   ///< fsync every Options::batch_bytes; crash may lose the tail
-  };
-
   struct Options {
     std::string path;
-    SyncPolicy sync = SyncPolicy::kAlways;
-    /// kBatch: unsynced bytes allowed before the next append fsyncs.
-    size_t batch_bytes = 1 << 16;
   };
 
   /// Opens (creating if absent) the WAL at `options.path`: scans existing
@@ -91,7 +82,7 @@ class LedgerWal {
   LedgerWal(const LedgerWal&) = delete;
   LedgerWal& operator=(const LedgerWal&) = delete;
 
-  /// Appends a spend record and (policy permitting) syncs it. On success
+  /// Appends a spend record and fsyncs it before returning. On success
   /// `*seq_out` names the record so a rejection can be aborted. Fails
   /// kUnavailable when the log is poisoned or the write/fsync fails — the
   /// caller must refuse the spend (503), never admit it unlogged.
@@ -104,13 +95,9 @@ class LedgerWal {
   /// conservative by design.
   Status AppendAbort(uint64_t seq);
 
-  /// Forces an fsync of everything appended so far (kBatch shutdown path).
-  Status Sync();
-
   /// What Open() recovered from the existing file.
   const WalRecovery& recovery() const { return recovery_; }
   const std::string& path() const { return options_.path; }
-  SyncPolicy sync_policy() const { return options_.sync; }
   bool poisoned() const;
   uint64_t appends() const;
   uint64_t syncs() const;
@@ -123,7 +110,7 @@ class LedgerWal {
  private:
   LedgerWal(Options options, int fd, WalRecovery recovery, uint64_t next_seq);
 
-  /// Serializes, checksums, writes, and policy-syncs one payload.
+  /// Serializes, checksums, writes, and fsyncs one payload.
   Status AppendRecord(const std::string& payload);
 
   Options options_;
@@ -132,13 +119,9 @@ class LedgerWal {
   int fd_ = -1;
   uint64_t next_seq_ = 1;
   bool poisoned_ = false;
-  size_t unsynced_bytes_ = 0;
   uint64_t appends_ = 0;
   uint64_t syncs_ = 0;
 };
-
-/// Parses "always" / "batch" (the --ledger_sync flag values).
-Result<LedgerWal::SyncPolicy> ParseSyncPolicy(const std::string& name);
 
 }  // namespace ppdp::obs
 

@@ -249,7 +249,6 @@ Result<std::unique_ptr<ServeApp>> ServeApp::Create(const ServeOptions& options) 
   if (!options.ledger_wal.empty()) {
     obs::LedgerWal::Options wal_options;
     wal_options.path = options.ledger_wal;
-    wal_options.sync = options.ledger_sync;
     PPDP_ASSIGN_OR_RETURN(app->wal_, obs::LedgerWal::Open(wal_options));
     PPDP_RETURN_IF_ERROR(app->tenants_.AttachWal(app->wal_.get()));
   }
@@ -288,9 +287,6 @@ void ServeApp::Stop() {
     PPDP_LOG(WARN) << "serve drain timeout" << obs::Field("inflight", left);
   }
   server_->Stop();
-  // Flush the kBatch WAL tail so a clean shutdown loses nothing; best
-  // effort (a poisoned log already refused everything after the failure).
-  if (wal_ != nullptr) (void)wal_->Sync();
 }
 
 core::Publisher* ServeApp::PublisherFor(core::PublisherKind kind) const {
@@ -750,8 +746,6 @@ JsonValue ServeApp::StartupSummary() const {
   doc.Set("tenant_budget", JsonValue::Number(options_.tenant_budget));
   doc.Set("ledger_wal", JsonValue::String(options_.ledger_wal));
   if (wal_ != nullptr) {
-    doc.Set("ledger_sync", JsonValue::String(
-        wal_->sync_policy() == obs::LedgerWal::SyncPolicy::kAlways ? "always" : "batch"));
     const obs::WalRecovery& recovery = wal_->recovery();
     doc.Set("wal_records", JsonValue::Number(static_cast<double>(recovery.records_read)));
     doc.Set("wal_tail_truncated_bytes",

@@ -39,8 +39,6 @@ struct ServeOptions {
   /// Path of the privacy-ledger write-ahead log (--ledger_wal). Empty =
   /// in-memory ledgers only: a restart forgets all spent ε.
   std::string ledger_wal;
-  /// fsync policy for the WAL (--ledger_sync=always|batch).
-  obs::LedgerWal::SyncPolicy ledger_sync = obs::LedgerWal::SyncPolicy::kAlways;
   /// Server-side cap on the per-request deadline a client may ask for via
   /// the JSON "deadline_ms" field (--request_deadline_s). A request whose
   /// deadline expires while queued for admission gets 504 instead of

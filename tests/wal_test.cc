@@ -153,22 +153,6 @@ TEST(LedgerWalTest, MissingFileScansEmpty) {
   EXPECT_EQ(recovery->records_read, 0u);
 }
 
-TEST(LedgerWalTest, BatchPolicyDefersFsyncUntilThresholdOrSync) {
-  const std::string path = TempWalPath("batch");
-  auto wal = LedgerWal::Open({.path = path, .sync = LedgerWal::SyncPolicy::kBatch,
-                              .batch_bytes = 1 << 20});
-  ASSERT_TRUE(wal.ok());
-  const uint64_t baseline = (*wal)->syncs();
-  uint64_t seq = 0;
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE((*wal)->AppendSpend("acme", "publish", "laplace", 0.01, 1, &seq).ok());
-  }
-  EXPECT_EQ((*wal)->syncs(), baseline);  // under the byte threshold: no fsync yet
-  ASSERT_TRUE((*wal)->Sync().ok());
-  EXPECT_EQ((*wal)->syncs(), baseline + 1);
-  std::remove(path.c_str());
-}
-
 TEST(LedgerWalTest, InjectedAppendFaultPoisonsTheLog) {
   const std::string path = TempWalPath("poison");
   auto wal = LedgerWal::Open({.path = path});
@@ -229,16 +213,6 @@ TEST(LedgerWalTest, FaultSequenceIsDeterministicAcrossRuns) {
   const std::string b = run(TempWalPath("chaos_b"));
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
-}
-
-TEST(LedgerWalTest, ParseSyncPolicyNamesTheFlagValues) {
-  auto always = ParseSyncPolicy("always");
-  ASSERT_TRUE(always.ok());
-  EXPECT_EQ(*always, LedgerWal::SyncPolicy::kAlways);
-  auto batch = ParseSyncPolicy("batch");
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*batch, LedgerWal::SyncPolicy::kBatch);
-  EXPECT_FALSE(ParseSyncPolicy("sometimes").ok());
 }
 
 TEST(LedgerWalTest, RestoreSpendReplaysWithoutAdmissionChecks) {

@@ -39,9 +39,9 @@ Flags (all optional):
   --max_pending N       admission queue bound; 429 beyond (64)
   --drain_timeout_s X   graceful-shutdown drain bound (10)
   --ledger_wal PATH     privacy-ledger write-ahead log; spends are logged
-                        before admission and replayed at startup so
-                        remaining-ε survives restarts (off: in-memory)
-  --ledger_sync P       WAL fsync policy: always | batch (always)
+                        and fsynced before admission and replayed at
+                        startup so remaining-ε survives restarts
+                        (off: in-memory)
   --request_deadline_s X  cap on client-declared "deadline_ms"; expired
                         requests get 504 (30)
   --access_log PATH     JSONL access log (ppdp.access.v1, one object per
@@ -70,7 +70,7 @@ Any other flag is a usage error: the daemon names it and exits 2.
 constexpr std::string_view kFlags[] = {
     "port", "http_max_conns", "max_body_bytes", "graph_scale", "genome_snps", "seed",
     "threads", "tenant_budget", "max_tenants", "max_pending", "drain_timeout_s",
-    "ledger_wal", "ledger_sync", "request_deadline_s", "access_log", "access_log_max_mb",
+    "ledger_wal", "request_deadline_s", "access_log", "access_log_max_mb",
     "slow_request_ms", "slo_config", "alert_log", "alert_log_max_mb", "slo_eval_period_s",
     "log_level", "log_json"};
 
@@ -119,13 +119,6 @@ int main(int argc, char** argv) {
   options.alert_log_max_mb = flags.GetDouble("alert_log_max_mb", options.alert_log_max_mb);
   options.slo_eval_period_seconds =
       flags.GetDouble("slo_eval_period_s", options.slo_eval_period_seconds);
-  Result<obs::LedgerWal::SyncPolicy> sync_policy =
-      obs::ParseSyncPolicy(flags.GetString("ledger_sync", "always"));
-  if (!sync_policy.ok()) {
-    std::cerr << "ppdp_serve: " << sync_policy.status().ToString() << "\n";
-    return 1;
-  }
-  options.ledger_sync = *sync_policy;
 
   Status pool_status = exec::ThreadPool::SetGlobalThreads(options.threads);
   if (!pool_status.ok()) {
